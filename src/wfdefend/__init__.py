@@ -9,14 +9,11 @@ classifier, and searches defense parameters under a weighted loss.
 
 from .traces import (
     Dataset,
-    DefendedPacket,
     DefendedTrace,
     Direction,
-    Packet,
     PacketKind,
     ParseError,
     Trace,
-    TraceFormat,
     attach_sources,
     load_dataset,
     parse_defended_schedule,
@@ -24,39 +21,13 @@ from .traces import (
     write_defended_trace,
     write_trace,
 )
-from .regulator import (
-    DownloadSchedule,
-    RegulatorParams,
-    ScheduleState,
-    apply_regulator,
-    simulate_download,
-    simulate_upload,
-    target_rate,
-)
+from .regulator import RegulatorParams, apply_regulator
 from .baselines import FrontParams, TamarawParams, apply_front, apply_tamaraw
-from .presets import apply_defense, defense_names, get_defense
-from .metrics import (
-    DatasetOverhead,
-    OverheadReport,
-    aggregate_reports,
-    bandwidth_overhead,
-    dataset_overhead,
-    estimated_latency_overhead,
-    latency_overhead,
-    trace_overhead,
-)
-from .stats import (
-    DatasetStats,
-    PostTenthProfile,
-    TraceStats,
-    dataset_stats,
-    post_tenth_packet_profile,
-    trace_stats,
-    volume_adjustment,
-)
-from .attack import EvalResult, evaluate_closed_world, extract_features
-from .synth import SynthProfile, generate, generate_classes, separable_profiles
-from .tuner import LossWeights, SearchSpace, TrialRecord, loss, random_search
-from .seeding import stable_seed
+from .presets import get_defense
+from .metrics import dataset_overhead, trace_overhead
+from .stats import dataset_stats, trace_stats
+from .attack import evaluate_closed_world, extract_features
+from .synth import generate_classes, separable_profiles
+from .tuner import LossWeights, SearchSpace, random_search
 
 __version__ = "0.1.0"

@@ -32,13 +32,6 @@ class EvalResult:
     fold_count: int
 
 
-def _times_and_signs(observed: Observable) -> tuple[list[float], list[int]]:
-    packets = observed.packets
-    if isinstance(observed, DefendedTrace):
-        return [p.send_time for p in packets], [int(p.direction) for p in packets]
-    return [p.time for p in packets], [int(p.direction) for p in packets]
-
-
 def extract_features(observed: Observable) -> np.ndarray:
     """Fixed-length feature vector over the observable packets of a trace.
 
@@ -48,15 +41,15 @@ def extract_features(observed: Observable) -> np.ndarray:
     then total packets, upload count, download count, and duration.
     Values are unnormalized; the evaluator min-max normalizes per fold.
     """
-    times, signs = _times_and_signs(observed)
+    times = observed.send_time if isinstance(observed, DefendedTrace) else observed.times
     n = len(times)
     if n < 2:
         raise ValueError(f"need at least 2 packets to extract features, got {n}")
-    cumulative = np.cumsum(signs)
+    cumulative = np.cumsum(observed.direction, dtype=np.int64)
     samples = np.interp(
         np.linspace(0.0, n - 1, CUMULATIVE_SAMPLES), np.arange(n), cumulative
     )
-    uploads = sum(1 for s in signs if s > 0)
+    uploads = int(np.count_nonzero(observed.direction > 0))
     summary = [float(n), float(uploads), float(n - uploads), times[-1] - times[0]]
     return np.concatenate([samples, summary])
 

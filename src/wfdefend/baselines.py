@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import DefendedPacket, DefendedTrace, Direction, PacketKind, Trace
+from .traces import DefendedTrace, Direction, Trace, merge, one_direction
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,26 +70,20 @@ def apply_front(trace: Trace, params: FrontParams, seed: int) -> DefendedTrace:
     _, client_times = _front_side(rng, params.N_c, params)
     server_count, server_times = _front_side(rng, params.N_s, params)
 
-    packets = [
-        DefendedPacket(p.time, p.direction, PacketKind.REAL, p.time)
-        for p in trace.packets
-    ]
-    packets.extend(
-        DefendedPacket(float(t), Direction.UPLOAD, PacketKind.DUMMY)
-        for t in client_times
+    real = DefendedTrace(
+        trace.times, trace.direction, np.zeros(len(trace), np.bool_), trace.times
     )
-    packets.extend(
-        DefendedPacket(float(t), Direction.DOWNLOAD, PacketKind.DUMMY)
-        for t in server_times
-    )
-    packets.sort(key=lambda p: p.send_time)
-    return DefendedTrace(tuple(packets), seed=seed, drawn_budget=server_count)
+    client = one_direction(Direction.UPLOAD, client_times, np.full(len(client_times), np.nan))
+    server = one_direction(Direction.DOWNLOAD, server_times, np.full(len(server_times), np.nan))
+    return merge((real, client, server), seed=seed, drawn_budget=server_count)
 
 
 def _tamaraw_direction(
     times: list[float], direction: Direction, rho: float, L: int
-) -> list[DefendedPacket]:
-    out: list[DefendedPacket] = []
+) -> DefendedTrace:
+    # Send and source time per slot; a NaN source marks a dummy.
+    send: list[float] = []
+    source: list[float] = []
     sent = 0
     available = 0
     k = 0
@@ -97,18 +91,20 @@ def _tamaraw_direction(
         slot = k * rho
         while available < len(times) and times[available] <= slot:
             available += 1
+        send.append(slot)
         if sent < available:
-            out.append(DefendedPacket(slot, direction, PacketKind.REAL, times[sent]))
+            source.append(times[sent])
             sent += 1
         else:
-            out.append(DefendedPacket(slot, direction, PacketKind.DUMMY))
+            source.append(math.nan)
         k += 1
     # Pad the direction up to a positive multiple of L packets.
-    target = L * max(1, math.ceil(len(out) / L))
-    while len(out) < target:
-        out.append(DefendedPacket(k * rho, direction, PacketKind.DUMMY))
+    target = L * max(1, math.ceil(len(send) / L))
+    while len(send) < target:
+        send.append(k * rho)
+        source.append(math.nan)
         k += 1
-    return out
+    return one_direction(direction, send, source)
 
 
 def apply_tamaraw(trace: Trace, params: TamarawParams) -> DefendedTrace:
@@ -120,11 +116,9 @@ def apply_tamaraw(trace: Trace, params: TamarawParams) -> DefendedTrace:
     sent and the total count reaches the next positive multiple of L.
     """
     down = _tamaraw_direction(
-        trace.times(Direction.DOWNLOAD), Direction.DOWNLOAD, params.rho_in, params.L
+        trace.times_of(Direction.DOWNLOAD).tolist(), Direction.DOWNLOAD, params.rho_in, params.L
     )
     up = _tamaraw_direction(
-        trace.times(Direction.UPLOAD), Direction.UPLOAD, params.rho_out, params.L
+        trace.times_of(Direction.UPLOAD).tolist(), Direction.UPLOAD, params.rho_out, params.L
     )
-    merged = sorted(down + up, key=lambda p: p.send_time)
-    dummy_downloads = sum(1 for p in down if p.kind is PacketKind.DUMMY)
-    return DefendedTrace(tuple(merged), seed=0, drawn_budget=dummy_downloads)
+    return merge((down, up), seed=0, drawn_budget=down.dummy_count())

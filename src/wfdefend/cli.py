@@ -9,7 +9,10 @@ reruns with the same seed are byte-identical regardless of --jobs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -47,10 +50,13 @@ from .traces import (
 from .tuner import (
     LossWeights,
     SearchSpace,
+    TrialRecord,
     parse_trial_json,
     random_search,
     trial_json,
 )
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,7 +104,10 @@ def _print_params(params) -> None:
 def _simulate_one(task: tuple[str, str, str, dict, int]):
     """Defend one trace file; top-level so worker processes can run it."""
     name, text, defense_name, overrides, sub_seed = task
-    trace = parse_trace(text)
+    try:
+        trace = parse_trace(text)
+    except ParseError as exc:
+        raise ParseError(f"{name}: {exc}") from None
     _, apply = get_defense(defense_name, overrides)
     defended = apply(trace, sub_seed)
     report = trace_overhead(trace, defended) if len(trace) and trace.duration > 0 else None
@@ -122,24 +131,26 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = [
+    # Each defended file is written as soon as its result arrives, in file
+    # order, so finished results are not held in memory.
+    tasks = (
         (p.name, p.read_text(encoding="utf-8"), args.defense, overrides,
          stable_seed(seed, p.name))
         for p in files
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_simulate_one, tasks, chunksize=8))
-    else:
-        results = [_simulate_one(t) for t in tasks]
-
+    )
     reports = []
     names = []
-    for name, text, report in results:
-        (out_dir / name).write_text(text, encoding="utf-8")
-        if report is not None:
-            reports.append(report)
-            names.append(name)
+    with contextlib.ExitStack() as stack:
+        if args.jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            results = pool.map(_simulate_one, tasks, chunksize=8)
+        else:
+            results = map(_simulate_one, tasks)
+        for name, text, report in results:
+            (out_dir / name).write_text(text, encoding="utf-8")
+            if report is not None:
+                reports.append(report)
+                names.append(name)
     if reports:
         overhead = aggregate_reports(reports)
         report_path = out_dir.parent / f"{out_dir.name}.overhead.csv"
@@ -163,8 +174,8 @@ def cmd_overhead(args) -> int:
         defended_path = defended_dir / name
         if not defended_path.is_file():
             raise ValueError(f"no defended trace for {name} in {defended_dir}")
-        rows = parse_defended_schedule(defended_path.read_text(encoding="utf-8"))
-        defended = attach_sources(original, rows)
+        schedule = parse_defended_schedule(defended_path.read_text(encoding="utf-8"))
+        defended = attach_sources(original, schedule)
         if len(original) and original.duration > 0:
             reports.append(trace_overhead(original, defended))
             names.append(name)
@@ -236,6 +247,42 @@ def _indexed_defense(args, dataset: Dataset):
     return defend
 
 
+def _read_trial_log(log_path: Path, seed: int) -> list[TrialRecord]:
+    """Records of an existing trial log, ready for appending.
+
+    A last line without its newline that does not parse is a torn write:
+    it is cut from the file with a warning and its trial runs again. A
+    malformed line anywhere else is a data error.
+    """
+    if not log_path.is_file():
+        return []
+    raw = log_path.read_bytes()
+    lines = raw.decode("utf-8").split("\n")
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record, master = parse_trial_json(line)
+        except (ValueError, KeyError, TypeError) as exc:
+            if lineno < len(lines):
+                raise ValueError(
+                    f"{log_path} line {lineno}: malformed trial record: {exc}"
+                ) from None
+            logger.warning("dropping torn last line of %s: %s", log_path, exc)
+            os.truncate(log_path, raw.rfind(b"\n") + 1)
+            break
+        if master != seed:
+            raise ValueError(f"trial log {log_path} was produced with seed {master}, not {seed}")
+        records.append(record)
+    else:
+        if raw and not raw.endswith(b"\n"):
+            # A complete last record whose newline was lost.
+            with log_path.open("a", encoding="utf-8") as log:
+                log.write("\n")
+    return records
+
+
 def cmd_tune(args) -> int:
     if args.weights:
         weights_path = Path(args.weights)
@@ -255,17 +302,7 @@ def cmd_tune(args) -> int:
 
     dataset = load_dataset(Path(args.input))
     log_path = Path(args.log)
-    existing = []
-    if log_path.is_file():
-        for line in log_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            record, master = parse_trial_json(line)
-            if master != args.seed:
-                raise ValueError(
-                    f"trial log {log_path} was produced with seed {master}, not {args.seed}"
-                )
-            existing.append(record)
+    existing = _read_trial_log(log_path, args.seed)
     start = len(existing)
     if start > args.trials:
         start = args.trials

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .traces import DefendedTrace, Direction, PacketKind, Trace
+from .traces import DefendedTrace, Direction, Trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,64 +36,56 @@ class DatasetOverhead:
     per_trace: tuple[OverheadReport, ...]
 
 
-def _last_original_time(original: Trace) -> float:
-    if not original.packets:
+def _original_duration(original: Trace) -> float:
+    """Time of the original's last packet, the denominator of both latency
+    figures."""
+    if not len(original):
         raise ValueError("overhead is undefined for an empty original trace")
-    return original.packets[-1].time
+    t_last = float(original.times[-1])
+    if t_last <= 0:
+        raise ValueError("latency overhead is undefined for a zero-duration trace")
+    return t_last
+
+
+def _delays(defended: DefendedTrace) -> tuple[float, float]:
+    """(delay of the last real download packet, worst real upload delay);
+    a direction with no real packets contributes 0."""
+    real = ~defended.dummy
+    delay = defended.send_time - defended.source_time
+    download = delay[real & (defended.direction == Direction.DOWNLOAD)]
+    upload = delay[real & (defended.direction == Direction.UPLOAD)]
+    last_download = float(download[-1]) if len(download) else 0.0
+    worst_upload = max(0.0, float(upload.max())) if len(upload) else 0.0
+    return last_download, worst_upload
 
 
 def bandwidth_overhead(original: Trace, defended: DefendedTrace) -> float:
     """Dummy packets sent divided by the original packet count."""
-    if not original.packets:
+    if not len(original):
         raise ValueError("bandwidth overhead is undefined for an empty original trace")
     return defended.dummy_count() / len(original)
 
 
 def latency_overhead(original: Trace, defended: DefendedTrace) -> float:
     """Extra delay of the last real packet relative to the original duration."""
-    t_last = _last_original_time(original)
-    if t_last <= 0:
-        raise ValueError("latency overhead is undefined for a zero-duration trace")
-    last_real = max(
-        (p.send_time for p in defended.packets if p.kind is PacketKind.REAL),
-        default=None,
-    )
-    if last_real is None:
+    t_last = _original_duration(original)
+    real = defended.send_time[~defended.dummy]
+    if not len(real):
         raise ValueError("defended trace carries no real packets")
-    return max(0.0, last_real - t_last) / t_last
+    return max(0.0, float(real.max()) - t_last) / t_last
 
 
 def estimated_latency_overhead(original: Trace, defended: DefendedTrace) -> float:
     """Delay of the last real download packet plus the worst upload delay,
     over the original duration. Directions with no packets contribute 0."""
-    t_last = _last_original_time(original)
-    if t_last <= 0:
-        raise ValueError("latency overhead is undefined for a zero-duration trace")
-    last_download_delay = 0.0
-    max_upload_delay = 0.0
-    for p in defended.packets:
-        if p.kind is not PacketKind.REAL:
-            continue
-        if p.direction is Direction.DOWNLOAD:
-            last_download_delay = p.delay
-        elif p.delay > max_upload_delay:
-            max_upload_delay = p.delay
+    t_last = _original_duration(original)
+    last_download_delay, max_upload_delay = _delays(defended)
     return (last_download_delay + max_upload_delay) / t_last
 
 
 def trace_overhead(original: Trace, defended: DefendedTrace) -> OverheadReport:
-    t_last = _last_original_time(original)
-    if t_last <= 0:
-        raise ValueError("latency overhead is undefined for a zero-duration trace")
-    last_download_delay = 0.0
-    max_upload_delay = 0.0
-    for p in defended.packets:
-        if p.kind is not PacketKind.REAL:
-            continue
-        if p.direction is Direction.DOWNLOAD:
-            last_download_delay = p.delay
-        elif p.delay > max_upload_delay:
-            max_upload_delay = p.delay
+    t_last = _original_duration(original)
+    last_download_delay, max_upload_delay = _delays(defended)
     return OverheadReport(
         bandwidth_overhead=bandwidth_overhead(original, defended),
         latency_overhead=latency_overhead(original, defended),

@@ -25,11 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from .traces import (
-    DefendedPacket,
     DefendedTrace,
     Direction,
-    PacketKind,
     Trace,
+    merge,
+    one_direction,
 )
 
 # The download schedule only starts once this many download packets exist.
@@ -85,21 +85,11 @@ class RegulatorParams:
         return replace(self, **kwargs)
 
 
-@dataclass(slots=True)
-class ScheduleState:
-    """Mutable state of the slot scheduler."""
-
-    surge_time: float
-    next_packet_time: float
-    sent_dummy_packets: int = 0
-    upload_credit: float = 0.0
-
-
 @dataclass(frozen=True, slots=True)
 class DownloadSchedule:
     """Download half of a defended trace plus what the upload side needs."""
 
-    packets: tuple[DefendedPacket, ...]
+    packets: DefendedTrace
     slots: tuple[float, ...]
     surge_start: float
     drawn_budget: int
@@ -125,23 +115,22 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
     """
     rng = np.random.default_rng(seed)
     budget = int(rng.integers(0, params.N + 1))
-    down = trace.times(Direction.DOWNLOAD)
+    down = trace.times_of(Direction.DOWNLOAD).tolist()
 
     if len(down) < ACTIVATION_PACKETS:
-        passthrough = tuple(
-            DefendedPacket(t, Direction.DOWNLOAD, PacketKind.REAL, t) for t in down
-        )
+        passthrough = one_direction(Direction.DOWNLOAD, down, down)
         return DownloadSchedule(passthrough, (), math.inf, budget)
 
-    sent: list[DefendedPacket] = [
-        DefendedPacket(t, Direction.DOWNLOAD, PacketKind.REAL, t)
-        for t in down[:ACTIVATION_PACKETS]
-    ]
+    # Send and source time per emitted packet; a NaN source marks a dummy.
+    send = down[:ACTIVATION_PACKETS]
+    source = down[:ACTIVATION_PACKETS]
     surge_start = down[ACTIVATION_PACKETS - 1]
-    state = ScheduleState(surge_time=surge_start, next_packet_time=surge_start)
+    surge_time = surge_start
+    slot = surge_start
     total = len(down)
     next_unsent = ACTIVATION_PACKETS
     available = ACTIVATION_PACKETS
+    sent_dummies = 0
     # Times at which the two stop conditions were met; the slot clock keeps
     # running until tail_grace past the later of the two, so padding can
     # outlive the real data and vary the total trace volume.
@@ -150,11 +139,10 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
     slots: list[float] = []
 
     while True:
-        slot = state.next_packet_time
         if last_real_time is not None and budget_done_time is not None:
             if slot >= max(last_real_time, budget_done_time) + params.tail_grace:
                 break
-        rate = params.R * params.D ** (slot - state.surge_time)
+        rate = params.R * params.D ** (slot - surge_time)
         if rate < 1.0:
             rate = 1.0
         while available < total and down[available] <= slot:
@@ -163,23 +151,25 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
         # A reset takes effect on the *next* slot; this slot's gap still
         # uses the rate computed above.
         if waiting > params.T * rate:
-            state.surge_time = slot
+            surge_time = slot
         if waiting > 0:
-            source = down[next_unsent]
-            sent.append(DefendedPacket(slot, Direction.DOWNLOAD, PacketKind.REAL, source))
+            send.append(slot)
+            source.append(down[next_unsent])
             next_unsent += 1
             if next_unsent == total:
                 last_real_time = slot
-        elif state.sent_dummy_packets < budget:
-            sent.append(DefendedPacket(slot, Direction.DOWNLOAD, PacketKind.DUMMY))
-            state.sent_dummy_packets += 1
-            if state.sent_dummy_packets == budget:
+        elif sent_dummies < budget:
+            send.append(slot)
+            source.append(math.nan)
+            sent_dummies += 1
+            if sent_dummies == budget:
                 budget_done_time = slot
         # Queue empty with the budget spent: the slot passes silently.
         slots.append(slot)
-        state.next_packet_time = slot + 1.0 / rate
+        slot = slot + 1.0 / rate
 
-    return DownloadSchedule(tuple(sent), tuple(slots), surge_start, budget)
+    packets = one_direction(Direction.DOWNLOAD, send, source)
+    return DownloadSchedule(packets, tuple(slots), surge_start, budget)
 
 
 def simulate_upload(
@@ -187,7 +177,7 @@ def simulate_upload(
     params: RegulatorParams,
     download_slots: Sequence[float],
     surge_start: float,
-) -> tuple[DefendedPacket, ...]:
+) -> DefendedTrace:
     """Schedule the upload side against an already-simulated download side.
 
     Upload slots run at initial_upload_rate from t=0 until the surge starts,
@@ -201,9 +191,9 @@ def simulate_upload(
     If the download schedule never started (surge_start is +inf) the whole
     defense is inactive and upload packets pass through unmodified.
     """
-    up = trace.times(Direction.UPLOAD)
+    up = trace.times_of(Direction.UPLOAD).tolist()
     if math.isinf(surge_start):
-        return tuple(DefendedPacket(t, Direction.UPLOAD, PacketKind.REAL, t) for t in up)
+        return one_direction(Direction.UPLOAD, up, up)
 
     slots: list[float] = []
     prelude_gap = 1.0 / params.initial_upload_rate
@@ -211,15 +201,16 @@ def simulate_upload(
     while k * prelude_gap < surge_start:
         slots.append(k * prelude_gap)
         k += 1
-    state = ScheduleState(surge_time=surge_start, next_packet_time=surge_start)
+    upload_credit = 0.0
     for slot in download_slots:
-        state.upload_credit += 1.0 / params.U
-        if state.upload_credit >= 1.0:
-            state.upload_credit -= 1.0
+        upload_credit += 1.0 / params.U
+        if upload_credit >= 1.0:
+            upload_credit -= 1.0
             slots.append(slot)
 
     flushes = [t + params.C for t in up]
-    out: list[DefendedPacket] = []
+    send: list[float] = []
+    source: list[float] = []
     sent = 0
     available = 0
     si = 0
@@ -235,25 +226,22 @@ def simulate_upload(
             si += 1
             while available < len(up) and up[available] <= slot:
                 available += 1
+            send.append(slot)
             if sent < available:
-                out.append(DefendedPacket(slot, Direction.UPLOAD, PacketKind.REAL, up[sent]))
+                source.append(up[sent])
                 sent += 1
             else:
-                out.append(DefendedPacket(slot, Direction.UPLOAD, PacketKind.DUMMY))
+                source.append(math.nan)
         else:
-            out.append(
-                DefendedPacket(flushes[fi], Direction.UPLOAD, PacketKind.REAL, up[fi])
-            )
+            send.append(flushes[fi])
+            source.append(up[fi])
             sent = fi + 1
             fi += 1
-    return tuple(out)
+    return one_direction(Direction.UPLOAD, send, source)
 
 
 def apply_regulator(trace: Trace, params: RegulatorParams, seed: int) -> DefendedTrace:
     """Defend a trace; a pure function of (trace, params, seed)."""
     download = simulate_download(trace, params, seed)
     upload = simulate_upload(trace, params, download.slots, download.surge_start)
-    merged = sorted(
-        list(download.packets) + list(upload), key=lambda p: p.send_time
-    )
-    return DefendedTrace(tuple(merged), seed=seed, drawn_budget=download.drawn_budget)
+    return merge((download.packets, upload), seed=seed, drawn_budget=download.drawn_budget)

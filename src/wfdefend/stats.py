@@ -47,26 +47,26 @@ class PostTenthProfile:
 
 def trace_stats(trace: Trace) -> TraceStats:
     """Per-trace statistics; quantiles use linear interpolation."""
-    if not trace.packets:
+    if not len(trace):
         raise ValueError("statistics are undefined for an empty trace")
-    times = np.array([p.time for p in trace.packets])
+    times = trace.times
     q25, q75 = np.quantile(times, [0.25, 0.75])
     uploads = trace.count(Direction.UPLOAD)
-    downloads = trace.count(Direction.DOWNLOAD)
+    downloads = len(trace) - uploads
     ratio = downloads / uploads if uploads else math.inf
-    bins = [[0, 0] for _ in range(int(times[-1]) + 1)]
-    for p in trace.packets:
-        idx = int(p.time)
-        if p.direction is Direction.UPLOAD:
-            bins[idx][0] += 1
-        else:
-            bins[idx][1] += 1
+    second = times.astype(np.int64)
+    bins = int(second[-1]) + 1
+    upload = trace.direction == Direction.UPLOAD
+    per_second = zip(
+        np.bincount(second[upload], minlength=bins).tolist(),
+        np.bincount(second[~upload], minlength=bins).tolist(),
+    )
     return TraceStats(
         packet_count=len(trace),
         duration=trace.duration,
         time_iqr=float(q75 - q25),
         download_upload_ratio=ratio,
-        per_second_bins=tuple((u, d) for u, d in bins),
+        per_second_bins=tuple(per_second),
     )
 
 
@@ -92,17 +92,17 @@ def post_tenth_packet_profile(dataset: Dataset) -> PostTenthProfile:
     every later download packet minus the time of the tenth, and reports
     the median offset.
     """
-    offsets: list[float] = []
+    offsets: list[np.ndarray] = []
     skipped = 0
     for trace in dataset.traces:
-        down = trace.times(Direction.DOWNLOAD)
+        down = trace.times_of(Direction.DOWNLOAD)
         if len(down) < ACTIVATION_PACKETS:
             skipped += 1
             continue
-        anchor = down[ACTIVATION_PACKETS - 1]
-        offsets.extend(t - anchor for t in down[ACTIVATION_PACKETS:])
-    median = float(np.median(offsets)) if offsets else math.nan
-    return PostTenthProfile(tuple(offsets), median, skipped)
+        offsets.append(down[ACTIVATION_PACKETS:] - down[ACTIVATION_PACKETS - 1])
+    pooled = np.concatenate(offsets) if offsets else np.empty(0)
+    median = float(np.median(pooled)) if len(pooled) else math.nan
+    return PostTenthProfile(tuple(pooled.tolist()), median, skipped)
 
 
 def volume_adjustment(
@@ -129,10 +129,9 @@ def offsets_histogram(
         raise ValueError("bin_width must be positive")
     if not profile.offsets:
         return []
-    counts: dict[int, int] = {}
-    for off in profile.offsets:
-        counts[int(off // bin_width)] = counts.get(int(off // bin_width), 0) + 1
-    return [(k * bin_width, counts[k]) for k in sorted(counts)]
+    keys = np.floor_divide(np.array(profile.offsets), bin_width).astype(np.int64)
+    bins, counts = np.unique(keys, return_counts=True)
+    return [(k * bin_width, c) for k, c in zip(bins.tolist(), counts.tolist())]
 
 
 def iqr_table(dataset: Dataset) -> str:
@@ -161,7 +160,7 @@ def per_second_table(dataset: Dataset) -> str:
     lines = ["name,second,upload_count,download_count"]
     names = dataset.filenames or [str(i) for i in range(len(dataset))]
     for name, trace in zip(names, dataset.traces):
-        if not trace.packets:
+        if not len(trace):
             continue
         for second, (up, down) in enumerate(trace_stats(trace).per_second_bins):
             lines.append(f"{name},{second},{up},{down}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import stable_seed
-from .traces import Dataset, Direction, Packet, Trace
+from .traces import Dataset, Direction, Trace
 
 # Intra-surge inter-packet gap bounds, seconds.
 _GAP_LOW = 0.0005
@@ -56,21 +56,22 @@ def generate(profile: SynthProfile, instances: int, seed: int) -> Dataset:
         is_upload = base.random(size) < profile.upload_fraction
         surges.append((offsets, is_upload))
 
+    direction = np.concatenate([
+        np.where(is_upload, Direction.UPLOAD, Direction.DOWNLOAD) for _, is_upload in surges
+    ])
     traces = []
     for instance in range(instances):
         rng = np.random.default_rng(
             stable_seed(seed, "synth-inst", profile.class_id, instance)
         )
-        rows: list[tuple[float, Direction]] = []
-        for anchor, (offsets, is_upload) in zip(profile.surge_times, surges):
-            start = max(0.0, anchor + float(rng.uniform(-profile.jitter, profile.jitter)))
-            for offset, upload in zip(offsets, is_upload):
-                direction = Direction.UPLOAD if upload else Direction.DOWNLOAD
-                rows.append((start + offset, direction))
-        rows.sort(key=lambda r: r[0])
-        first = rows[0][0]
+        times = np.concatenate([
+            max(0.0, anchor + float(rng.uniform(-profile.jitter, profile.jitter))) + offsets
+            for anchor, (offsets, _) in zip(profile.surge_times, surges)
+        ])
+        order = np.argsort(times, kind="stable")
+        times = times[order]
         traces.append(
-            Trace(tuple(Packet(t - first, d) for t, d in rows), label=profile.class_id)
+            Trace(times - times[0], direction[order], label=profile.class_id)
         )
     return Dataset(tuple(traces), name=f"synth:{profile.class_id}")
 

@@ -4,6 +4,13 @@ Trace files are UTF-8 text, one packet per line: `time<TAB>direction` where
 the direction is a signed number (+ = upload, - = download; the magnitude,
 e.g. a cell size, is ignored). Defended traces add a third column marking
 each packet real or dummy: `time<TAB>±1<TAB>{R,D}`.
+
+Traces are columnar. A Trace holds a float64 `times` array and an int8
+`direction` array (+1 upload, -1 download); a DefendedTrace holds
+`send_time`, `direction`, a bool `dummy` mask and `source_time` (NaN for
+dummies). Constructors copy the columns into read-only arrays and validate
+them once, vectorized. Iterating a trace yields per-packet row views
+(`Packet`, `DefendedPacket`) built on demand, for inspection and tests.
 """
 
 from __future__ import annotations
@@ -12,12 +19,15 @@ import logging
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, NamedTuple, NoReturn, Optional, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
 # Output times are quantized to microseconds; dataset precision is coarser.
 TIME_DECIMALS = 6
+_TIME_SCALE = 10.0**TIME_DECIMALS
 
 
 class Direction(IntEnum):
@@ -32,82 +42,24 @@ class PacketKind(Enum):
     DUMMY = "D"
 
 
-class TraceFormat(Enum):
-    """Supported undefended trace file formats."""
-
-    TIME_DIRECTION = "time-direction"
-
-
 class ParseError(ValueError):
     """Malformed trace file; the message names the offending line."""
 
 
-@dataclass(frozen=True, slots=True)
-class Packet:
+class Packet(NamedTuple):
+    """Row view of one packet of a Trace."""
+
     time: float
     direction: Direction
 
-    def __post_init__(self):
-        object.__setattr__(self, "time", float(self.time))
-        if not self.time >= 0.0:
-            raise ValueError(f"packet time must be >= 0, got {self.time}")
 
-
-@dataclass(frozen=True, slots=True)
-class Trace:
-    """Time-ordered packets of one page load, times relative to the first packet."""
-
-    packets: tuple[Packet, ...]
-    label: Optional[str] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "packets", tuple(self.packets))
-        times = [p.time for p in self.packets]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("trace packets must be sorted by non-decreasing time")
-
-    def __len__(self) -> int:
-        return len(self.packets)
-
-    def times(self, direction: Direction) -> list[float]:
-        return [p.time for p in self.packets if p.direction is direction]
-
-    def count(self, direction: Direction) -> int:
-        return sum(1 for p in self.packets if p.direction is direction)
-
-    @property
-    def duration(self) -> float:
-        if not self.packets:
-            return 0.0
-        return self.packets[-1].time - self.packets[0].time
-
-
-@dataclass(frozen=True, slots=True)
-class DefendedPacket:
-    """One packet of a defended schedule.
-
-    Real packets carry the availability time of the original packet they
-    deliver (`source_time`); dummies carry none. A real packet can never be
-    sent before it exists.
-    """
+class DefendedPacket(NamedTuple):
+    """Row view of one packet of a DefendedTrace; dummies carry no source time."""
 
     send_time: float
     direction: Direction
     kind: PacketKind
     source_time: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "send_time", float(self.send_time))
-        if self.kind is PacketKind.REAL:
-            if self.source_time is None:
-                raise ValueError("real packet requires a source_time")
-            if self.send_time < self.source_time:
-                raise ValueError(
-                    f"real packet sent at {self.send_time} before its source "
-                    f"time {self.source_time}"
-                )
-        elif self.source_time is not None:
-            raise ValueError("dummy packet must not carry a source_time")
 
     @property
     def delay(self) -> float:
@@ -116,40 +68,179 @@ class DefendedPacket:
         return self.send_time - self.source_time
 
 
-@dataclass(frozen=True, slots=True)
+def _column(values, dtype, name: str, length: Optional[int] = None) -> np.ndarray:
+    """Read-only one-dimensional copy of `values`."""
+    array = np.array(values, dtype=dtype)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if length is not None and len(array) != length:
+        raise ValueError(f"{name} has {len(array)} entries, expected {length}")
+    array.flags.writeable = False
+    return array
+
+
+def _direction_column(values, length: int) -> np.ndarray:
+    direction = _column(values, np.int8, "direction", length)
+    if not np.all((direction == 1) | (direction == -1)):
+        raise ValueError("direction must be +1 (upload) or -1 (download)")
+    return direction
+
+
+def _check_sorted(times: np.ndarray, message: str) -> None:
+    if not np.isfinite(times).all():
+        raise ValueError("packet times must be finite")
+    if (np.diff(times) < 0).any():
+        raise ValueError(message)
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Time-ordered packets of one page load, times relative to the first packet.
+
+    Build one from any two equal-length sequences, e.g.
+    `Trace(times=[0.0, 0.5], direction=[1, -1], label="site")`.
+    """
+
+    times: np.ndarray
+    direction: np.ndarray
+    label: Optional[str] = None
+
+    def __post_init__(self):
+        times = _column(self.times, np.float64, "times")
+        direction = _direction_column(self.direction, len(times))
+        negative = times < 0.0
+        if negative.any():
+            raise ValueError(f"packet time must be >= 0, got {float(times[negative][0])}")
+        _check_sorted(times, "trace packets must be sorted by non-decreasing time")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "direction", direction)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self) -> Iterator[Packet]:
+        for time, direction in zip(self.times.tolist(), self.direction.tolist()):
+            yield Packet(time, Direction(direction))
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            self.label == other.label
+            and np.array_equal(self.times, other.times)
+            and np.array_equal(self.direction, other.direction)
+        )
+
+    def times_of(self, direction: Direction) -> np.ndarray:
+        return self.times[self.direction == direction]
+
+    def count(self, direction: Direction) -> int:
+        return int(np.count_nonzero(self.direction == direction))
+
+    @property
+    def duration(self) -> float:
+        if not len(self.times):
+            return 0.0
+        return float(self.times[-1] - self.times[0])
+
+
+@dataclass(frozen=True, eq=False)
 class DefendedTrace:
     """Defended packet schedule plus the randomness bookkeeping that produced it.
 
-    `seed` is the seed all randomness was drawn from and `drawn_budget` the
-    realized download padding budget. At equal send times the download side
-    is listed before the upload side, and earlier-queued packets first.
+    Real packets carry the availability time of the original packet they
+    deliver (`source_time`) and are never sent before it; dummies carry
+    NaN. `seed` is the seed all randomness was drawn from and
+    `drawn_budget` the realized download padding budget. At equal send
+    times the download side is listed before the upload side, and
+    earlier-queued packets first.
     """
 
-    packets: tuple[DefendedPacket, ...]
-    seed: int
-    drawn_budget: int
+    send_time: np.ndarray
+    direction: np.ndarray
+    dummy: np.ndarray
+    source_time: np.ndarray
+    seed: int = 0
+    drawn_budget: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "packets", tuple(self.packets))
+        send = _column(self.send_time, np.float64, "send_time")
+        n = len(send)
+        direction = _direction_column(self.direction, n)
+        dummy = _column(self.dummy, np.bool_, "dummy", n)
+        source = _column(self.source_time, np.float64, "source_time", n)
+        real = ~dummy
+        if (real & ~np.isfinite(source)).any():
+            raise ValueError("real packet requires a finite source_time")
+        early = real & (send < source)
+        if early.any():
+            i = int(np.argmax(early))
+            raise ValueError(
+                f"real packet sent at {float(send[i])} before its source "
+                f"time {float(source[i])}"
+            )
+        if not np.isnan(source[dummy]).all():
+            raise ValueError("dummy packet must not carry a source_time")
         if self.drawn_budget < 0:
             raise ValueError("drawn_budget must be non-negative")
-        times = [p.send_time for p in self.packets]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("defended packets must be sorted by send_time")
+        _check_sorted(send, "defended packets must be sorted by send_time")
+        for name, column in (
+            ("send_time", send), ("direction", direction), ("dummy", dummy),
+            ("source_time", source),
+        ):
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.packets)
+        return len(self.send_time)
 
-    def real_packets(self) -> list[DefendedPacket]:
-        return [p for p in self.packets if p.kind is PacketKind.REAL]
+    def __iter__(self) -> Iterator[DefendedPacket]:
+        for send, direction, dummy, source in zip(
+            self.send_time.tolist(), self.direction.tolist(),
+            self.dummy.tolist(), self.source_time.tolist(),
+        ):
+            if dummy:
+                yield DefendedPacket(send, Direction(direction), PacketKind.DUMMY)
+            else:
+                yield DefendedPacket(send, Direction(direction), PacketKind.REAL, source)
+
+    def __eq__(self, other):
+        if not isinstance(other, DefendedTrace):
+            return NotImplemented
+        return (
+            self.seed == other.seed
+            and self.drawn_budget == other.drawn_budget
+            and np.array_equal(self.send_time, other.send_time)
+            and np.array_equal(self.direction, other.direction)
+            and np.array_equal(self.dummy, other.dummy)
+            and np.array_equal(self.source_time, other.source_time, equal_nan=True)
+        )
 
     def dummy_count(self, direction: Optional[Direction] = None) -> int:
-        return sum(
-            1
-            for p in self.packets
-            if p.kind is PacketKind.DUMMY
-            and (direction is None or p.direction is direction)
-        )
+        mask = self.dummy if direction is None else self.dummy & (self.direction == direction)
+        return int(np.count_nonzero(mask))
+
+
+def one_direction(direction: Direction, send_time, source_time) -> DefendedTrace:
+    """One direction of a schedule; a NaN source time marks a dummy."""
+    source = np.asarray(source_time, dtype=np.float64)
+    return DefendedTrace(
+        send_time, np.full(len(source), direction, np.int8), np.isnan(source), source
+    )
+
+
+def merge(parts: Sequence[DefendedTrace], seed: int, drawn_budget: int) -> DefendedTrace:
+    """Merge schedules by send time with one stable sort: at equal send
+    times packets keep the order of `parts`, then their order within it."""
+    send = np.concatenate([p.send_time for p in parts])
+    order = np.argsort(send, kind="stable")
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([getattr(p, name) for p in parts])[order]
+
+    return DefendedTrace(
+        send[order], column("direction"), column("dummy"), column("source_time"),
+        seed=seed, drawn_budget=drawn_budget,
+    )
 
 
 @dataclass(frozen=True)
@@ -175,94 +266,178 @@ class Dataset:
         return [t.label for t in self.traces]
 
 
-def _parse_fields(line: str, lineno: int) -> tuple[float, Direction]:
-    fields = line.split()
-    if len(fields) < 2:
-        raise ParseError(f"line {lineno}: expected `time<TAB>direction`, got {line!r}")
-    try:
-        time = float(fields[0])
-    except ValueError:
-        raise ParseError(f"line {lineno}: non-numeric time field {fields[0]!r}") from None
-    try:
-        value = float(fields[1])
-    except ValueError:
-        raise ParseError(
-            f"line {lineno}: non-numeric direction field {fields[1]!r}"
-        ) from None
-    if value == 0:
-        raise ParseError(f"line {lineno}: zero direction")
-    direction = Direction.UPLOAD if value > 0 else Direction.DOWNLOAD
-    return time, direction
+def _raise_line_error(text: str, defended: bool) -> NoReturn:
+    """Raise the ParseError for the first malformed line of `text`."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if defended and len(fields) != 3:
+            raise ParseError(f"line {lineno}: expected `time<TAB>±1<TAB>R|D`, got {line!r}")
+        if len(fields) < 2:
+            raise ParseError(f"line {lineno}: expected `time<TAB>direction`, got {line!r}")
+        try:
+            time = float(fields[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric time field {fields[0]!r}") from None
+        if not np.isfinite(time):
+            raise ParseError(f"line {lineno}: non-finite time {fields[0]!r}")
+        try:
+            value = float(fields[1])
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: non-numeric direction field {fields[1]!r}"
+            ) from None
+        if value == 0:
+            raise ParseError(f"line {lineno}: zero direction")
+        if defended and fields[2] not in ("R", "D"):
+            raise ParseError(f"line {lineno}: unknown packet kind {fields[2]!r}")
+    raise ParseError("malformed trace")
 
 
-def parse_trace(
-    text: str,
-    fmt: TraceFormat = TraceFormat.TIME_DIRECTION,
-    label: Optional[str] = None,
-) -> Trace:
+def _line_of(text: str, row: int) -> int:
+    """Line number of the row-th (0-based) non-blank line."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.split():
+            if row == 0:
+                return lineno
+            row -= 1
+    raise IndexError(row)
+
+
+def _parse_columns(text: str, defended: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (times, direction, dummy) of the non-blank lines, in file
+    order; `dummy` is all False unless `defended`.
+
+    All checks run on whole columns; any failure is re-diagnosed line by
+    line so the error names the first offending line.
+    """
+    rows = [fields for fields in map(str.split, text.splitlines()) if fields]
+    if not rows:
+        return np.empty(0), np.empty(0, np.int8), np.empty(0, np.bool_)
+    widths = set(map(len, rows))
+    columns = list(zip(*rows))
+    try:
+        if min(widths) < 2 or (defended and widths != {3}):
+            raise ValueError("field count")
+        times = np.fromiter(map(float, columns[0]), np.float64, len(rows))
+        values = np.fromiter(map(float, columns[1]), np.float64, len(rows))
+        dummy = np.zeros(len(rows), np.bool_)
+        known_kinds = True
+        if defended:
+            # One byte per row exactly when every kind token is one ASCII letter.
+            kinds = "".join(columns[2])
+            codes = np.frombuffer(kinds.encode("ascii"), np.uint8)
+            dummy = codes == ord(PacketKind.DUMMY.value)
+            known_kinds = len(codes) == len(rows) and (
+                dummy | (codes == ord(PacketKind.REAL.value))
+            ).all()
+        if not (np.isfinite(times).all() and (values != 0).all() and known_kinds):
+            raise ValueError("bad value")
+    except ValueError:
+        _raise_line_error(text, defended)
+    direction = np.where(values > 0, np.int8(1), np.int8(-1))
+    return times, direction, dummy
+
+
+def parse_trace(text: str, label: Optional[str] = None) -> Trace:
     """Parse trace text into a Trace normalized to start at time 0.
 
     Lines are sorted if the input is unsorted (stable, so ties keep file
     order). Empty input yields an empty trace. Fields after the first two
     are ignored, so defended files with their dummy lines removed parse
-    back directly.
+    back directly. Non-finite times are rejected.
     """
-    if fmt is not TraceFormat.TIME_DIRECTION:
-        raise ValueError(f"unsupported trace format {fmt!r}")
-    rows: list[tuple[float, Direction]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        rows.append(_parse_fields(line, lineno))
-    if not rows:
-        return Trace((), label=label)
-    rows.sort(key=lambda r: r[0])
-    t0 = rows[0][0]
-    return Trace(tuple(Packet(t - t0, d) for t, d in rows), label=label)
+    times, direction, _ = _parse_columns(text, defended=False)
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    if len(times):
+        with np.errstate(over="ignore"):
+            times -= times[0]
+        if not np.isfinite(times[-1]):
+            line = _line_of(text, int(order[-1]))
+            raise ParseError(f"line {line}: time too far from the first packet's")
+    return Trace(times, direction[order], label=label)
+
+
+def _scaled_round(times: np.ndarray) -> np.ndarray:
+    """round(|t| * 10**TIME_DECIMALS) as int64, ties to even on the exact
+    product, as Python's fixed-point formatting rounds.
+
+    The float product p is split off its exact rounding error (Dekker's
+    two-product); the error only decides the rounding when p lies exactly
+    halfway between integers. Requires |t| * 10**TIME_DECIMALS < 2**52.
+    """
+    a = np.abs(times)
+    p = a * _TIME_SCALE
+    c = 134217729.0 * a  # 2**27 + 1 splits a into two 26-bit halves
+    high = c - (c - a)
+    error = (high * _TIME_SCALE - p) + (a - high) * _TIME_SCALE
+    whole = np.floor(p)
+    fraction = p - whole
+    tie_up = (error > 0) | ((error == 0) & (whole % 2 == 1))
+    up = (fraction > 0.5) | ((fraction == 0.5) & tie_up)
+    return whole.astype(np.int64) + up
+
+
+def _format_rows(times: np.ndarray, tails: Sequence[str], which: np.ndarray) -> str:
+    """Text of one line per time: the time formatted like
+    f"{t:.{TIME_DECIMALS}f}", then tails[which[i]], built as one byte array."""
+    if not len(times):
+        return ""
+    if not (np.abs(times) * _TIME_SCALE < 2.0**52).all():
+        return "".join(
+            f"{t:.{TIME_DECIMALS}f}{tails[i]}" for t, i in zip(times.tolist(), which.tolist())
+        )
+    whole, fraction = np.divmod(_scaled_round(times), 10**TIME_DECIMALS)
+    digits = len(str(int(whole.max())))
+    tail_width = max(map(len, tails))
+    width = 1 + digits + 1 + TIME_DECIMALS + tail_width
+    out = np.empty((len(times), width), np.uint8)
+    keep = np.ones(out.shape, np.bool_)
+    out[:, 0] = ord("-")
+    keep[:, 0] = np.signbit(times)
+    for j in range(digits):
+        power = 10 ** (digits - 1 - j)
+        out[:, 1 + j] = whole // power % 10 + ord("0")
+        keep[:, 1 + j] = (whole >= power) | (j == digits - 1)  # no leading zeros
+    out[:, 1 + digits] = ord(".")
+    for j in range(TIME_DECIMALS):
+        out[:, 2 + digits + j] = fraction // 10 ** (TIME_DECIMALS - 1 - j) % 10 + ord("0")
+    for j in range(tail_width):
+        column = np.array([ord(t[j]) if j < len(t) else 0 for t in tails], np.uint8)
+        out[:, width - tail_width + j] = column[which]
+        keep[:, width - tail_width + j] = column[which] != 0
+    return out[keep].tobytes().decode("ascii")
 
 
 def write_trace(trace: Trace) -> str:
     """Serialize a trace in the time/direction file format."""
-    lines = [f"{p.time:.{TIME_DECIMALS}f}\t{int(p.direction)}" for p in trace.packets]
-    return "".join(line + "\n" for line in lines)
+    which = (trace.direction < 0).astype(np.intp)
+    return _format_rows(trace.times, ("\t1\n", "\t-1\n"), which)
 
 
 def write_defended_trace(defended: DefendedTrace) -> str:
     """Serialize a defended schedule: `time<TAB>±1<TAB>{R,D}` per packet."""
-    lines = [
-        f"{p.send_time:.{TIME_DECIMALS}f}\t{int(p.direction)}\t{p.kind.value}"
-        for p in defended.packets
-    ]
-    return "".join(line + "\n" for line in lines)
+    tails = ("\t1\tR\n", "\t1\tD\n", "\t-1\tR\n", "\t-1\tD\n")
+    which = 2 * (defended.direction < 0) + defended.dummy
+    return _format_rows(defended.send_time, tails, which)
 
 
-def parse_defended_schedule(text: str) -> list[tuple[float, Direction, PacketKind]]:
-    """Parse a defended trace file into (send_time, direction, kind) rows.
+def parse_defended_schedule(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse a defended trace file into (send_time, direction, dummy) columns,
+    stably sorted by send time.
 
     Source times are not stored on disk; use attach_sources() with the
     original trace to recover per-packet delays.
     """
-    rows: list[tuple[float, Direction, PacketKind]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError(
-                f"line {lineno}: expected `time<TAB>±1<TAB>R|D`, got {line!r}"
-            )
-        time, direction = _parse_fields(line, lineno)
-        try:
-            kind = PacketKind(fields[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: unknown packet kind {fields[2]!r}") from None
-        rows.append((time, direction, kind))
-    rows.sort(key=lambda r: r[0])
-    return rows
+    times, direction, dummy = _parse_columns(text, defended=True)
+    order = np.argsort(times, kind="stable")
+    return times[order], direction[order], dummy[order]
 
 
 def attach_sources(
-    original: Trace, rows: Sequence[tuple[float, Direction, PacketKind]]
+    original: Trace, schedule: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> DefendedTrace:
     """Rebuild a full DefendedTrace from an original trace and a parsed schedule.
 
@@ -271,44 +446,39 @@ def attach_sources(
     the source time by less than a microsecond; the source is clamped so
     the no-time-travel invariant still holds.
     """
-    queues = {
-        Direction.UPLOAD: original.times(Direction.UPLOAD),
-        Direction.DOWNLOAD: original.times(Direction.DOWNLOAD),
-    }
-    positions = {Direction.UPLOAD: 0, Direction.DOWNLOAD: 0}
-    packets: list[DefendedPacket] = []
-    for send_time, direction, kind in rows:
-        if kind is PacketKind.DUMMY:
-            packets.append(DefendedPacket(send_time, direction, kind))
-            continue
-        pos = positions[direction]
-        queue = queues[direction]
-        if pos >= len(queue):
-            raise ValueError(
-                f"defended schedule has more real {direction.name.lower()} packets "
-                "than the original trace"
-            )
-        source = queue[pos]
-        if send_time < source - 10.0 ** -TIME_DECIMALS:
-            raise ValueError(
-                f"real packet sent at {send_time} well before source {source}; "
-                "schedule does not match the original trace"
-            )
-        positions[direction] = pos + 1
-        packets.append(
-            DefendedPacket(send_time, direction, kind, min(source, send_time))
-        )
-    for direction, queue in queues.items():
-        if positions[direction] != len(queue):
-            raise ValueError(
-                f"defended schedule is missing real {direction.name.lower()} packets"
-            )
-    dummy_downloads = sum(
-        1
-        for p in packets
-        if p.kind is PacketKind.DUMMY and p.direction is Direction.DOWNLOAD
-    )
-    return DefendedTrace(tuple(packets), seed=0, drawn_budget=dummy_downloads)
+    send, direction, dummy = schedule
+    source = np.full(len(send), np.nan)
+    # (row, message) of the first mismatch per direction; the earliest row wins.
+    problems: list[tuple[int, str]] = []
+    missing: list[str] = []
+    for d in (Direction.UPLOAD, Direction.DOWNLOAD):
+        rows = np.flatnonzero(~dummy & (direction == d))
+        queue = original.times_of(d)
+        matched = min(len(rows), len(queue))
+        if len(rows) > len(queue):
+            problems.append((
+                int(rows[len(queue)]),
+                f"defended schedule has more real {d.name.lower()} packets "
+                "than the original trace",
+            ))
+        sent, available = send[rows[:matched]], queue[:matched]
+        early = np.flatnonzero(sent < available - 10.0 ** -TIME_DECIMALS)
+        if len(early):
+            i = int(early[0])
+            problems.append((
+                int(rows[i]),
+                f"real packet sent at {float(sent[i])} well before source "
+                f"{float(available[i])}; schedule does not match the original trace",
+            ))
+        if len(rows) < len(queue):
+            missing.append(f"defended schedule is missing real {d.name.lower()} packets")
+        source[rows[:matched]] = np.minimum(available, sent)
+    if problems:
+        raise ValueError(min(problems)[1])
+    if missing:
+        raise ValueError(missing[0])
+    dummy_downloads = int(np.count_nonzero(dummy & (direction == Direction.DOWNLOAD)))
+    return DefendedTrace(send, direction, dummy, source, seed=0, drawn_budget=dummy_downloads)
 
 
 def label_from_filename(name: str, separator: str = "-") -> str:
@@ -318,11 +488,7 @@ def label_from_filename(name: str, separator: str = "-") -> str:
     return name
 
 
-def load_dataset(
-    root: str | Path,
-    fmt: TraceFormat = TraceFormat.TIME_DIRECTION,
-    separator: str = "-",
-) -> Dataset:
+def load_dataset(root: str | Path, separator: str = "-") -> Dataset:
     """Load every readable trace file under `root`, lexicographic by filename.
 
     Unreadable or malformed files are skipped with a warning and counted in
@@ -337,7 +503,7 @@ def load_dataset(
     for path in sorted(p for p in root.iterdir() if p.is_file()):
         try:
             text = path.read_text(encoding="utf-8")
-            trace = parse_trace(text, fmt, label=label_from_filename(path.name, separator))
+            trace = parse_trace(text, label=label_from_filename(path.name, separator))
         except (OSError, ParseError, UnicodeDecodeError) as exc:
             logger.warning("skipping %s: %s", path, exc)
             skipped += 1

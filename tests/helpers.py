@@ -7,7 +7,6 @@ import numpy as np
 from wfdefend import (
     DefendedTrace,
     Direction,
-    Packet,
     PacketKind,
     RegulatorParams,
     Trace,
@@ -18,7 +17,7 @@ def random_trace(rng: np.random.Generator, max_packets: int = 500) -> Trace:
     """Random trace mixing uniform, bursty, and tie-heavy timing styles."""
     n = int(rng.integers(0, max_packets + 1))
     if n == 0:
-        return Trace(())
+        return Trace([], [])
     duration = float(rng.uniform(0.5, 20.0))
     style = int(rng.integers(0, 3))
     if style == 0:
@@ -37,12 +36,7 @@ def random_trace(rng: np.random.Generator, max_packets: int = 500) -> Trace:
     p_upload = float(rng.uniform(0.1, 0.9))
     uploads = rng.random(n) < p_upload
     times = times - times[0]
-    return Trace(
-        tuple(
-            Packet(float(t), Direction.UPLOAD if u else Direction.DOWNLOAD)
-            for t, u in zip(times, uploads)
-        )
-    )
+    return Trace(times, np.where(uploads, Direction.UPLOAD, Direction.DOWNLOAD))
 
 
 def random_params(rng: np.random.Generator, max_budget: int = 400) -> RegulatorParams:
@@ -66,31 +60,45 @@ def seed_with_budget(n: int, want: int, limit: int = 100_000) -> int:
     raise AssertionError(f"no seed in range yields budget {want} of {n}")
 
 
+def defended_from_rows(rows, seed: int = 0, drawn_budget: int = 0) -> DefendedTrace:
+    """DefendedTrace from (send_time, direction, kind, source_time) rows;
+    dummies have source_time None."""
+    rows = list(rows)
+    return DefendedTrace(
+        send_time=[r[0] for r in rows],
+        direction=[r[1] for r in rows],
+        dummy=[r[2] is PacketKind.DUMMY for r in rows],
+        source_time=[np.nan if r[3] is None else r[3] for r in rows],
+        seed=seed,
+        drawn_budget=drawn_budget,
+    )
+
+
 def assert_conservation_and_fifo(original: Trace, defended: DefendedTrace) -> None:
     """Real packets of the defended schedule must be exactly the original
     packets, once each, FIFO per direction, never sent early."""
     for direction in (Direction.UPLOAD, Direction.DOWNLOAD):
-        original_times = original.times(direction)
+        original_times = original.times_of(direction).tolist()
         sources = [
             p.source_time
-            for p in defended.packets
+            for p in defended
             if p.kind is PacketKind.REAL and p.direction is direction
         ]
         assert sources == original_times, (
             f"{direction.name}: real packets do not match the original schedule"
         )
-    for p in defended.packets:
+    for p in defended:
         if p.kind is PacketKind.REAL:
             assert p.send_time >= p.source_time
 
 
 def schedule_key(defended: DefendedTrace) -> list[tuple[float, int, str]]:
-    return [(p.send_time, int(p.direction), p.kind.value) for p in defended.packets]
+    return [(p.send_time, int(p.direction), p.kind.value) for p in defended]
 
 
 def assert_same_schedule(a: DefendedTrace, b: DefendedTrace, tol: float = 1e-9) -> None:
     assert len(a) == len(b), f"packet counts differ: {len(a)} vs {len(b)}"
-    for pa, pb in zip(a.packets, b.packets):
+    for pa, pb in zip(a, b):
         assert abs(pa.send_time - pb.send_time) <= tol
         assert pa.direction is pb.direction
         assert pa.kind is pb.kind

@@ -16,14 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from helpers import defended_from_rows
 from wfdefend import (
-    DefendedPacket,
     DefendedTrace,
     Direction,
     PacketKind,
     RegulatorParams,
     Trace,
 )
+
+
+def _row(send_time, direction, kind, source_time=None) -> tuple:
+    """One emitted packet; dummies have no source time."""
+    return (send_time, direction, kind, source_time)
 
 
 @dataclass(frozen=True)
@@ -43,22 +48,22 @@ def reference_defend(
     rng = np.random.default_rng(seed)
     budget = int(rng.integers(0, params.N + 1))
 
-    download_times = [p.time for p in trace.packets if p.direction is Direction.DOWNLOAD]
-    upload_times = [p.time for p in trace.packets if p.direction is Direction.UPLOAD]
+    download_times = [p.time for p in trace if p.direction is Direction.DOWNLOAD]
+    upload_times = [p.time for p in trace if p.direction is Direction.UPLOAD]
 
     if len(download_times) < 10:
         down_out = [
-            DefendedPacket(t, Direction.DOWNLOAD, PacketKind.REAL, t)
+            _row(t, Direction.DOWNLOAD, PacketKind.REAL, t)
             for t in download_times
         ]
         up_out = [
-            DefendedPacket(t, Direction.UPLOAD, PacketKind.REAL, t) for t in upload_times
+            _row(t, Direction.UPLOAD, PacketKind.REAL, t) for t in upload_times
         ]
-        merged = sorted(down_out + up_out, key=lambda p: p.send_time)
-        return DefendedTrace(tuple(merged), seed=seed, drawn_budget=budget), []
+        merged = sorted(down_out + up_out, key=lambda p: p[0])
+        return defended_from_rows(merged, seed=seed, drawn_budget=budget), []
 
     down_out = [
-        DefendedPacket(t, Direction.DOWNLOAD, PacketKind.REAL, t)
+        _row(t, Direction.DOWNLOAD, PacketKind.REAL, t)
         for t in download_times[:10]
     ]
     pending = deque(download_times[10:])
@@ -90,12 +95,12 @@ def reference_defend(
         if waiting:
             source = waiting.popleft()
             pending.popleft()
-            down_out.append(DefendedPacket(now, Direction.DOWNLOAD, PacketKind.REAL, source))
+            down_out.append(_row(now, Direction.DOWNLOAD, PacketKind.REAL, source))
             if not pending:
                 time_all_real_sent = now
             emitted = "real"
         elif sent_dummy_packets < budget:
-            down_out.append(DefendedPacket(now, Direction.DOWNLOAD, PacketKind.DUMMY))
+            down_out.append(_row(now, Direction.DOWNLOAD, PacketKind.DUMMY))
             sent_dummy_packets += 1
             if sent_dummy_packets == budget:
                 time_budget_spent = now
@@ -107,8 +112,8 @@ def reference_defend(
         next_packet_time = now + 1.0 / rate
 
     up_out = _reference_upload(upload_times, params, slot_times, download_times[9])
-    merged = sorted(down_out + up_out, key=lambda p: p.send_time)
-    return DefendedTrace(tuple(merged), seed=seed, drawn_budget=budget), trail
+    merged = sorted(down_out + up_out, key=lambda p: p[0])
+    return defended_from_rows(merged, seed=seed, drawn_budget=budget), trail
 
 
 def _reference_upload(
@@ -116,7 +121,7 @@ def _reference_upload(
     params: RegulatorParams,
     download_slots: list[float],
     surge_start: float,
-) -> list[DefendedPacket]:
+) -> list[tuple]:
     slots: list[float] = []
     gap = 1.0 / params.initial_upload_rate
     k = 0
@@ -138,7 +143,7 @@ def _reference_upload(
     queue: deque[tuple[float, int]] = deque()
     next_arrival = 0
     sent = [False] * len(upload_times)
-    out: list[DefendedPacket] = []
+    out: list[tuple] = []
     for time, priority, packet_index in events:
         if priority == 0:
             while next_arrival < len(upload_times) and upload_times[next_arrival] <= time:
@@ -149,14 +154,14 @@ def _reference_upload(
             if queue:
                 source, idx = queue.popleft()
                 sent[idx] = True
-                out.append(DefendedPacket(time, Direction.UPLOAD, PacketKind.REAL, source))
+                out.append(_row(time, Direction.UPLOAD, PacketKind.REAL, source))
             else:
-                out.append(DefendedPacket(time, Direction.UPLOAD, PacketKind.DUMMY))
+                out.append(_row(time, Direction.UPLOAD, PacketKind.DUMMY))
         else:
             if not sent[packet_index]:
                 sent[packet_index] = True
                 out.append(
-                    DefendedPacket(
+                    _row(
                         time, Direction.UPLOAD, PacketKind.REAL, upload_times[packet_index]
                     )
                 )

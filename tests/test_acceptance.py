@@ -27,18 +27,16 @@ from wfdefend import (
     apply_front,
     apply_regulator,
     apply_tamaraw,
-    bandwidth_overhead,
-    estimated_latency_overhead,
     evaluate_closed_world,
     generate_classes,
-    latency_overhead,
     parse_trace,
     separable_profiles,
-    stable_seed,
-    target_rate,
     trace_stats,
 )
 from wfdefend.cli import main
+from wfdefend.metrics import bandwidth_overhead, estimated_latency_overhead, latency_overhead
+from wfdefend.regulator import target_rate
+from wfdefend.seeding import stable_seed
 from wfdefend.presets import FRONT_PRESETS, REGULATOR_PRESETS, TAMARAW_PRESETS
 from wfdefend.stats import post_tenth_packet_profile
 
@@ -108,7 +106,7 @@ def test_criterion_3_invariant_suite():
         assert_conservation_and_fifo(trace, defended)
         assert defended.dummy_count(Direction.DOWNLOAD) <= defended.drawn_budget
         assert defended.drawn_budget <= params.N
-        for p in defended.packets:
+        for p in defended:
             if p.kind is PacketKind.REAL and p.direction is Direction.UPLOAD:
                 assert p.delay <= params.C + 1e-9
         if len(trace) and trace.duration > 0:
@@ -132,7 +130,7 @@ def test_criterion_3_invariant_suite():
             (Direction.DOWNLOAD, TAMARAW.rho_in),
             (Direction.UPLOAD, TAMARAW.rho_out),
         ):
-            times = [p.send_time for p in defended.packets if p.direction is direction]
+            times = [p.send_time for p in defended if p.direction is direction]
             assert len(times) % TAMARAW.L == 0 and len(times) > 0
             gaps = np.diff(times)
             assert np.all(np.abs(gaps - rho) <= 1e-9)

@@ -4,7 +4,6 @@ import pytest
 from wfdefend import (
     Dataset,
     Direction,
-    Packet,
     Trace,
     evaluate_closed_world,
     extract_features,
@@ -14,7 +13,7 @@ from wfdefend.attack import CUMULATIVE_SAMPLES, FEATURE_LENGTH, feature_matrix_c
 
 def uniform_trace(n, direction, duration=10.0, label=None):
     times = np.linspace(0.0, duration, n)
-    return Trace(tuple(Packet(float(t), direction) for t in times), label=label)
+    return Trace(times, np.full(n, direction), label=label)
 
 
 def sized_dataset(class_sizes, instances, rng):
@@ -28,10 +27,8 @@ def sized_dataset(class_sizes, instances, rng):
             times -= times[0]
             traces.append(
                 Trace(
-                    tuple(
-                        Packet(float(t), Direction.UPLOAD if u else Direction.DOWNLOAD)
-                        for t, u in zip(times, uploads)
-                    ),
+                    times,
+                    np.where(uploads, Direction.UPLOAD, Direction.DOWNLOAD),
                     label=label,
                 )
             )
@@ -52,22 +49,18 @@ class TestFeatures:
         assert cumulative[-1] == -100.0
 
     def test_alternating_bounded(self):
-        packets = tuple(
-            Packet(0.01 * i, Direction.UPLOAD if i % 2 == 0 else Direction.DOWNLOAD)
-            for i in range(100)
+        trace = Trace(
+            [0.01 * i for i in range(100)],
+            [Direction.UPLOAD if i % 2 == 0 else Direction.DOWNLOAD for i in range(100)],
         )
-        features = extract_features(Trace(packets))
+        features = extract_features(trace)
         cumulative = features[:CUMULATIVE_SAMPLES]
         assert cumulative.min() >= -1.0
         assert cumulative.max() <= 1.0
 
     def test_summary_features(self):
         trace = Trace(
-            (
-                Packet(0.0, Direction.UPLOAD),
-                Packet(1.0, Direction.DOWNLOAD),
-                Packet(4.0, Direction.DOWNLOAD),
-            )
+            [0.0, 1.0, 4.0], [Direction.UPLOAD, Direction.DOWNLOAD, Direction.DOWNLOAD]
         )
         features = extract_features(trace)
         assert len(features) == FEATURE_LENGTH
@@ -75,7 +68,7 @@ class TestFeatures:
 
     def test_too_short_errors(self):
         with pytest.raises(ValueError):
-            extract_features(Trace((Packet(0.0, Direction.UPLOAD),)))
+            extract_features(Trace([0.0], [Direction.UPLOAD]))
 
 
 class TestEvaluate:
@@ -93,7 +86,7 @@ class TestEvaluate:
         shuffled = list(dataset.labels())
         rng.shuffle(shuffled)
         traces = tuple(
-            Trace(t.packets, label=l) for t, l in zip(dataset.traces, shuffled)
+            Trace(t.times, t.direction, label=l) for t, l in zip(dataset.traces, shuffled)
         )
         result = evaluate_closed_world(Dataset(traces, name="shuffled"), k=5, folds=5, seed=2)
         assert abs(result.accuracy - 0.1) <= 0.05

@@ -1,5 +1,8 @@
 import json
+import time
 from pathlib import Path
+
+import pytest
 
 from wfdefend.cli import main
 
@@ -110,6 +113,21 @@ class TestSimulate:
         )
         assert code == 2
         assert "error" in err
+
+    def test_non_finite_time_is_prompt_data_error(self, capsys, tmp_path):
+        # A download packet at inf once kept the slot clock running forever.
+        data = tmp_path / "data"
+        data.mkdir()
+        rows = "".join(f"0.{i}\t-1\n" for i in range(10))
+        (data / "0-0").write_text(rows + "inf\t-1\n")
+        start = time.monotonic()
+        code, _, err = run(
+            capsys, "simulate", str(data), "--out", str(tmp_path / "x"),
+            "--defense", "regulator-heavy", "--seed", "1",
+        )
+        assert code == 2
+        assert "0-0: line 11: non-finite time" in err
+        assert time.monotonic() - start < 5.0
 
     def test_parameter_override(self, capsys, tmp_path):
         data = tmp_path / "data"
@@ -257,6 +275,39 @@ class TestTune:
         run(capsys, "tune", str(data), "--seed", "5", "--log", str(fresh_log),
             "--folds", "2", "--k", "1", "--trials", "3")
         assert fresh_log.read_bytes() == log.read_bytes()
+
+    @pytest.mark.parametrize("keep", [60, None])
+    def test_resume_repairs_torn_last_line(self, capsys, tmp_path, caplog, keep):
+        # keep=60: the write stopped mid-record; keep=None: only its newline is lost.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=4)
+        log = tmp_path / "trials.jsonl"
+        base = ("tune", str(data), "--seed", "5", "--folds", "2", "--k", "1")
+        run(capsys, *base, "--log", str(log), "--trials", "2")
+        first, second = log.read_text().splitlines()
+        log.write_text(first + "\n" + second[:keep])
+
+        code, _, err = run(capsys, *base, "--log", str(log), "--trials", "3")
+        assert code == 0, err
+        assert ("torn last line" in caplog.text) == (keep is not None)
+        fresh = tmp_path / "fresh.jsonl"
+        run(capsys, *base, "--log", str(fresh), "--trials", "3")
+        assert log.read_bytes() == fresh.read_bytes()
+
+    def test_malformed_line_before_the_last_is_data_error(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=4)
+        log = tmp_path / "trials.jsonl"
+        base = ("tune", str(data), "--seed", "5", "--log", str(log),
+                "--folds", "2", "--k", "1")
+        run(capsys, *base, "--trials", "2")
+        first, second = log.read_text().splitlines()
+        log.write_text(first[:60] + "\n" + second + "\n")
+        before = log.read_bytes()
+        code, _, err = run(capsys, *base, "--trials", "3")
+        assert code == 2
+        assert "line 1: malformed trial record" in err
+        assert log.read_bytes() == before
 
     def test_seed_mismatch_is_data_error(self, capsys, tmp_path):
         data = tmp_path / "data"

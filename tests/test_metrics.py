@@ -1,44 +1,50 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_trace
 
 from wfdefend import (
-    DefendedPacket,
     DefendedTrace,
     Direction,
-    Packet,
-    PacketKind,
     Trace,
+    attach_sources,
+    dataset_overhead,
+    get_defense,
+    parse_defended_schedule,
+    trace_overhead,
+    write_defended_trace,
+)
+from wfdefend.metrics import (
     aggregate_reports,
     bandwidth_overhead,
-    dataset_overhead,
+    csv_table,
     estimated_latency_overhead,
+    kv_lines,
     latency_overhead,
-    trace_overhead,
 )
-from wfdefend.metrics import csv_table, kv_lines
+from wfdefend.presets import defense_names
+from wfdefend.traces import merge, one_direction
+
+UP, DOWN = Direction.UPLOAD, Direction.DOWNLOAD
 
 
 def identity_defense(trace: Trace) -> DefendedTrace:
-    packets = tuple(
-        DefendedPacket(p.time, p.direction, PacketKind.REAL, p.time)
-        for p in trace.packets
+    return DefendedTrace(
+        trace.times, trace.direction, np.zeros(len(trace), bool), trace.times,
+        seed=0, drawn_budget=0,
     )
-    return DefendedTrace(packets, seed=0, drawn_budget=0)
 
 
 def make_trace(times, direction=Direction.DOWNLOAD):
-    return Trace(tuple(Packet(t, direction) for t in times))
+    return Trace(times, np.full(len(times), direction))
 
 
 def with_dummies(defended: DefendedTrace, dummy_times, direction=Direction.DOWNLOAD):
-    packets = sorted(
-        list(defended.packets)
-        + [DefendedPacket(t, direction, PacketKind.DUMMY) for t in dummy_times],
-        key=lambda p: p.send_time,
-    )
-    return DefendedTrace(tuple(packets), seed=0, drawn_budget=len(dummy_times))
+    dummy_times = np.sort(dummy_times)
+    dummies = one_direction(direction, dummy_times, np.full(len(dummy_times), np.nan))
+    return merge((defended, dummies), seed=0, drawn_budget=len(dummy_times))
 
 
 class TestBandwidth:
@@ -53,7 +59,7 @@ class TestBandwidth:
 
     def test_empty_original_errors(self):
         with pytest.raises(ValueError):
-            bandwidth_overhead(Trace(()), identity_defense(make_trace([0.0, 1.0])))
+            bandwidth_overhead(Trace([], []), identity_defense(make_trace([0.0, 1.0])))
 
 
 class TestLatency:
@@ -64,10 +70,10 @@ class TestLatency:
     def test_definition_arithmetic(self):
         trace = make_trace([0.0, 28.0])
         defended = DefendedTrace(
-            (
-                DefendedPacket(0.0, Direction.DOWNLOAD, PacketKind.REAL, 0.0),
-                DefendedPacket(30.8, Direction.DOWNLOAD, PacketKind.REAL, 28.0),
-            ),
+            send_time=[0.0, 30.8],
+            direction=[DOWN, DOWN],
+            dummy=[False, False],
+            source_time=[0.0, 28.0],
             seed=0,
             drawn_budget=0,
         )
@@ -91,19 +97,12 @@ class TestEstimatedLatency:
 
     def test_definition_arithmetic(self):
         # Last download delayed 1.0s, worst upload delay 0.4s, duration 28s.
-        trace = Trace(
-            (
-                Packet(0.0, Direction.UPLOAD),
-                Packet(10.0, Direction.UPLOAD),
-                Packet(28.0, Direction.DOWNLOAD),
-            )
-        )
+        trace = Trace([0.0, 10.0, 28.0], [UP, UP, DOWN])
         defended = DefendedTrace(
-            (
-                DefendedPacket(0.4, Direction.UPLOAD, PacketKind.REAL, 0.0),
-                DefendedPacket(10.1, Direction.UPLOAD, PacketKind.REAL, 10.0),
-                DefendedPacket(29.0, Direction.DOWNLOAD, PacketKind.REAL, 28.0),
-            ),
+            send_time=[0.4, 10.1, 29.0],
+            direction=[UP, UP, DOWN],
+            dummy=[False, False, False],
+            source_time=[0.0, 10.0, 28.0],
             seed=0,
             drawn_budget=0,
         )
@@ -176,15 +175,12 @@ class TestDatasetOverhead:
 
 
 def test_trace_overhead_fields():
-    trace = Trace(
-        (Packet(0.0, Direction.UPLOAD), Packet(1.0, Direction.DOWNLOAD))
-    )
+    trace = Trace([0.0, 1.0], [UP, DOWN])
     defended = DefendedTrace(
-        (
-            DefendedPacket(0.3, Direction.UPLOAD, PacketKind.REAL, 0.0),
-            DefendedPacket(1.5, Direction.DOWNLOAD, PacketKind.REAL, 1.0),
-            DefendedPacket(2.0, Direction.DOWNLOAD, PacketKind.DUMMY),
-        ),
+        send_time=[0.3, 1.5, 2.0],
+        direction=[UP, DOWN, DOWN],
+        dummy=[False, False, True],
+        source_time=[0.0, 1.0, np.nan],
         seed=0,
         drawn_budget=1,
     )
@@ -195,3 +191,34 @@ def test_trace_overhead_fields():
     assert report.last_real_download_delay == pytest.approx(0.5)
     assert report.latency_overhead == pytest.approx(0.5)
     assert report.estimated_latency_overhead == pytest.approx(0.8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    trace_seed=st.integers(0, 2**32 - 1),
+    defense=st.sampled_from(defense_names()),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_overhead_from_disk_matches_simulate(trace_seed, defense, seed):
+    """`overhead` (defended file read back and matched to its original)
+    reports what `simulate` reported from the in-memory schedule. Send
+    times are stored to the microsecond, so each delay may move by up to
+    5e-7 s; the latency ratios divide that by the original duration."""
+    original = random_trace(np.random.default_rng(trace_seed), 300)
+    assume(len(original) and original.duration > 0)
+    _, apply = get_defense(defense)
+    defended = apply(original, seed)
+    schedule = parse_defended_schedule(write_defended_trace(defended))
+    expected = trace_overhead(original, defended)
+    actual = trace_overhead(original, attach_sources(original, schedule))
+    assert actual.real_count == expected.real_count
+    assert actual.dummy_count == expected.dummy_count
+    ratio_tol = 1e-6 * max(1.0, 1.0 / float(original.times[-1]))
+    for field, tol in (
+        ("bandwidth_overhead", 1e-6),
+        ("latency_overhead", ratio_tol),
+        ("estimated_latency_overhead", ratio_tol),
+        ("max_upload_delay", 1e-6),
+        ("last_real_download_delay", 1e-6),
+    ):
+        assert getattr(actual, field) == pytest.approx(getattr(expected, field), abs=tol), field

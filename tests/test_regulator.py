@@ -14,21 +14,22 @@ from oracle_regulator import reference_defend
 
 from wfdefend import (
     Direction,
-    Packet,
     PacketKind,
     RegulatorParams,
     Trace,
     apply_regulator,
-    simulate_download,
-    simulate_upload,
-    target_rate,
 )
+from wfdefend.regulator import simulate_download, simulate_upload, target_rate
 
 HEAVY = RegulatorParams(R=277.0, D=0.940, T=3.55, N=3550, U=3.95, C=1.77)
 
 
 def downloads(n, time=0.0):
-    return tuple(Packet(time, Direction.DOWNLOAD) for _ in range(n))
+    return Trace(np.full(n, time), np.full(n, Direction.DOWNLOAD))
+
+
+def one_upload():
+    return Trace([0.0], [Direction.UPLOAD])
 
 
 class TestParams:
@@ -73,7 +74,7 @@ class TestTargetRate:
 
 class TestDownload:
     def test_below_activation_passes_through(self):
-        trace = Trace(downloads(9))
+        trace = downloads(9)
         schedule = simulate_download(trace, HEAVY, seed=3)
         assert math.isinf(schedule.surge_start)
         assert schedule.slots == ()
@@ -86,7 +87,7 @@ class TestDownload:
         # carries packet 12, and the loop stops at the following slot.
         params = RegulatorParams(R=2.0, D=1.0, T=1000.0, N=50, U=4.0, C=1.77)
         seed = seed_with_budget(50, 0)
-        schedule = simulate_download(Trace(downloads(12)), params, seed)
+        schedule = simulate_download(downloads(12), params, seed)
         assert schedule.drawn_budget == 0
         assert schedule.surge_start == 0.0
         times = [p.send_time for p in schedule.packets]
@@ -99,7 +100,7 @@ class TestDownload:
         # surge start and one and two seconds later.
         params = RegulatorParams(R=1.0, D=1.0, T=1000.0, N=3, U=4.0, C=1.77)
         seed = seed_with_budget(3, 3)
-        schedule = simulate_download(Trace(downloads(10)), params, seed)
+        schedule = simulate_download(downloads(10), params, seed)
         assert schedule.drawn_budget == 3
         dummies = [p for p in schedule.packets if p.kind is PacketKind.DUMMY]
         assert [p.send_time for p in dummies] == [0.0, 1.0, 2.0]
@@ -108,7 +109,7 @@ class TestDownload:
     def test_budget_draw_within_bounds_and_recorded(self):
         rng = np.random.default_rng(0)
         for seed in rng.integers(0, 2**32, 50):
-            schedule = simulate_download(Trace(downloads(10)), HEAVY, int(seed))
+            schedule = simulate_download(downloads(10), HEAVY, int(seed))
             assert 0 <= schedule.drawn_budget <= HEAVY.N
 
     def test_surge_reset_keeps_rate_high(self):
@@ -118,7 +119,7 @@ class TestDownload:
         resetting = RegulatorParams(R=10.0, D=0.5, T=0.1, N=0, U=4.0, C=1.77)
         free = RegulatorParams(R=10.0, D=0.5, T=1000.0, N=0, U=4.0, C=1.77)
         seed = seed_with_budget(0, 0)
-        trace = Trace(downloads(40))
+        trace = downloads(40)
         gaps_resetting = np.diff(simulate_download(trace, resetting, seed).slots)
         gaps_free = np.diff(simulate_download(trace, free, seed).slots)
         assert gaps_resetting.max() < 0.12  # rate pinned near R=10
@@ -130,7 +131,7 @@ class TestUpload:
         # No real uploads; 8 download slots at U=4 yield dummies at the 4th
         # and 8th slot times.
         params = RegulatorParams(R=2.0, D=1.0, T=1.0, N=0, U=4.0, C=1.77)
-        trace = Trace(downloads(1))
+        trace = downloads(1)
         slots = [0.1 * k for k in range(1, 9)]
         out = simulate_upload(trace, params, slots, surge_start=0.0)
         assert [(p.send_time, p.kind) for p in out] == [
@@ -140,8 +141,7 @@ class TestUpload:
 
     def test_flush_at_exact_delay_cap(self):
         params = RegulatorParams(R=2.0, D=1.0, T=1.0, N=0, U=4.0, C=1.77)
-        trace = Trace((Packet(0.0, Direction.UPLOAD),))
-        out = simulate_upload(trace, params, [], surge_start=0.0)
+        out = list(simulate_upload(one_upload(), params, [], surge_start=0.0))
         assert len(out) == 1
         assert out[0].send_time == 1.77
         assert out[0].kind is PacketKind.REAL
@@ -149,27 +149,26 @@ class TestUpload:
     def test_unit_ratio_gives_slot_per_slot(self):
         params = RegulatorParams(R=2.0, D=1.0, T=1.0, N=0, U=1.0, C=5.0)
         slots = [0.5, 1.0, 1.5]
-        out = simulate_upload(Trace(()), params, slots, surge_start=0.5)
+        out = simulate_upload(Trace([], []), params, slots, surge_start=0.5)
         upload_slots = [p.send_time for p in out if p.send_time >= 0.5]
         assert upload_slots == slots
 
     def test_prelude_rate_before_surge(self):
         params = RegulatorParams(R=2.0, D=1.0, T=1.0, N=0, U=4.0, C=5.0, initial_upload_rate=4.0)
-        out = simulate_upload(Trace(()), params, [], surge_start=1.0)
+        out = simulate_upload(Trace([], []), params, [], surge_start=1.0)
         assert [p.send_time for p in out] == [0.0, 0.25, 0.5, 0.75]
 
     def test_slot_beats_flush_on_tie(self):
         # One upload available at 0 with C=1.0 and a slot exactly at 1.0:
         # the slot carries the packet, no dummy is emitted.
         params = RegulatorParams(R=2.0, D=1.0, T=1.0, N=0, U=1.0, C=1.0)
-        trace = Trace((Packet(0.0, Direction.UPLOAD),))
-        out = simulate_upload(trace, params, [1.0], surge_start=0.0)
+        out = simulate_upload(one_upload(), params, [1.0], surge_start=0.0)
         assert [(p.send_time, p.kind) for p in out] == [(1.0, PacketKind.REAL)]
 
 
 class TestApply:
     def test_empty_trace(self):
-        defended = apply_regulator(Trace(()), HEAVY, seed=11)
+        defended = apply_regulator(Trace([], []), HEAVY, seed=11)
         assert len(defended) == 0
         assert 0 <= defended.drawn_budget <= HEAVY.N
         assert defended.seed == 11
@@ -189,7 +188,7 @@ class TestApply:
             defended = apply_regulator(trace, params, int(rng.integers(0, 2**32)))
             assert_conservation_and_fifo(trace, defended)
             assert defended.dummy_count(Direction.DOWNLOAD) <= defended.drawn_budget <= params.N
-            for p in defended.packets:
+            for p in defended:
                 if p.kind is PacketKind.REAL and p.direction is Direction.UPLOAD:
                     assert p.delay <= params.C + 1e-9
 
@@ -218,25 +217,26 @@ class TestApply:
     def test_inactive_defense_passes_uploads_through(self):
         # Below the download activation threshold the whole defense is
         # inactive: upload packets keep their original times, no dummies.
-        packets = [Packet(float(i), Direction.DOWNLOAD) for i in range(9)]
-        packets += [Packet(0.5, Direction.UPLOAD), Packet(3.5, Direction.UPLOAD)]
-        trace = Trace(tuple(sorted(packets, key=lambda p: p.time)))
+        times = [float(i) for i in range(9)] + [0.5, 3.5]
+        directions = [Direction.DOWNLOAD] * 9 + [Direction.UPLOAD] * 2
+        order = np.argsort(times, kind="stable")
+        trace = Trace(np.array(times)[order], np.array(directions)[order])
         defended = apply_regulator(trace, HEAVY, seed=2)
         assert defended.dummy_count() == 0
-        assert [(p.send_time, p.direction) for p in defended.packets] == [
-            (p.time, p.direction) for p in trace.packets
+        assert [(p.send_time, p.direction) for p in defended] == [
+            (p.time, p.direction) for p in trace
         ]
 
     def test_nine_downloads_keep_schedule(self):
-        trace = Trace(tuple(Packet(0.3 * i, Direction.DOWNLOAD) for i in range(9)))
+        trace = Trace([0.3 * i for i in range(9)], [Direction.DOWNLOAD] * 9)
         defended = apply_regulator(trace, HEAVY, seed=4)
         assert defended.dummy_count() == 0
-        assert [p.send_time for p in defended.packets] == [p.time for p in trace.packets]
+        assert [p.send_time for p in defended] == [p.time for p in trace]
 
     def test_tail_grace_extends_schedule(self):
         params_grace = RegulatorParams(R=1.0, D=1.0, T=1000.0, N=3, U=1.0, C=1.77, tail_grace=2.0)
         seed = seed_with_budget(3, 3)
-        schedule = simulate_download(Trace(downloads(10)), params_grace, seed)
+        schedule = simulate_download(downloads(10), params_grace, seed)
         # Dummies stop at t=2 but the slot clock runs on until t=4.
         assert schedule.slots[-1] == pytest.approx(3.0)
         assert len([p for p in schedule.packets if p.kind is PacketKind.DUMMY]) == 3

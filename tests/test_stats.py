@@ -6,21 +6,25 @@ import pytest
 from wfdefend import (
     Dataset,
     Direction,
-    Packet,
     RegulatorParams,
     Trace,
     dataset_stats,
-    post_tenth_packet_profile,
     trace_stats,
+)
+from wfdefend.stats import (
+    decay_table,
+    iqr_table,
+    offsets_histogram,
+    per_second_table,
+    post_tenth_packet_profile,
     volume_adjustment,
 )
-from wfdefend.stats import decay_table, iqr_table, offsets_histogram, per_second_table
 
 HEAVY = RegulatorParams(R=277.0, D=0.940, T=3.55, N=3550, U=3.95, C=1.77)
 
 
 def downloads(times):
-    return Trace(tuple(Packet(t, Direction.DOWNLOAD) for t in times))
+    return Trace(times, np.full(len(times), Direction.DOWNLOAD))
 
 
 class TestTraceStats:
@@ -30,10 +34,8 @@ class TestTraceStats:
         assert stats.time_iqr == pytest.approx(1.5, abs=1e-12)
 
     def test_ratio(self):
-        packets = [Packet(0.0, Direction.DOWNLOAD)] * 60 + [
-            Packet(0.0, Direction.UPLOAD)
-        ] * 10
-        stats = trace_stats(Trace(tuple(packets)))
+        directions = [Direction.DOWNLOAD] * 60 + [Direction.UPLOAD] * 10
+        stats = trace_stats(Trace(np.zeros(70), directions))
         assert stats.download_upload_ratio == 6.0
 
     def test_ratio_infinite_without_uploads(self):
@@ -53,7 +55,7 @@ class TestTraceStats:
 
     def test_empty_trace_errors(self):
         with pytest.raises(ValueError):
-            trace_stats(Trace(()))
+            trace_stats(Trace([], []))
 
 
 class TestDatasetStats:
@@ -87,9 +89,10 @@ class TestPostTenthProfile:
 
     def test_offsets_anchor_on_tenth_download(self):
         # Upload packets neither anchor nor contribute offsets.
-        packets = [Packet(float(i), Direction.DOWNLOAD) for i in range(12)]
-        packets += [Packet(0.5, Direction.UPLOAD)] * 5
-        trace = Trace(tuple(sorted(packets, key=lambda p: p.time)))
+        times = [float(i) for i in range(12)] + [0.5] * 5
+        directions = [Direction.DOWNLOAD] * 12 + [Direction.UPLOAD] * 5
+        order = np.argsort(times, kind="stable")
+        trace = Trace(np.array(times)[order], np.array(directions)[order])
         profile = post_tenth_packet_profile(Dataset((trace,), name="x"))
         assert profile.offsets == (1.0, 2.0)  # downloads at 10, 11 minus anchor 9
 

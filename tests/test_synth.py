@@ -2,12 +2,11 @@ import pytest
 
 from wfdefend import (
     Direction,
-    SynthProfile,
     evaluate_closed_world,
-    generate,
     generate_classes,
     separable_profiles,
 )
+from wfdefend.synth import SynthProfile, generate
 
 
 def profile(**kwargs):
@@ -42,7 +41,7 @@ class TestProfileValidation:
 class TestGenerate:
     def test_zero_jitter_gives_identical_instances(self):
         dataset = generate(profile(jitter=0.0), instances=2, seed=3)
-        assert dataset.traces[0].packets == dataset.traces[1].packets
+        assert dataset.traces[0] == dataset.traces[1]
 
     def test_deterministic_per_seed(self):
         first = generate(profile(), instances=3, seed=5)
@@ -65,7 +64,7 @@ class TestGenerate:
         dataset = generate(
             profile(jitter=0.0, surge_times=(0.0, 10.0)), instances=1, seed=0
         )
-        times = [p.time for p in dataset.traces[0].packets]
+        times = [p.time for p in dataset.traces[0]]
         first_surge_end = max(t for t in times if t < 5.0)
         in_gap = [t for t in times if first_surge_end < t < 10.0]
         assert in_gap == []

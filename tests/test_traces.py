@@ -1,12 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfdefend import (
-    DefendedPacket,
     DefendedTrace,
     Direction,
-    Packet,
     PacketKind,
     ParseError,
     Trace,
@@ -21,7 +20,7 @@ from wfdefend import (
 
 def test_parse_basic():
     trace = parse_trace("0.0\t1\n0.5\t-1")
-    assert [(p.time, p.direction) for p in trace.packets] == [
+    assert [(p.time, p.direction) for p in trace] == [
         (0.0, Direction.UPLOAD),
         (0.5, Direction.DOWNLOAD),
     ]
@@ -29,7 +28,7 @@ def test_parse_basic():
 
 def test_parse_normalizes_and_ignores_magnitude():
     trace = parse_trace("2.0\t1\n2.5\t-512")
-    assert [(p.time, p.direction) for p in trace.packets] == [
+    assert [(p.time, p.direction) for p in trace] == [
         (0.0, Direction.UPLOAD),
         (0.5, Direction.DOWNLOAD),
     ]
@@ -45,35 +44,105 @@ def test_parse_zero_direction_rejected():
         parse_trace("0.0\t1\n1.0\t0")
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400"])
+def test_parse_rejects_non_finite_time(bad):
+    with pytest.raises(ParseError, match=f"line 2: non-finite time '{bad}'"):
+        parse_trace(f"0.0\t1\n{bad}\t-1\n")
+    with pytest.raises(ParseError, match="line 3: non-finite time"):
+        parse_defended_schedule(f"0.0\t1\tR\n\n{bad}\t-1\tD\n")
+
+
+def test_parse_rejects_time_span_overflow():
+    with pytest.raises(ParseError, match="line 2: time too far"):
+        parse_trace("-1e308\t1\n1e308\t-1\n")
+
+
+def _reference_rows(text, defended):
+    """Line-by-line reading of a trace file: (time, upload?, dummy?) rows in
+    file order, or the ParseError message for the first bad line."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            if (defended and len(fields) != 3) or len(fields) < 2:
+                return f"line {lineno}: expected"
+            time = float(fields[0])
+        except ValueError:
+            return f"line {lineno}: non-numeric time"
+        if not np.isfinite(time):
+            return f"line {lineno}: non-finite time"
+        try:
+            value = float(fields[1])
+        except ValueError:
+            return f"line {lineno}: non-numeric direction"
+        if value == 0:
+            return f"line {lineno}: zero direction"
+        if defended and fields[2] not in ("R", "D"):
+            return f"line {lineno}: unknown packet kind"
+        rows.append((time, value > 0, defended and fields[2] == "D"))
+    return rows
+
+
+_tokens = st.sampled_from(
+    ["0", "1", "-1", "+2", "0.5", "1e-3", ".25", "7.", "-512", "inf", "nan", "x", "R", "D",
+     "0.0", "-0", "1_0", "\u0661", "RD", "é"]
+)
+_lines = st.lists(_tokens, max_size=4).flatmap(
+    lambda tokens: st.sampled_from(["\t", " ", " \t "]).map(lambda sep: sep.join(tokens))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_lines, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_parsers_match_line_by_line_reading(lines, newline, defended):
+    text = newline.join(lines)
+    expected = _reference_rows(text, defended)
+    parse = parse_defended_schedule if defended else parse_trace
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as error:
+            parse(text)
+        assert str(error.value).startswith(expected)
+        return
+    rows = sorted(expected, key=lambda r: r[0])
+    if defended:
+        send, direction, dummy = parse(text)
+        assert send.tolist() == [r[0] for r in rows]
+        assert dummy.tolist() == [r[2] for r in rows]
+    else:
+        trace = parse(text)
+        send, direction = trace.times, trace.direction
+        assert send.tolist() == [r[0] - rows[0][0] for r in rows]
+    assert direction.tolist() == [1 if r[1] else -1 for r in rows]
+
+
 def test_parse_empty_input_is_empty_trace():
-    assert parse_trace("") == Trace(())
-    assert parse_trace("\n\n") == Trace(())
+    assert parse_trace("") == Trace([], [])
+    assert parse_trace("\n\n") == Trace([], [])
 
 
 def test_parse_sorts_unsorted_input():
     trace = parse_trace("3.0\t-1\n1.0\t1\n2.0\t-1")
-    assert [p.time for p in trace.packets] == [0.0, 1.0, 2.0]
-    assert trace.packets[0].direction is Direction.UPLOAD
+    assert [p.time for p in trace] == [0.0, 1.0, 2.0]
+    assert list(trace)[0].direction is Direction.UPLOAD
 
 
 def test_write_defended_format():
-    real = DefendedTrace(
-        (DefendedPacket(0.0, Direction.UPLOAD, PacketKind.REAL, 0.0),), seed=0, drawn_budget=0
-    )
+    real = DefendedTrace([0.0], [Direction.UPLOAD], [False], [0.0], seed=0, drawn_budget=0)
     assert write_defended_trace(real) == "0.000000\t1\tR\n"
     dummy = DefendedTrace(
-        (DefendedPacket(1.0, Direction.DOWNLOAD, PacketKind.DUMMY),), seed=0, drawn_budget=1
+        [1.0], [Direction.DOWNLOAD], [True], [np.nan], seed=0, drawn_budget=1
     )
     assert write_defended_trace(dummy) == "1.000000\t-1\tD\n"
 
 
 def test_roundtrip_real_subset_via_parse_trace():
     defended = DefendedTrace(
-        (
-            DefendedPacket(0.0, Direction.UPLOAD, PacketKind.REAL, 0.0),
-            DefendedPacket(0.25, Direction.DOWNLOAD, PacketKind.DUMMY),
-            DefendedPacket(0.5, Direction.DOWNLOAD, PacketKind.REAL, 0.4),
-        ),
+        send_time=[0.0, 0.25, 0.5],
+        direction=[Direction.UPLOAD, Direction.DOWNLOAD, Direction.DOWNLOAD],
+        dummy=[False, True, False],
+        source_time=[0.0, np.nan, 0.4],
         seed=0,
         drawn_budget=1,
     )
@@ -82,7 +151,7 @@ def test_roundtrip_real_subset_via_parse_trace():
         line + "\n" for line in text.splitlines() if not line.endswith("D")
     )
     reparsed = parse_trace(stripped)
-    assert [(p.time, p.direction) for p in reparsed.packets] == [
+    assert [(p.time, p.direction) for p in reparsed] == [
         (0.0, Direction.UPLOAD),
         (0.5, Direction.DOWNLOAD),
     ]
@@ -102,13 +171,43 @@ def test_roundtrip_real_subset_via_parse_trace():
 def test_write_parse_roundtrip_quantized(rows):
     rows.sort(key=lambda r: r[0])
     t0 = rows[0][0]
-    trace = Trace(tuple(Packet(t - t0, d) for t, d in rows))
+    trace = Trace([t - t0 for t, _ in rows], [d for _, d in rows])
     reparsed = parse_trace(write_trace(trace))
     assert len(reparsed) == len(trace)
-    for a, b in zip(trace.packets, reparsed.packets):
+    for a, b in zip(trace, reparsed):
         assert b.direction is a.direction
         # Times quantized to 1e-6 on disk, then re-normalized on parse.
-        assert abs((a.time - trace.packets[0].time) - b.time) <= 1e-6 + 1e-9
+        assert abs((a.time - trace.times[0]) - b.time) <= 1e-6 + 1e-9
+
+
+# Times near the rounding ties of the 6-decimal format, and either side of
+# the largest magnitude the array formatter handles before falling back.
+_near_ties = st.tuples(
+    st.integers(0, 10**13), st.sampled_from([-np.inf, None, np.inf])
+).map(lambda kd: (kd[0] + 0.5) / 1e6 if kd[1] is None else np.nextafter((kd[0] + 0.5) / 1e6, kd[1]))
+_any_times = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(_near_ties, _any_times), st.sampled_from([1, -1]), st.booleans()),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_writers_format_times_like_python(rows):
+    rows.sort(key=lambda r: r[0])
+    times, direction, dummy = (list(column) for column in zip(*rows))
+    source = [np.nan if k else t for t, k in zip(times, dummy)]
+    defended = DefendedTrace(times, direction, dummy, source)
+    assert write_defended_trace(defended) == "".join(
+        f"{t:.6f}\t{d}\t{'D' if k else 'R'}\n" for t, d, k in rows
+    )
+    positive = sorted(abs(t) for t in times)
+    assert write_trace(Trace(positive, direction)) == "".join(
+        f"{t:.6f}\t{d}\n" for t, d in zip(positive, direction)
+    )
 
 
 def test_parse_defended_schedule_and_attach_sources():
@@ -116,7 +215,7 @@ def test_parse_defended_schedule_and_attach_sources():
     rows = parse_defended_schedule("0.000000\t1\tR\n0.250000\t-1\tD\n0.500000\t-1\tR\n")
     defended = attach_sources(original, rows)
     assert defended.dummy_count() == 1
-    reals = defended.real_packets()
+    reals = [p for p in defended if p.kind is PacketKind.REAL]
     assert [p.source_time for p in reals] == [0.0, 0.4]
 
 
@@ -134,12 +233,19 @@ def test_attach_sources_rejects_mismatched_schedule():
 
 
 def test_defended_packet_invariants():
-    with pytest.raises(ValueError):
-        DefendedPacket(0.0, Direction.UPLOAD, PacketKind.REAL)  # no source
-    with pytest.raises(ValueError):
-        DefendedPacket(0.0, Direction.UPLOAD, PacketKind.REAL, 1.0)  # time travel
-    with pytest.raises(ValueError):
-        DefendedPacket(0.0, Direction.UPLOAD, PacketKind.DUMMY, 0.0)  # dummy source
+    def one(dummy, source):
+        return DefendedTrace([0.0], [Direction.UPLOAD], [dummy], [source])
+
+    with pytest.raises(ValueError, match="source_time"):
+        one(False, np.nan)  # no source
+    with pytest.raises(ValueError, match="before its source"):
+        one(False, 1.0)  # time travel
+    with pytest.raises(ValueError, match="dummy packet"):
+        one(True, 0.0)  # dummy source
+    with pytest.raises(ValueError, match="sorted"):
+        DefendedTrace([1.0, 0.0], [1, 1], [True, True], [np.nan, np.nan])
+    with pytest.raises(ValueError, match="drawn_budget"):
+        DefendedTrace([], [], [], [], drawn_budget=-1)
 
 
 def test_load_dataset(tmp_path):
@@ -162,6 +268,17 @@ def test_load_dataset_skips_malformed(tmp_path, caplog):
     assert dataset.skipped == 1
 
 
+def test_load_dataset_skips_non_finite_times(tmp_path, caplog):
+    (tmp_path / "0-0").write_text("0.0\t1\n")
+    (tmp_path / "0-1").write_text("0.0\t1\ninf\t-1\n")
+    (tmp_path / "1-0").write_text("0.0\t1\nnan\t-1\n")
+    dataset = load_dataset(tmp_path)
+    assert dataset.filenames == ("0-0",)
+    assert dataset.skipped == 2
+    assert "0-1: line 2: non-finite time 'inf'" in caplog.text
+    assert "1-0: line 2: non-finite time 'nan'" in caplog.text
+
+
 def test_load_dataset_empty_dir_errors(tmp_path):
     with pytest.raises(ValueError, match="no readable"):
         load_dataset(tmp_path)
@@ -177,4 +294,4 @@ def test_load_dataset_deterministic(tmp_path):
 
 def test_trace_rejects_unsorted():
     with pytest.raises(ValueError, match="sorted"):
-        Trace((Packet(1.0, Direction.UPLOAD), Packet(0.0, Direction.UPLOAD)))
+        Trace([1.0, 0.0], [Direction.UPLOAD, Direction.UPLOAD])

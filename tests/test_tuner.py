@@ -4,11 +4,10 @@ from wfdefend import (
     LossWeights,
     SearchSpace,
     generate_classes,
-    loss,
     random_search,
     separable_profiles,
 )
-from wfdefend.tuner import parse_trial_json, trial_json
+from wfdefend.tuner import loss, parse_trial_json, trial_json
 
 SMALL_SPACE = SearchSpace(
     R=(50.0, 300.0), D=(0.8, 0.95), T=(1.0, 5.0), N=(0, 200), U=(2.0, 6.0), C=(1.0, 3.0)
