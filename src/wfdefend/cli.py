@@ -9,7 +9,6 @@ reruns with the same seed are byte-identical regardless of --jobs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import os
@@ -131,26 +130,24 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Each defended file is written as soon as its result arrives, in file
-    # order, so finished results are not held in memory.
-    tasks = (
+    tasks = [
         (p.name, p.read_text(encoding="utf-8"), args.defense, overrides,
          stable_seed(seed, p.name))
         for p in files
-    )
+    ]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_simulate_one, tasks, chunksize=8))
+    else:
+        results = [_simulate_one(t) for t in tasks]
+
     reports = []
     names = []
-    with contextlib.ExitStack() as stack:
-        if args.jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
-            results = pool.map(_simulate_one, tasks, chunksize=8)
-        else:
-            results = map(_simulate_one, tasks)
-        for name, text, report in results:
-            (out_dir / name).write_text(text, encoding="utf-8")
-            if report is not None:
-                reports.append(report)
-                names.append(name)
+    for name, text, report in results:
+        (out_dir / name).write_text(text, encoding="utf-8")
+        if report is not None:
+            reports.append(report)
+            names.append(name)
     if reports:
         overhead = aggregate_reports(reports)
         report_path = out_dir.parent / f"{out_dir.name}.overhead.csv"

@@ -27,7 +27,6 @@ logger = logging.getLogger(__name__)
 
 # Output times are quantized to microseconds; dataset precision is coarser.
 TIME_DECIMALS = 6
-_TIME_SCALE = 10.0**TIME_DECIMALS
 
 
 class Direction(IntEnum):
@@ -360,55 +359,11 @@ def parse_trace(text: str, label: Optional[str] = None) -> Trace:
     return Trace(times, direction[order], label=label)
 
 
-def _scaled_round(times: np.ndarray) -> np.ndarray:
-    """round(|t| * 10**TIME_DECIMALS) as int64, ties to even on the exact
-    product, as Python's fixed-point formatting rounds.
-
-    The float product p is split off its exact rounding error (Dekker's
-    two-product); the error only decides the rounding when p lies exactly
-    halfway between integers. Requires |t| * 10**TIME_DECIMALS < 2**52.
-    """
-    a = np.abs(times)
-    p = a * _TIME_SCALE
-    c = 134217729.0 * a  # 2**27 + 1 splits a into two 26-bit halves
-    high = c - (c - a)
-    error = (high * _TIME_SCALE - p) + (a - high) * _TIME_SCALE
-    whole = np.floor(p)
-    fraction = p - whole
-    tie_up = (error > 0) | ((error == 0) & (whole % 2 == 1))
-    up = (fraction > 0.5) | ((fraction == 0.5) & tie_up)
-    return whole.astype(np.int64) + up
-
-
 def _format_rows(times: np.ndarray, tails: Sequence[str], which: np.ndarray) -> str:
-    """Text of one line per time: the time formatted like
-    f"{t:.{TIME_DECIMALS}f}", then tails[which[i]], built as one byte array."""
-    if not len(times):
-        return ""
-    if not (np.abs(times) * _TIME_SCALE < 2.0**52).all():
-        return "".join(
-            f"{t:.{TIME_DECIMALS}f}{tails[i]}" for t, i in zip(times.tolist(), which.tolist())
-        )
-    whole, fraction = np.divmod(_scaled_round(times), 10**TIME_DECIMALS)
-    digits = len(str(int(whole.max())))
-    tail_width = max(map(len, tails))
-    width = 1 + digits + 1 + TIME_DECIMALS + tail_width
-    out = np.empty((len(times), width), np.uint8)
-    keep = np.ones(out.shape, np.bool_)
-    out[:, 0] = ord("-")
-    keep[:, 0] = np.signbit(times)
-    for j in range(digits):
-        power = 10 ** (digits - 1 - j)
-        out[:, 1 + j] = whole // power % 10 + ord("0")
-        keep[:, 1 + j] = (whole >= power) | (j == digits - 1)  # no leading zeros
-    out[:, 1 + digits] = ord(".")
-    for j in range(TIME_DECIMALS):
-        out[:, 2 + digits + j] = fraction // 10 ** (TIME_DECIMALS - 1 - j) % 10 + ord("0")
-    for j in range(tail_width):
-        column = np.array([ord(t[j]) if j < len(t) else 0 for t in tails], np.uint8)
-        out[:, width - tail_width + j] = column[which]
-        keep[:, width - tail_width + j] = column[which] != 0
-    return out[keep].tobytes().decode("ascii")
+    """One line per time: the time formatted like f"{t:.6f}", then tails[which[i]]."""
+    return "".join(
+        f"{t:.{TIME_DECIMALS}f}{tails[i]}" for t, i in zip(times.tolist(), which.tolist())
+    )
 
 
 def write_trace(trace: Trace) -> str:
