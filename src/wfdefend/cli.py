@@ -9,10 +9,13 @@ reruns with the same seed are byte-identical regardless of --jobs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
@@ -130,24 +133,34 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = [
+    # Each result is written to a staging directory beside out_dir as it
+    # arrives, so finished results are not held in memory, and moved into
+    # out_dir only once every trace is defended: a data error part-way
+    # through leaves out_dir as it was.
+    tasks = (
         (p.name, p.read_text(encoding="utf-8"), args.defense, overrides,
          stable_seed(seed, p.name))
         for p in files
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_simulate_one, tasks, chunksize=8))
-    else:
-        results = [_simulate_one(t) for t in tasks]
-
+    )
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
     reports = []
     names = []
-    for name, text, report in results:
-        (out_dir / name).write_text(text, encoding="utf-8")
-        if report is not None:
-            reports.append(report)
-            names.append(name)
+    try:
+        with contextlib.ExitStack() as stack:
+            if args.jobs > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+                results = pool.map(_simulate_one, tasks, chunksize=8)
+            else:
+                results = map(_simulate_one, tasks)
+            for name, text, report in results:
+                (staging / name).write_text(text, encoding="utf-8")
+                if report is not None:
+                    reports.append(report)
+                    names.append(name)
+        for p in files:
+            os.replace(staging / p.name, out_dir / p.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     if reports:
         overhead = aggregate_reports(reports)
         report_path = out_dir.parent / f"{out_dir.name}.overhead.csv"

@@ -129,6 +129,23 @@ class TestSimulate:
         assert "0-0: line 11: non-finite time" in err
         assert time.monotonic() - start < 5.0
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_data_error_leaves_out_dir_as_it_was(self, capsys, tmp_path, jobs):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        (data / "9-9").write_text("0.0\t1\nnan\t-1\n")  # sorts last
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "0-0").write_text("earlier run\n")
+        code, _, err = run(
+            capsys, "simulate", str(data), "--out", str(out),
+            "--defense", "regulator-heavy", "--seed", "1", "--jobs", jobs,
+        )
+        assert code == 2
+        assert "9-9: line 2: non-finite time" in err
+        assert tree_bytes(out) == {"0-0": b"earlier run\n"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
+
     def test_parameter_override(self, capsys, tmp_path):
         data = tmp_path / "data"
         write_synth_dataset(capsys, data)
