@@ -23,10 +23,10 @@ from .traces import (
 )
 from .regulator import RegulatorParams, apply_regulator
 from .baselines import FrontParams, TamarawParams, apply_front, apply_tamaraw
-from .presets import get_defense
+from .presets import resolve_defense
 from .metrics import dataset_overhead, trace_overhead
 from .stats import dataset_stats, trace_stats
-from .attack import evaluate_closed_world, extract_features
+from .attack import evaluate_closed_world, extract_features, feature_matrix
 from .synth import generate_classes, separable_profiles
 from .tuner import LossWeights, SearchSpace, random_search
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,7 +22,6 @@ SUMMARY_FEATURES = 4
 FEATURE_LENGTH = CUMULATIVE_SAMPLES + SUMMARY_FEATURES
 
 Observable = Union[Trace, DefendedTrace]
-DefenseFn = Callable[[Trace, int], Observable]
 
 
 @dataclass(frozen=True)
@@ -54,12 +53,13 @@ def extract_features(observed: Observable) -> np.ndarray:
     return np.concatenate([samples, summary])
 
 
-def _feature_matrix(dataset: Dataset, defense: Optional[DefenseFn]) -> np.ndarray:
-    rows = []
-    for i, trace in enumerate(dataset.traces):
-        observed = defense(trace, i) if defense else trace
-        rows.append(extract_features(observed))
-    return np.vstack(rows)
+def feature_matrix(observed: Iterable[Observable]) -> np.ndarray:
+    """One `extract_features` row per observable, in order.
+
+    An iterator is consumed one item at a time, so a generator of defended
+    traces is never held in memory all at once.
+    """
+    return np.vstack([extract_features(o) for o in observed])
 
 
 def _fold_assignment(labels: Sequence[str], folds: int, seed: int) -> np.ndarray:
@@ -89,21 +89,10 @@ def _knn_predict(
     return predictions
 
 
-def evaluate_closed_world(
-    dataset: Dataset,
-    defense: Optional[DefenseFn] = None,
-    k: int = 5,
-    folds: int = 10,
-    seed: int = 0,
-) -> EvalResult:
-    """Stratified k-fold closed-world evaluation, deterministic given the seed.
-
-    `defense`, if given, is called as defense(trace, index) per trace before
-    feature extraction, so the caller owns per-trace seed derivation; the
-    classifier then only sees the defended schedule. Features are min-max
-    normalized on each training fold. Errors name the class when any class
-    has fewer instances than folds.
-    """
+def check_folds(dataset: Dataset, folds: int) -> Counter:
+    """Instances per class, once stratified `folds`-fold evaluation of the
+    dataset is known to be possible. Errors name the class when any class
+    has fewer instances than folds."""
     labels = [t.label for t in dataset.traces]
     if any(label is None for label in labels):
         raise ValueError("every trace needs a label for closed-world evaluation")
@@ -117,8 +106,30 @@ def evaluate_closed_world(
             raise ValueError(
                 f"class {label!r} has {counts[label]} instances, fewer than {folds} folds"
             )
+    return counts
 
-    features = _feature_matrix(dataset, defense)
+
+def evaluate_closed_world(
+    dataset: Dataset,
+    features: Optional[np.ndarray] = None,
+    k: int = 5,
+    folds: int = 10,
+    seed: int = 0,
+) -> EvalResult:
+    """Stratified k-fold closed-world evaluation, deterministic given the seed.
+
+    `features` holds one row per trace of `dataset`, for instance the
+    `feature_matrix` of its defended traces, so the classifier sees only
+    the defended schedules; by default it is that of the traces themselves.
+    Features are min-max normalized on each training fold. The dataset is
+    checked first, by `check_folds`.
+    """
+    counts = check_folds(dataset, folds)
+    labels = [t.label for t in dataset.traces]
+    if features is None:
+        features = feature_matrix(dataset.traces)
+    if len(features) != len(dataset):
+        raise ValueError(f"{len(features)} feature rows for {len(dataset)} traces")
     y = np.array(labels, dtype=object)
     fold_of = _fold_assignment(labels, folds, seed)
 
@@ -153,17 +164,16 @@ def evaluate_closed_world(
     )
 
 
-def feature_matrix_csv(dataset: Dataset, defense: Optional[DefenseFn] = None) -> str:
-    """Feature matrix as CSV, one labeled row per trace, for external
-    attack pipelines. Features are unnormalized."""
-    features = _feature_matrix(dataset, defense)
+def feature_matrix_csv(dataset: Dataset, features: np.ndarray) -> str:
+    """A feature matrix as CSV, one row per trace of `dataset` labeled with
+    its class, for external attack pipelines. Features are unnormalized."""
     header = (
         "label,"
         + ",".join(f"cum_{i}" for i in range(CUMULATIVE_SAMPLES))
         + ",total_packets,upload_count,download_count,duration"
     )
     lines = [header]
-    for trace, row in zip(dataset.traces, features):
+    for trace, row in zip(dataset.traces, features, strict=True):
         values = ",".join(f"{v:.6f}" for v in row)
         lines.append(f"{trace.label},{values}")
     return "".join(line + "\n" for line in lines)

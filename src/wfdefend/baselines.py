@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .traces import DefendedTrace, Direction, Trace, merge, one_direction
 class FrontParams:
     """N_s / N_c: max server (download) and client (upload) dummy counts;
     W_min / W_max: bounds of the Rayleigh window draw, seconds."""
+
+    randomized: ClassVar[bool] = True
 
     N_s: int
     N_c: int
@@ -32,10 +35,16 @@ class FrontParams:
         if not 0 < self.W_min <= self.W_max:
             raise ValueError("require 0 < W_min <= W_max")
 
+    def apply(self, trace: Trace, seed: int) -> DefendedTrace:
+        return apply_front(trace, self, seed)
+
 
 @dataclass(frozen=True, slots=True)
 class TamarawParams:
-    """rho_out / rho_in: seconds per upload / download slot; L: pad-to multiple."""
+    """rho_out / rho_in: seconds per upload / download slot; L: pad-to multiple.
+    Tamaraw draws nothing at random, so `apply` ignores its seed."""
+
+    randomized: ClassVar[bool] = False
 
     rho_out: float
     rho_in: float
@@ -46,6 +55,9 @@ class TamarawParams:
             raise ValueError("rho_out and rho_in must be > 0")
         if self.L < 1:
             raise ValueError("L must be >= 1")
+
+    def apply(self, trace: Trace, seed: int) -> DefendedTrace:
+        return apply_tamaraw(trace, self)
 
 
 def _front_side(

@@ -17,18 +17,20 @@ import shutil
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
-from .attack import evaluate_closed_world, feature_matrix_csv
+from .attack import check_folds, evaluate_closed_world, feature_matrix, feature_matrix_csv
 from .metrics import aggregate_reports, csv_table, kv_lines, trace_overhead
 from .presets import (
     OVERRIDE_FIELDS,
     REGULATOR_PRESETS,
+    DefenseParams,
     defense_names,
-    get_defense,
-    is_randomized,
+    resolve_defense,
 )
+from .regulator import RegulatorParams
 from .seeding import stable_seed
 from .stats import (
     dataset_stats,
@@ -40,7 +42,6 @@ from .stats import (
 )
 from .synth import generate_classes, separable_profiles
 from .traces import (
-    Dataset,
     ParseError,
     attach_sources,
     load_dataset,
@@ -81,48 +82,48 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
                             help=f"override regulator parameter {name}")
 
 
-def _overrides(args) -> dict:
-    return {name: getattr(args, name) for name in OVERRIDE_FIELDS}
+def _defense(args, name: Optional[str]) -> Optional[DefenseParams]:
+    """The params of preset `name` with this command's --R ... --C
+    overrides; None when there is no preset and no override."""
+    overrides = {field: getattr(args, field) for field in OVERRIDE_FIELDS}
+    if name is None:
+        if any(value is not None for value in overrides.values()):
+            raise UsageError("parameter overrides need a regulator --defense")
+        return None
+    try:
+        return resolve_defense(name, overrides)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _require_seed(args, defense: Optional[str]) -> int:
-    if defense is not None and not is_randomized(defense):
-        return args.seed if args.seed is not None else 0
+def _require_seed(args, randomized: bool = True) -> int:
     if args.seed is None:
-        raise UsageError("--seed is required for randomized commands")
+        if randomized:
+            raise UsageError("--seed is required for randomized commands")
+        return 0
     return args.seed
 
 
 def _print_params(params) -> None:
-    # dataclasses with slots have no __dict__; walk the fields directly.
-    for field in params.__dataclass_fields__:
-        value = getattr(params, field)
-        if isinstance(value, float):
-            print(f"{field}={value:g}")
-        else:
-            print(f"{field}={value}")
+    for name, value in asdict(params).items():
+        print(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
 
 
-def _simulate_one(task: tuple[str, str, str, dict, int]):
+def _simulate_one(task: tuple[str, str, DefenseParams, int]):
     """Defend one trace file; top-level so worker processes can run it."""
-    name, text, defense_name, overrides, sub_seed = task
+    name, text, params, sub_seed = task
     try:
         trace = parse_trace(text)
     except ParseError as exc:
         raise ParseError(f"{name}: {exc}") from None
-    _, apply = get_defense(defense_name, overrides)
-    defended = apply(trace, sub_seed)
+    defended = params.apply(trace, sub_seed)
     report = trace_overhead(trace, defended) if len(trace) and trace.duration > 0 else None
     return name, write_defended_trace(defended), report
 
 
 def cmd_simulate(args) -> int:
-    overrides = _overrides(args)
-    try:
-        get_defense(args.defense, overrides)  # validate before touching data
-    except (KeyError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
-    seed = _require_seed(args, args.defense)
+    params = _defense(args, args.defense)
+    seed = _require_seed(args, params.randomized)
 
     in_dir = Path(args.input)
     if not in_dir.is_dir():
@@ -138,8 +139,7 @@ def cmd_simulate(args) -> int:
     # out_dir only once every trace is defended: a data error part-way
     # through leaves out_dir as it was.
     tasks = (
-        (p.name, p.read_text(encoding="utf-8"), args.defense, overrides,
-         stable_seed(seed, p.name))
+        (p.name, p.read_text(encoding="utf-8"), params, stable_seed(seed, p.name))
         for p in files
     )
     staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
@@ -223,17 +223,21 @@ def cmd_stats(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.defense is not None:
-        try:
-            get_defense(args.defense, _overrides(args))
-        except (KeyError, ValueError) as exc:
-            raise UsageError(str(exc)) from None
-    seed = _require_seed(args, None)
+    params = _defense(args, args.defense)
+    seed = _require_seed(args)
 
     dataset = load_dataset(Path(args.input))
-    defense = _indexed_defense(args, dataset) if args.defense is not None else None
+    check_folds(dataset, args.folds)  # before any trace is defended
+    observed = dataset.traces
+    if params is not None:
+        # A generator: each defended trace is dropped once its row is made.
+        observed = (
+            params.apply(trace, stable_seed(seed, name))
+            for trace, name in zip(dataset.traces, dataset.filenames)
+        )
+    features = feature_matrix(observed)
     result = evaluate_closed_world(
-        dataset, defense=defense, k=args.k, folds=args.folds, seed=seed
+        dataset, features=features, k=args.k, folds=args.folds, seed=seed
     )
     print(f"accuracy={result.accuracy:.6f}")
     print(f"folds={result.fold_count}")
@@ -241,20 +245,9 @@ def cmd_eval(args) -> int:
         print(f"class_{label}={result.per_class_accuracy[label]:.6f}")
     if args.features_out:
         Path(args.features_out).write_text(
-            feature_matrix_csv(dataset, defense=defense), encoding="utf-8"
+            feature_matrix_csv(dataset, features), encoding="utf-8"
         )
     return EXIT_OK
-
-
-def _indexed_defense(args, dataset: Dataset):
-    """Defense callable deriving per-trace seeds from (seed, filename)."""
-    _, apply = get_defense(args.defense, _overrides(args))
-    names = dataset.filenames or tuple(str(i) for i in range(len(dataset)))
-
-    def defend(trace, index):
-        return apply(trace, stable_seed(args.seed, names[index]))
-
-    return defend
 
 
 def _read_trial_log(log_path: Path, seed: int) -> list[TrialRecord]:
@@ -343,30 +336,21 @@ def cmd_tune(args) -> int:
 
 
 def cmd_adjust(args) -> int:
-    if args.preset not in REGULATOR_PRESETS:
+    params = _defense(args, args.preset)
+    if not isinstance(params, RegulatorParams):
         raise UsageError(
-            f"unknown regulator preset {args.preset!r}; "
+            f"not a regulator preset: {args.preset!r}; "
             f"expected one of {sorted(REGULATOR_PRESETS)}"
         )
     if args.reference <= 0 or args.target <= 0:
         raise UsageError("--reference and --target must be positive packet counts")
-    params = REGULATOR_PRESETS[args.preset]
-    overrides = {k: v for k, v in _overrides(args).items() if v is not None}
-    if overrides:
-        if "N" in overrides:
-            overrides["N"] = int(overrides["N"])
-        try:
-            params = params.with_overrides(**overrides)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
     adjusted = volume_adjustment(args.reference, args.target, params)
     _print_params(adjusted)
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    if args.seed is None:
-        raise UsageError("--seed is required for randomized commands")
+    _require_seed(args)
     profiles = separable_profiles(
         args.classes,
         base_total=args.base_total,

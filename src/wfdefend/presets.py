@@ -1,12 +1,19 @@
-"""Named defense presets and a small dispatch layer for batch tools."""
+"""Named defense presets and the resolver that every command uses.
+
+Each preset is a params object that applies itself: `params.apply(trace,
+seed)` defends one trace, and `params.randomized` says whether the seed
+matters (Tamaraw's does not).
+"""
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from dataclasses import replace
+from typing import Optional, Union
 
-from .baselines import FrontParams, TamarawParams, apply_front, apply_tamaraw
-from .regulator import RegulatorParams, apply_regulator
-from .traces import DefendedTrace, Trace
+from .baselines import FrontParams, TamarawParams
+from .regulator import RegulatorParams
+
+DefenseParams = Union[RegulatorParams, FrontParams, TamarawParams]
 
 REGULATOR_PRESETS: dict[str, RegulatorParams] = {
     "regulator-heavy": RegulatorParams(R=277.0, D=0.940, T=3.55, N=3550, U=3.95, C=1.77),
@@ -22,49 +29,36 @@ TAMARAW_PRESETS: dict[str, TamarawParams] = {
     "tamaraw": TamarawParams(rho_out=0.04, rho_in=0.012, L=100),
 }
 
+PRESETS: dict[str, DefenseParams] = {**REGULATOR_PRESETS, **FRONT_PRESETS, **TAMARAW_PRESETS}
+
 # Regulator parameters that may be overridden from the command line.
 OVERRIDE_FIELDS = ("R", "D", "T", "N", "U", "C")
 
 
 def defense_names() -> list[str]:
-    return sorted([*REGULATOR_PRESETS, *FRONT_PRESETS, *TAMARAW_PRESETS])
+    return sorted(PRESETS)
 
 
-def is_randomized(name: str) -> bool:
-    """Whether the defense consumes the seed (Tamaraw does not)."""
-    return name not in TAMARAW_PRESETS
+def resolve_defense(name: str, overrides: Optional[dict] = None) -> DefenseParams:
+    """The params of preset `name`, with regulator overrides applied.
 
-
-def get_defense(
-    name: str, overrides: Optional[dict] = None
-) -> tuple[object, Callable[[Trace, int], DefendedTrace]]:
-    """Resolve a preset name (plus optional regulator parameter overrides)
-    to (params, apply) where apply(trace, seed) -> DefendedTrace.
+    Overrides whose value is None are ignored. An unknown name, an override
+    of a non-regulator preset, an unknown field, a non-integral N or an
+    out-of-range value raises ValueError.
     """
+    if name not in PRESETS:
+        raise ValueError(f"unknown defense {name!r}; expected one of {defense_names()}")
+    params = PRESETS[name]
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    if name in REGULATOR_PRESETS:
-        params = REGULATOR_PRESETS[name]
-        if overrides:
-            unknown = set(overrides) - set(OVERRIDE_FIELDS)
-            if unknown:
-                raise ValueError(f"unknown regulator overrides: {sorted(unknown)}")
-            if "N" in overrides:
-                overrides["N"] = int(overrides["N"])
-            params = params.with_overrides(**overrides)
-        return params, lambda trace, seed, p=params: apply_regulator(trace, p, seed)
-    if overrides:
+    if not overrides:
+        return params
+    if not isinstance(params, RegulatorParams):
         raise ValueError(f"parameter overrides only apply to regulator presets, not {name!r}")
-    if name in FRONT_PRESETS:
-        params = FRONT_PRESETS[name]
-        return params, lambda trace, seed, p=params: apply_front(trace, p, seed)
-    if name in TAMARAW_PRESETS:
-        params = TAMARAW_PRESETS[name]
-        return params, lambda trace, seed, p=params: apply_tamaraw(trace, p)
-    raise KeyError(f"unknown defense {name!r}; expected one of {defense_names()}")
-
-
-def apply_defense(
-    name: str, trace: Trace, seed: int, overrides: Optional[dict] = None
-) -> DefendedTrace:
-    _, apply = get_defense(name, overrides)
-    return apply(trace, seed)
+    unknown = set(overrides) - set(OVERRIDE_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown regulator overrides: {sorted(unknown)}")
+    if "N" in overrides:
+        if not float(overrides["N"]).is_integer():
+            raise ValueError(f"N must be a whole number of packets, got {overrides['N']}")
+        overrides["N"] = int(overrides["N"])
+    return replace(params, **overrides)

@@ -19,8 +19,8 @@ Everything here is a pure function of (trace, params, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class RegulatorParams:
        real data and the padding budget are exhausted.
     """
 
+    randomized: ClassVar[bool] = True
+
     R: float
     D: float
     T: float
@@ -81,8 +83,8 @@ class RegulatorParams:
         if self.tail_grace < 0:
             raise ValueError(f"tail_grace must be >= 0, got {self.tail_grace}")
 
-    def with_overrides(self, **kwargs) -> "RegulatorParams":
-        return replace(self, **kwargs)
+    def apply(self, trace: Trace, seed: int) -> DefendedTrace:
+        return apply_regulator(trace, self, seed)
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,7 @@ here measure those properties and emit plot-ready tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .regulator import ACTIVATION_PACKETS, RegulatorParams
@@ -117,21 +117,16 @@ def volume_adjustment(
     if reference_mean_count <= 0 or target_mean_count <= 0:
         raise ValueError("mean packet counts must be positive")
     ratio = target_mean_count / reference_mean_count
-    return params.with_overrides(
-        R=float(round(params.R * ratio)), N=int(round(params.N * ratio))
-    )
+    return replace(params, R=float(round(params.R * ratio)), N=int(round(params.N * ratio)))
 
 
-def offsets_histogram(
-    profile: PostTenthProfile, bin_width: float = 1.0
-) -> list[tuple[float, int]]:
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+def offsets_histogram(profile: PostTenthProfile) -> list[tuple[float, int]]:
+    """Counts of post-tenth-packet offsets in one-second bins."""
     if not profile.offsets:
         return []
-    keys = np.floor_divide(np.array(profile.offsets), bin_width).astype(np.int64)
+    keys = np.floor(np.array(profile.offsets)).astype(np.int64)
     bins, counts = np.unique(keys, return_counts=True)
-    return [(k * bin_width, c) for k, c in zip(bins.tolist(), counts.tolist())]
+    return [(float(k), c) for k, c in zip(bins.tolist(), counts.tolist())]
 
 
 def iqr_table(dataset: Dataset) -> str:
@@ -147,10 +142,10 @@ def iqr_table(dataset: Dataset) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def decay_table(profile: PostTenthProfile, bin_width: float = 1.0) -> str:
+def decay_table(profile: PostTenthProfile) -> str:
     """Histogram of post-tenth-packet offsets as CSV."""
     lines = ["offset_bin_start,count"]
-    for start, count in offsets_histogram(profile, bin_width):
+    for start, count in offsets_histogram(profile):
         lines.append(f"{start:.6f},{count}")
     return "".join(line + "\n" for line in lines)
 

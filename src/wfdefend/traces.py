@@ -436,14 +436,12 @@ def attach_sources(
     return DefendedTrace(send, direction, dummy, source, seed=0, drawn_budget=dummy_downloads)
 
 
-def label_from_filename(name: str, separator: str = "-") -> str:
-    """Label per the `<site><sep><instance>` convention; the site part."""
-    if separator in name:
-        return name.rsplit(separator, 1)[0]
-    return name
+def label_from_filename(name: str) -> str:
+    """Label per the `<site>-<instance>` convention; the site part."""
+    return name.rsplit("-", 1)[0]
 
 
-def load_dataset(root: str | Path, separator: str = "-") -> Dataset:
+def load_dataset(root: str | Path) -> Dataset:
     """Load every readable trace file under `root`, lexicographic by filename.
 
     Unreadable or malformed files are skipped with a warning and counted in
@@ -458,7 +456,7 @@ def load_dataset(root: str | Path, separator: str = "-") -> Dataset:
     for path in sorted(p for p in root.iterdir() if p.is_file()):
         try:
             text = path.read_text(encoding="utf-8")
-            trace = parse_trace(text, label=label_from_filename(path.name, separator))
+            trace = parse_trace(text, label=label_from_filename(path.name))
         except (OSError, ParseError, UnicodeDecodeError) as exc:
             logger.warning("skipping %s: %s", path, exc)
             skipped += 1

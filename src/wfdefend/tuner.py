@@ -14,9 +14,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .attack import evaluate_closed_world
+from .attack import evaluate_closed_world, feature_matrix
 from .metrics import dataset_overhead
-from .regulator import RegulatorParams, apply_regulator
+from .regulator import RegulatorParams
 from .seeding import stable_seed
 from .traces import Dataset
 
@@ -102,16 +102,12 @@ def run_trial(
     eval_folds: int = 10,
 ) -> TrialRecord:
     defended = [
-        apply_regulator(trace, params, stable_seed(trial_seed, "trace", i))
+        params.apply(trace, stable_seed(trial_seed, "trace", i))
         for i, trace in enumerate(dataset.traces)
     ]
     overhead = dataset_overhead(dataset.traces, defended)
     result = evaluate_closed_world(
-        dataset,
-        defense=lambda trace, i, d=defended: d[i],
-        k=eval_k,
-        folds=eval_folds,
-        seed=trial_seed,
+        dataset, feature_matrix(defended), k=eval_k, folds=eval_folds, seed=trial_seed
     )
     trial_loss = loss(
         weights, result.accuracy, overhead.mean_bandwidth, overhead.mean_latency

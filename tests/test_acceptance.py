@@ -28,6 +28,7 @@ from wfdefend import (
     apply_regulator,
     apply_tamaraw,
     evaluate_closed_world,
+    feature_matrix,
     generate_classes,
     parse_trace,
     separable_profiles,
@@ -222,14 +223,16 @@ def test_criterion_6_attack_evaluator_sanity():
     undefended = evaluate_closed_world(dataset, k=5, folds=10, seed=7).accuracy
     heavy = evaluate_closed_world(
         dataset,
-        defense=lambda tr, i: apply_regulator(tr, HEAVY, stable_seed(7, "c6", i)),
+        feature_matrix(
+            HEAVY.apply(tr, stable_seed(7, "c6", i)) for i, tr in enumerate(dataset.traces)
+        ),
         k=5,
         folds=10,
         seed=7,
     ).accuracy
     tamaraw = evaluate_closed_world(
         dataset,
-        defense=lambda tr, i: apply_tamaraw(tr, TAMARAW),
+        feature_matrix(TAMARAW.apply(tr, 0) for tr in dataset.traces),
         k=5,
         folds=10,
         seed=7,

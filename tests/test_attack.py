@@ -8,7 +8,12 @@ from wfdefend import (
     evaluate_closed_world,
     extract_features,
 )
-from wfdefend.attack import CUMULATIVE_SAMPLES, FEATURE_LENGTH, feature_matrix_csv
+from wfdefend.attack import (
+    CUMULATIVE_SAMPLES,
+    FEATURE_LENGTH,
+    feature_matrix,
+    feature_matrix_csv,
+)
 
 
 def uniform_trace(n, direction, duration=10.0, label=None):
@@ -110,23 +115,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="2 classes"):
             evaluate_closed_world(dataset, folds=5, seed=0)
 
-    def test_defense_callable_receives_indices(self):
-        rng = np.random.default_rng(5)
-        dataset = sized_dataset({"a": 50, "b": 200}, instances=10, rng=rng)
-        seen = []
-
-        def spy(trace, index):
-            seen.append(index)
-            return trace
-
-        evaluate_closed_world(dataset, defense=spy, k=3, folds=5, seed=0)
-        assert seen == list(range(len(dataset)))
-
 
 def test_feature_matrix_csv():
     rng = np.random.default_rng(6)
     dataset = sized_dataset({"a": 20, "b": 60}, instances=2, rng=rng)
-    csv = feature_matrix_csv(dataset)
+    csv = feature_matrix_csv(dataset, feature_matrix(dataset.traces))
     lines = csv.splitlines()
     assert lines[0].startswith("label,cum_0,")
     assert len(lines) == 1 + len(dataset)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from wfdefend import regulator
 from wfdefend.cli import main
 
 
@@ -246,12 +247,89 @@ class TestEval:
         assert features.is_file()
         assert features.read_text().splitlines()[0].startswith("label,cum_0")
 
+    def test_features_out_defends_each_trace_once(self, capsys, tmp_path, monkeypatch):
+        # The module function is looked up when a defense is applied, so
+        # replacing it counts every call.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=3, instances=6)
+        seeds = []
+        original = regulator.apply_regulator
+
+        def counting(trace, params, seed):
+            seeds.append(seed)
+            return original(trace, params, seed)
+
+        monkeypatch.setattr(regulator, "apply_regulator", counting)
+        code, _, err = run(
+            capsys, "eval", str(data), "--seed", "1", "--folds", "3", "--k", "3",
+            "--defense", "regulator-heavy", "--features-out", str(tmp_path / "f.csv"),
+        )
+        assert code == 0, err
+        assert len(seeds) == len(set(seeds)) == 18
+
     def test_too_many_folds_is_data_error(self, capsys, tmp_path):
         data = tmp_path / "data"
         write_synth_dataset(capsys, data, classes=2, instances=3)
         code, _, err = run(capsys, "eval", str(data), "--seed", "1", "--folds", "5")
         assert code == 2
         assert "fewer than" in err
+
+    def test_too_many_folds_fails_before_any_trace_is_defended(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def unexpected(*args):
+            raise AssertionError("a trace was defended")
+
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=3)
+        monkeypatch.setattr(regulator, "apply_regulator", unexpected)
+        code, _, err = run(
+            capsys, "eval", str(data), "--seed", "1", "--folds", "5",
+            "--defense", "regulator-heavy",
+        )
+        assert code == 2
+        assert "fewer than" in err
+
+
+def regulator_argv(command, data, tmp_path):
+    """A run of `command` under regulator-heavy, ready for overrides."""
+    if command == "simulate":
+        return ["simulate", str(data), "--out", str(tmp_path / "out"),
+                "--defense", "regulator-heavy", "--seed", "1"]
+    if command == "eval":
+        return ["eval", str(data), "--defense", "regulator-heavy", "--seed", "1",
+                "--folds", "3"]
+    return ["adjust", "--preset", "regulator-heavy", "--reference", "1", "--target", "2"]
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("command", ["simulate", "eval", "adjust"])
+    @pytest.mark.parametrize("n", ["3550.9", "inf"])
+    def test_non_integral_n_is_usage_error(self, capsys, tmp_path, command, n):
+        # 3550.9 was once truncated to 3550 (adjust printed N=7100), and
+        # inf escaped as an OverflowError traceback.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        code, stdout, err = run(capsys, *regulator_argv(command, data, tmp_path), "--N", n)
+        assert code == 1
+        assert "wfdefend: error: N must be a whole number" in err
+        assert stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "{data}", "--seed", "1", "--R", "5"],
+        ["simulate", "{data}", "--out", "{out}", "--defense", "tamaraw", "--R", "5"],
+        ["adjust", "--preset", "front-1700", "--reference", "1", "--target", "2", "--R", "5"],
+    ])
+    def test_override_without_regulator_defense_is_usage_error(self, capsys, tmp_path, argv):
+        # eval once ignored --R when no --defense was given, and exited 0.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        argv = [a.format(data=data, out=tmp_path / "out") for a in argv]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1
+        assert "regulator" in err
+        assert stdout == ""
 
 
 class TestTune:

@@ -11,7 +11,6 @@ from wfdefend import (
     Trace,
     attach_sources,
     dataset_overhead,
-    get_defense,
     parse_defended_schedule,
     trace_overhead,
     write_defended_trace,
@@ -24,7 +23,7 @@ from wfdefend.metrics import (
     kv_lines,
     latency_overhead,
 )
-from wfdefend.presets import defense_names
+from wfdefend.presets import PRESETS, defense_names
 from wfdefend.traces import merge, one_direction
 
 UP, DOWN = Direction.UPLOAD, Direction.DOWNLOAD
@@ -206,8 +205,7 @@ def test_overhead_from_disk_matches_simulate(trace_seed, defense, seed):
     5e-7 s; the latency ratios divide that by the original duration."""
     original = random_trace(np.random.default_rng(trace_seed), 300)
     assume(len(original) and original.duration > 0)
-    _, apply = get_defense(defense)
-    defended = apply(original, seed)
+    defended = PRESETS[defense].apply(original, seed)
     schedule = parse_defended_schedule(write_defended_trace(defended))
     expected = trace_overhead(original, defended)
     actual = trace_overhead(original, attach_sources(original, schedule))

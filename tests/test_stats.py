@@ -99,7 +99,7 @@ class TestPostTenthProfile:
     def test_histogram_tables(self):
         trace = downloads([0.0] * 10 + [0.2, 1.4, 2.6])
         profile = post_tenth_packet_profile(Dataset((trace,), name="x"))
-        assert offsets_histogram(profile, 1.0) == [(0.0, 1), (1.0, 1), (2.0, 1)]
+        assert offsets_histogram(profile) == [(0.0, 1), (1.0, 1), (2.0, 1)]
         assert decay_table(profile).splitlines()[0] == "offset_bin_start,count"
 
 
