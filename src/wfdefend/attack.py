@@ -124,6 +124,8 @@ def evaluate_closed_world(
     Features are min-max normalized on each training fold. The dataset is
     checked first, by `check_folds`.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     counts = check_folds(dataset, folds)
     labels = [t.label for t in dataset.traces]
     if features is None:

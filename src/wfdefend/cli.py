@@ -104,6 +104,11 @@ def _require_seed(args, randomized: bool = True) -> int:
     return args.seed
 
 
+def _require_k(args) -> None:
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
+
+
 def _print_params(params) -> None:
     for name, value in asdict(params).items():
         print(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
@@ -114,9 +119,9 @@ def _simulate_one(task: tuple[str, str, DefenseParams, int]):
     name, text, params, sub_seed = task
     try:
         trace = parse_trace(text)
-    except ParseError as exc:
-        raise ParseError(f"{name}: {exc}") from None
-    defended = params.apply(trace, sub_seed)
+        defended = params.apply(trace, sub_seed)
+    except ValueError as exc:  # a ParseError or a defense that cannot run
+        raise ValueError(f"{name}: {exc}") from None
     report = trace_overhead(trace, defended) if len(trace) and trace.duration > 0 else None
     return name, write_defended_trace(defended), report
 
@@ -225,6 +230,7 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     params = _defense(args, args.defense)
     seed = _require_seed(args)
+    _require_k(args)
 
     dataset = load_dataset(Path(args.input))
     check_folds(dataset, args.folds)  # before any trace is defended
@@ -287,6 +293,7 @@ def _read_trial_log(log_path: Path, seed: int) -> list[TrialRecord]:
 
 
 def cmd_tune(args) -> int:
+    _require_k(args)
     if args.weights:
         weights_path = Path(args.weights)
         if not weights_path.is_file():

@@ -168,7 +168,12 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
                 budget_done_time = slot
         # Queue empty with the budget spent: the slot passes silently.
         slots.append(slot)
-        slot = slot + 1.0 / rate
+        next_slot = slot + 1.0 / rate
+        if next_slot == slot:
+            raise ValueError(
+                f"slot gap 1/{rate:g} s is too small to advance the slot clock at {slot} s"
+            )
+        slot = next_slot
 
     packets = one_direction(Direction.DOWNLOAD, send, source)
     return DownloadSchedule(packets, tuple(slots), surge_start, budget)

@@ -109,6 +109,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="'a'"):
             evaluate_closed_world(dataset, folds=5, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_errors(self, k):
+        rng = np.random.default_rng(5)
+        dataset = sized_dataset({"a": 50, "b": 200}, instances=10, rng=rng)
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            evaluate_closed_world(dataset, k=k, folds=5, seed=0)
+
     def test_single_class_errors(self):
         rng = np.random.default_rng(4)
         dataset = sized_dataset({"a": 50}, instances=10, rng=rng)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import wfdefend
 from wfdefend import regulator
 from wfdefend.cli import main
 
@@ -147,6 +151,29 @@ class TestSimulate:
         assert tree_bytes(out) == {"0-0": b"earlier run\n"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
 
+    def test_slot_clock_that_cannot_advance_is_data_error(self, capsys, tmp_path):
+        # At --R 1e20 the slot gap is lost in rounding; the run once never
+        # ended and left its staging directory behind when killed.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        env = {**os.environ, "PYTHONPATH": str(Path(wfdefend.__file__).parents[1])}
+        runs = {
+            "simulate": ["--out", str(tmp_path / "out")],
+            "eval": ["--folds", "3"],
+        }
+        for command, extra in runs.items():
+            result = subprocess.run(
+                [sys.executable, "-m", "wfdefend", command, str(data), *extra,
+                 "--defense", "regulator-heavy", "--seed", "1", "--R", "1e20"],
+                capture_output=True, text=True, env=env, timeout=15,
+            )
+            assert result.returncode == 2, result.stderr
+            assert "too small to advance the slot clock" in result.stderr
+            if command == "simulate":
+                assert "error: 0-0: slot gap" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_parameter_override(self, capsys, tmp_path):
         data = tmp_path / "data"
         write_synth_dataset(capsys, data)
@@ -267,6 +294,23 @@ class TestEval:
         assert code == 0, err
         assert len(seeds) == len(set(seeds)) == 18
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one_is_usage_error(self, capsys, tmp_path, monkeypatch, k):
+        # --k 0 once died in max() with exit 2, and --k -3 printed an accuracy.
+        def unexpected(*args):
+            raise AssertionError("a trace was defended")
+
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        monkeypatch.setattr(regulator, "apply_regulator", unexpected)
+        code, stdout, err = run(
+            capsys, "eval", str(data), "--seed", "1", "--folds", "3", "--k", k,
+            "--defense", "regulator-heavy",
+        )
+        assert code == 1
+        assert f"--k must be >= 1, got {k}" in err
+        assert stdout == ""
+
     def test_too_many_folds_is_data_error(self, capsys, tmp_path):
         data = tmp_path / "data"
         write_synth_dataset(capsys, data, classes=2, instances=3)
@@ -354,6 +398,20 @@ class TestTune:
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert log.read_bytes() == before  # trial count already met
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one_is_usage_error(self, capsys, tmp_path, k):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=4)
+        log = tmp_path / "trials.jsonl"
+        code, stdout, err = run(
+            capsys, "tune", str(data), "--trials", "1", "--seed", "5", "--log", str(log),
+            "--folds", "2", "--k", k,
+        )
+        assert code == 1
+        assert f"--k must be >= 1, got {k}" in err
+        assert stdout == ""
+        assert not log.exists()
 
     def test_resume_appends_missing_trials(self, capsys, tmp_path):
         data = tmp_path / "data"

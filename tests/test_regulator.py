@@ -125,6 +125,13 @@ class TestDownload:
         assert gaps_resetting.max() < 0.12  # rate pinned near R=10
         assert gaps_free.max() > 0.2  # decayed well below R
 
+    def test_slot_gap_too_small_to_advance_is_rejected(self):
+        # At R=1e20 the gap 1/R is lost in rounding at t=1 s, so the slot
+        # clock cannot move.
+        params = RegulatorParams(R=1e20, D=0.94, T=3.55, N=10, U=3.95, C=1.77)
+        with pytest.raises(ValueError, match="too small to advance the slot clock"):
+            simulate_download(downloads(12, time=1.0), params, 0)
+
 
 class TestUpload:
     def test_fractional_decimation(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,12 @@ from wfdefend import (
     load_dataset,
     parse_defended_schedule,
     parse_trace,
+    traces,
     write_defended_trace,
     write_trace,
 )
+from wfdefend.presets import PRESETS
+from wfdefend.synth import generate, separable_profiles
 
 
 def test_parse_basic():
@@ -52,6 +57,15 @@ def test_parse_rejects_non_finite_time(bad):
         parse_defended_schedule(f"0.0\t1\tR\n\n{bad}\t-1\tD\n")
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_parse_rejects_non_finite_direction(bad):
+    # nan once read as a download and inf as an upload.
+    with pytest.raises(ParseError, match=f"line 2: non-finite direction '{bad}'"):
+        parse_trace(f"0\t1\n1\t{bad}\n2\tinf\n")
+    with pytest.raises(ParseError, match=f"line 2: non-finite direction '{bad}'"):
+        parse_defended_schedule(f"0\t1\tR\n1\t{bad}\tD\n")
+
+
 def test_parse_rejects_time_span_overflow():
     with pytest.raises(ParseError, match="line 2: time too far"):
         parse_trace("-1e308\t1\n1e308\t-1\n")
@@ -77,6 +91,8 @@ def _reference_rows(text, defended):
             value = float(fields[1])
         except ValueError:
             return f"line {lineno}: non-numeric direction"
+        if not np.isfinite(value):
+            return f"line {lineno}: non-finite direction"
         if value == 0:
             return f"line {lineno}: zero direction"
         if defended and fields[2] not in ("R", "D"):
@@ -87,17 +103,16 @@ def _reference_rows(text, defended):
 
 _tokens = st.sampled_from(
     ["0", "1", "-1", "+2", "0.5", "1e-3", ".25", "7.", "-512", "inf", "nan", "x", "R", "D",
-     "0.0", "-0", "1_0", "\u0661", "RD", "é"]
+     "0.0", "-0", "1_0", "\u0661", "RD", "é", "R\x00", "-nan"]
 )
 _lines = st.lists(_tokens, max_size=4).flatmap(
-    lambda tokens: st.sampled_from(["\t", " ", " \t "]).map(lambda sep: sep.join(tokens))
+    lambda tokens: st.sampled_from(
+        ["\t", " ", " \t ", "\x0c", "\x1f", "\xa0", "\u3000"]
+    ).map(lambda sep: sep.join(tokens))
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_lines, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
-def test_parsers_match_line_by_line_reading(lines, newline, defended):
-    text = newline.join(lines)
+def _assert_parses_like_reference(text, defended):
     expected = _reference_rows(text, defended)
     parse = parse_defended_schedule if defended else parse_trace
     if isinstance(expected, str):
@@ -115,6 +130,64 @@ def test_parsers_match_line_by_line_reading(lines, newline, defended):
         send, direction = trace.times, trace.direction
         assert send.tolist() == [r[0] - rows[0][0] for r in rows]
     assert direction.tolist() == [1 if r[1] else -1 for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_lines, max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r", "\x1e"]),
+    st.booleans(),
+)
+def test_parsers_match_line_by_line_reading(lines, newline, defended):
+    _assert_parses_like_reference(newline.join(lines), defended)
+
+
+def _counting_fallback(monkeypatch):
+    calls = []
+    original = traces._read_lines
+
+    def counting(lines, defended):
+        calls.append(defended)
+        return original(lines, defended)
+
+    monkeypatch.setattr(traces, "_read_lines", counting)
+    return calls
+
+
+@pytest.mark.parametrize("text, defended", [
+    ("0\t1\n1_0\t-1\n", False),  # float() accepts underscores, numpy does not
+    ("0\t1\n\u0661\t-1\n", False),  # a non-ASCII digit
+    ("0\t1\tR\n1_0\t-1\tD\n", True),
+    ("0\t1\tR\n\u0661\t-1\tD\n", True),
+    ("0\t1\tR\n1\t-1\n", True),  # ragged: a defended line lacks its kind
+    ("0\t1\tR\n1\t-1\tD\tx\n", True),
+    ("0\t1\n1\n", False),
+    ("0\t1\tR\x00\n", True),  # numpy would read `R\0` as `R`
+    ("0\t1\tRD\n", True),  # a one-character kind column would read `RD` as `R`
+])
+def test_fallback_reads_what_numpy_refuses_or_misreads(monkeypatch, text, defended):
+    calls = _counting_fallback(monkeypatch)
+    _assert_parses_like_reference(text, defended)
+    assert calls == [defended]
+
+
+def test_canonical_files_never_reach_the_fallback(monkeypatch):
+    calls = _counting_fallback(monkeypatch)
+    original = parse_trace("0.0\t1\n0.4\t-1\n0.5\t-512\textra\n")
+    defended = PRESETS["front-1700"].apply(original, 1)
+    parse_trace(write_trace(original))
+    parse_defended_schedule(write_defended_trace(defended))
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n \n", " \t\r\n\xa0"])
+def test_blank_input_is_empty_without_warnings(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_trace(text) == Trace([], [])
+        send, direction, dummy = parse_defended_schedule(text)
+    assert len(send) == len(direction) == len(dummy) == 0
+    assert (send.dtype, direction.dtype, dummy.dtype) == (np.float64, np.int8, np.bool_)
 
 
 def test_parse_empty_input_is_empty_trace():
@@ -203,6 +276,22 @@ def test_writers_format_times_like_python(rows):
     positive = sorted(abs(t) for t in times)
     assert write_trace(Trace(positive, direction)) == "".join(
         f"{t:.6f}\t{d}\n" for t, d in zip(positive, direction)
+    )
+
+
+def test_writer_matches_python_formatting_at_paper_scale():
+    (profile,) = separable_profiles(1, base_total=2000)
+    (trace,) = generate(profile, instances=1, seed=3).traces
+    assert len(trace) >= 2000
+    defended = PRESETS["regulator-heavy"].apply(trace, 7)
+    assert defended.dummy_count() > 0
+    kinds = np.where(defended.dummy, "D", "R")
+    assert write_defended_trace(defended) == "".join(
+        f"{t:.6f}\t{d}\t{k}\n"
+        for t, d, k in zip(defended.send_time.tolist(), defended.direction.tolist(), kinds)
+    )
+    assert parse_defended_schedule(write_defended_trace(defended))[2].tolist() == (
+        defended.dummy.tolist()
     )
 
 
