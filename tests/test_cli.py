@@ -244,6 +244,58 @@ class TestStats:
         assert Path(f"{prefix}_decay.csv").is_file()
         assert Path(f"{prefix}_per_second.csv").is_file()
 
+    def test_out_bytes_are_pinned(self, capsys, tmp_path):
+        # Mixed directions with tied times; 0-1 has fewer than ten
+        # downloads, 1-0 is a single packet, 1-1 starts at 10 s in its file
+        # and has an empty second.
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "0-0").write_text(
+            "0.0\t1\n0.0\t-1\n0.1\t-1\n0.1\t-1\n0.25\t1\n0.3\t-1\n0.5\t-1\n"
+            "0.5\t-1\n0.5\t-1\n0.9\t-1\n1.0\t-1\n1.0\t1\n1.2\t-1\n1.7\t-1\n"
+            "2.0\t-1\n2.5\t1\n3.1\t-1\n3.75\t-1\n"
+        )
+        (data / "0-1").write_text("0.0\t1\n0.4\t-1\n0.4\t-1\n1.5\t1\n2.2\t-1\n")
+        (data / "1-0").write_text("0.0\t-1\n")
+        (data / "1-1").write_text(
+            "10.0\t-1\n10.0\t-1\n10.0\t1\n10.25\t-1\n10.5\t-1\n10.5\t-1\n"
+            "10.5\t1\n11.0\t-1\n11.0\t-1\n11.5\t-1\n12.0\t1\n12.0\t-1\n"
+            "12.75\t-1\n13.5\t-1\n15.5\t-1\n"
+        )
+        prefix = tmp_path / "tables" / "fig"
+        code, stdout, err = run(capsys, "stats", str(data), "--out", str(prefix))
+        assert code == 0, err
+        assert stdout == (
+            "traces=4\n"
+            "skipped_files=0\n"
+            "median_time_iqr=1.206250\n"
+            "mean_packet_count=9.750000\n"
+            "mean_duration=2.862500\n"
+            "download_upload_ratio=3.333333\n"
+            "post_tenth_median_offset=1.350000\n"
+            "post_tenth_skipped_traces=2\n"
+        )
+        assert Path(f"{prefix}_traces.csv").read_text() == (
+            "name,packet_count,duration,time_iqr,download_upload_ratio\n"
+            "0-0,18,3.750000,1.312500,3.500000\n"
+            "0-1,5,2.200000,1.100000,1.500000\n"
+            "1-0,1,0.000000,0.000000,inf\n"
+            "1-1,15,5.500000,1.625000,4.000000\n"
+        )
+        assert Path(f"{prefix}_decay.csv").read_text() == (
+            "offset_bin_start,count\n"
+            "0.000000,3\n"
+            "1.000000,1\n"
+            "2.000000,2\n"
+        )
+        assert Path(f"{prefix}_per_second.csv").read_text() == (
+            "name,second,upload_count,download_count\n"
+            "0-0,0,2,8\n0-0,1,1,3\n0-0,2,1,1\n0-0,3,0,2\n"
+            "0-1,0,1,2\n0-1,1,1,0\n0-1,2,0,1\n"
+            "1-0,0,0,1\n"
+            "1-1,0,2,5\n1-1,1,0,3\n1-1,2,1,2\n1-1,3,0,1\n1-1,4,0,0\n1-1,5,0,1\n"
+        )
+
     def test_empty_dir_is_data_error(self, capsys, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
