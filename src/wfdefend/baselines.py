@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .traces import DefendedTrace, Direction, Trace, merge, one_direction
+from .traces import MAX_SLOTS, DefendedTrace, Direction, Trace, merge, one_direction
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +93,12 @@ def apply_front(trace: Trace, params: FrontParams, seed: int) -> DefendedTrace:
 def _tamaraw_direction(
     times: list[float], direction: Direction, rho: float, L: int
 ) -> DefendedTrace:
+    # The last real packet goes out within len(times) slots of k*rho >= its time.
+    if times and len(times) + times[-1] / rho > MAX_SLOTS:
+        raise ValueError(
+            f"Tamaraw needs more than {MAX_SLOTS} {direction.name.lower()} slots "
+            f"to reach the last packet at {times[-1]} s"
+        )
     # Send and source time per slot; a NaN source marks a dummy.
     send: list[float] = []
     source: list[float] = []

@@ -43,6 +43,7 @@ from .stats import (
 from .synth import generate_classes, separable_profiles
 from .traces import (
     ParseError,
+    Trace,
     attach_sources,
     load_dataset,
     parse_defended_schedule,
@@ -114,6 +115,31 @@ def _print_params(params) -> None:
         print(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
 
 
+def _write_whole(path: Path, text: str) -> None:
+    """Write `text` to `path` through a temporary file beside it, renamed
+    over `path` once complete, so `path` never holds part of the text."""
+    fd, temp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as out:
+            out.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temp, 0o666 & ~umask)  # the mode a plain write would give
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
+def _defend(params: DefenseParams, trace: Trace, seed: int, name: str):
+    """`params.apply`, with a defense that cannot run naming the file."""
+    try:
+        return params.apply(trace, seed)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _simulate_one(task: tuple[str, str, DefenseParams, int]):
     """Defend one trace file; top-level so worker processes can run it."""
     name, text, params, sub_seed = task
@@ -169,7 +195,7 @@ def cmd_simulate(args) -> int:
     if reports:
         overhead = aggregate_reports(reports)
         report_path = out_dir.parent / f"{out_dir.name}.overhead.csv"
-        report_path.write_text(csv_table(overhead, names), encoding="utf-8")
+        _write_whole(report_path, csv_table(overhead, names))
         for line in kv_lines(overhead):
             print(line)
         print(f"report={report_path}")
@@ -200,7 +226,7 @@ def cmd_overhead(args) -> int:
     for line in kv_lines(overhead):
         print(line)
     if args.out:
-        Path(args.out).write_text(csv_table(overhead, names), encoding="utf-8")
+        _write_whole(Path(args.out), csv_table(overhead, names))
     return EXIT_OK
 
 
@@ -217,13 +243,17 @@ def cmd_stats(args) -> int:
     print(f"post_tenth_median_offset={profile.median_offset:.6f}")
     print(f"post_tenth_skipped_traces={profile.skipped}")
     if args.out:
+        # Render every table before writing any; the per-second table goes
+        # first, so its row limit is checked before the others are rendered.
+        tables = {
+            "_per_second.csv": per_second_table(dataset),
+            "_traces.csv": iqr_table(dataset, summary),
+            "_decay.csv": decay_table(profile),
+        }
         prefix = Path(args.out)
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        Path(f"{prefix}_traces.csv").write_text(iqr_table(dataset), encoding="utf-8")
-        Path(f"{prefix}_decay.csv").write_text(decay_table(profile), encoding="utf-8")
-        Path(f"{prefix}_per_second.csv").write_text(
-            per_second_table(dataset), encoding="utf-8"
-        )
+        for suffix, text in tables.items():
+            _write_whole(Path(f"{prefix}{suffix}"), text)
     return EXIT_OK
 
 
@@ -238,7 +268,7 @@ def cmd_eval(args) -> int:
     if params is not None:
         # A generator: each defended trace is dropped once its row is made.
         observed = (
-            params.apply(trace, stable_seed(seed, name))
+            _defend(params, trace, stable_seed(seed, name), name)
             for trace, name in zip(dataset.traces, dataset.filenames)
         )
     features = feature_matrix(observed)
@@ -250,9 +280,7 @@ def cmd_eval(args) -> int:
     for label in sorted(result.per_class_accuracy):
         print(f"class_{label}={result.per_class_accuracy[label]:.6f}")
     if args.features_out:
-        Path(args.features_out).write_text(
-            feature_matrix_csv(dataset, features), encoding="utf-8"
-        )
+        _write_whole(Path(args.features_out), feature_matrix_csv(dataset, features))
     return EXIT_OK
 
 
@@ -351,7 +379,10 @@ def cmd_adjust(args) -> int:
         )
     if args.reference <= 0 or args.target <= 0:
         raise UsageError("--reference and --target must be positive packet counts")
-    adjusted = volume_adjustment(args.reference, args.target, params)
+    try:
+        adjusted = volume_adjustment(args.reference, args.target, params)
+    except ValueError as exc:  # a rescaled N past the limit
+        raise UsageError(str(exc)) from None
     _print_params(adjusted)
     return EXIT_OK
 

@@ -25,6 +25,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .traces import (
+    MAX_SLOTS,
     DefendedTrace,
     Direction,
     Trace,
@@ -72,6 +73,8 @@ class RegulatorParams:
             raise ValueError(f"T must be > 0, got {self.T}")
         if not (isinstance(self.N, int) and self.N >= 0):
             raise ValueError(f"N must be a non-negative integer, got {self.N}")
+        if self.N > MAX_SLOTS:
+            raise ValueError(f"N must be at most {MAX_SLOTS} packets, got {self.N}")
         if not self.U > 0:
             raise ValueError(f"U must be > 0, got {self.U}")
         if not self.C > 0:
@@ -113,7 +116,8 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
     Traces with fewer than ACTIVATION_PACKETS download packets never start
     the schedule: their download packets pass through unmodified and
     surge_start is +inf. The padding budget is drawn from the seed either
-    way so it is always recorded.
+    way so it is always recorded. More than MAX_SLOTS silent slots, with no
+    real packet waiting and the budget spent, raise ValueError.
     """
     rng = np.random.default_rng(seed)
     budget = int(rng.integers(0, params.N + 1))
@@ -133,6 +137,7 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
     next_unsent = ACTIVATION_PACKETS
     available = ACTIVATION_PACKETS
     sent_dummies = 0
+    silent = 0
     # Times at which the two stop conditions were met; the slot clock keeps
     # running until tail_grace past the later of the two, so padding can
     # outlive the real data and vary the total trace volume.
@@ -166,7 +171,12 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
             sent_dummies += 1
             if sent_dummies == budget:
                 budget_done_time = slot
-        # Queue empty with the budget spent: the slot passes silently.
+        else:  # Queue empty with the budget spent: the slot passes silently.
+            silent += 1
+            if silent > MAX_SLOTS:
+                raise ValueError(
+                    f"more than {MAX_SLOTS} silent download slots, the last at {slot} s"
+                )
         slots.append(slot)
         next_slot = slot + 1.0 / rate
         if next_slot == slot:
@@ -201,6 +211,11 @@ def simulate_upload(
     up = trace.times_of(Direction.UPLOAD).tolist()
     if math.isinf(surge_start):
         return one_direction(Direction.UPLOAD, up, up)
+    if surge_start * params.initial_upload_rate > MAX_SLOTS:
+        raise ValueError(
+            f"the upload prelude before the surge at {surge_start} s needs more than "
+            f"{MAX_SLOTS} slots"
+        )
 
     slots: list[float] = []
     prelude_gap = 1.0 / params.initial_upload_rate

@@ -14,16 +14,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .regulator import ACTIVATION_PACKETS, RegulatorParams
-from .traces import Dataset, Direction, Trace
+from .traces import MAX_SLOTS, Dataset, Direction, Trace
 
 
 @dataclass(frozen=True)
 class TraceStats:
     packet_count: int
+    upload_count: int
     duration: float
     time_iqr: float
     download_upload_ratio: float
-    per_second_bins: tuple[tuple[int, int], ...]  # (upload, download) per second
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class DatasetStats:
     mean_packet_count: float
     mean_duration: float
     download_upload_ratio: float  # aggregate over the dataset
+    per_trace: tuple[TraceStats, ...]
 
 
 @dataclass(frozen=True)
@@ -40,48 +41,49 @@ class PostTenthProfile:
     """Pooled offsets of download packets relative to each trace's tenth
     download packet; traces with fewer than ten download packets are skipped."""
 
-    offsets: tuple[float, ...]
+    offsets: np.ndarray
     median_offset: float
     skipped: int
+
+
+def _named(dataset: Dataset) -> zip[tuple[str, Trace]]:
+    """(file name, trace) pairs; the names are indexes when there are no files."""
+    return zip(dataset.filenames or map(str, range(len(dataset))), dataset.traces)
 
 
 def trace_stats(trace: Trace) -> TraceStats:
     """Per-trace statistics; quantiles use linear interpolation."""
     if not len(trace):
         raise ValueError("statistics are undefined for an empty trace")
-    times = trace.times
-    q25, q75 = np.quantile(times, [0.25, 0.75])
+    q25, q75 = np.quantile(trace.times, [0.25, 0.75])
     uploads = trace.count(Direction.UPLOAD)
-    downloads = len(trace) - uploads
-    ratio = downloads / uploads if uploads else math.inf
-    second = times.astype(np.int64)
-    bins = int(second[-1]) + 1
-    upload = trace.direction == Direction.UPLOAD
-    per_second = zip(
-        np.bincount(second[upload], minlength=bins).tolist(),
-        np.bincount(second[~upload], minlength=bins).tolist(),
-    )
     return TraceStats(
         packet_count=len(trace),
+        upload_count=uploads,
         duration=trace.duration,
         time_iqr=float(q75 - q25),
-        download_upload_ratio=ratio,
-        per_second_bins=tuple(per_second),
+        download_upload_ratio=(len(trace) - uploads) / uploads if uploads else math.inf,
     )
 
 
 def dataset_stats(dataset: Dataset) -> DatasetStats:
+    """Population summary plus the `trace_stats` of every trace, in order."""
     if not dataset.traces:
         raise ValueError("statistics are undefined for an empty dataset")
-    per_trace = [trace_stats(t) for t in dataset.traces]
-    uploads = sum(t.count(Direction.UPLOAD) for t in dataset.traces)
-    downloads = sum(t.count(Direction.DOWNLOAD) for t in dataset.traces)
+    per_trace = []
+    for name, trace in _named(dataset):
+        if not len(trace):
+            raise ValueError(f"{name}: statistics are undefined for an empty trace")
+        per_trace.append(trace_stats(trace))
+    uploads = sum(s.upload_count for s in per_trace)
+    downloads = sum(s.packet_count - s.upload_count for s in per_trace)
     return DatasetStats(
         trace_count=len(dataset),
         median_iqr=float(np.median([s.time_iqr for s in per_trace])),
         mean_packet_count=float(np.mean([s.packet_count for s in per_trace])),
         mean_duration=float(np.mean([s.duration for s in per_trace])),
         download_upload_ratio=downloads / uploads if uploads else math.inf,
+        per_trace=tuple(per_trace),
     )
 
 
@@ -92,17 +94,15 @@ def post_tenth_packet_profile(dataset: Dataset) -> PostTenthProfile:
     every later download packet minus the time of the tenth, and reports
     the median offset.
     """
-    offsets: list[np.ndarray] = []
-    skipped = 0
-    for trace in dataset.traces:
-        down = trace.times_of(Direction.DOWNLOAD)
-        if len(down) < ACTIVATION_PACKETS:
-            skipped += 1
-            continue
-        offsets.append(down[ACTIVATION_PACKETS:] - down[ACTIVATION_PACKETS - 1])
-    pooled = np.concatenate(offsets) if offsets else np.empty(0)
+    downs = [trace.times_of(Direction.DOWNLOAD) for trace in dataset.traces]
+    offsets = [
+        down[ACTIVATION_PACKETS:] - down[ACTIVATION_PACKETS - 1]
+        for down in downs
+        if len(down) >= ACTIVATION_PACKETS
+    ]
+    pooled = np.concatenate([np.empty(0), *offsets])
     median = float(np.median(pooled)) if len(pooled) else math.nan
-    return PostTenthProfile(tuple(pooled.tolist()), median, skipped)
+    return PostTenthProfile(pooled, median, skipped=len(downs) - len(offsets))
 
 
 def volume_adjustment(
@@ -122,41 +122,40 @@ def volume_adjustment(
 
 def offsets_histogram(profile: PostTenthProfile) -> list[tuple[float, int]]:
     """Counts of post-tenth-packet offsets in one-second bins."""
-    if not profile.offsets:
-        return []
-    keys = np.floor(np.array(profile.offsets)).astype(np.int64)
-    bins, counts = np.unique(keys, return_counts=True)
-    return [(float(k), c) for k, c in zip(bins.tolist(), counts.tolist())]
+    bins, counts = np.unique(np.floor(profile.offsets), return_counts=True)
+    return list(zip(bins.tolist(), counts.tolist()))
 
 
-def iqr_table(dataset: Dataset) -> str:
-    """Per-trace stats as CSV (duration vs spread, volume, direction mix)."""
-    lines = ["name,packet_count,duration,time_iqr,download_upload_ratio"]
-    names = dataset.filenames or [str(i) for i in range(len(dataset))]
-    for name, trace in zip(names, dataset.traces):
-        s = trace_stats(trace)
-        lines.append(
-            f"{name},{s.packet_count},{s.duration:.6f},{s.time_iqr:.6f},"
-            f"{s.download_upload_ratio:.6f}"
-        )
-    return "".join(line + "\n" for line in lines)
+def iqr_table(dataset: Dataset, summary: DatasetStats) -> str:
+    """Per-trace stats as CSV (duration vs spread, volume, direction mix);
+    `summary` is the `dataset_stats` of `dataset`."""
+    rows = (
+        f"{name},{s.packet_count},{s.duration:.6f},{s.time_iqr:.6f},"
+        f"{s.download_upload_ratio:.6f}\n"
+        for (name, _), s in zip(_named(dataset), summary.per_trace, strict=True)
+    )
+    return "name,packet_count,duration,time_iqr,download_upload_ratio\n" + "".join(rows)
 
 
 def decay_table(profile: PostTenthProfile) -> str:
     """Histogram of post-tenth-packet offsets as CSV."""
-    lines = ["offset_bin_start,count"]
-    for start, count in offsets_histogram(profile):
-        lines.append(f"{start:.6f},{count}")
-    return "".join(line + "\n" for line in lines)
+    rows = (f"{start:.6f},{count}\n" for start, count in offsets_histogram(profile))
+    return "offset_bin_start,count\n" + "".join(rows)
 
 
 def per_second_table(dataset: Dataset) -> str:
-    """Upload vs download packet counts per one-second bin, per trace, as CSV."""
-    lines = ["name,second,upload_count,download_count"]
-    names = dataset.filenames or [str(i) for i in range(len(dataset))]
-    for name, trace in zip(names, dataset.traces):
-        if not len(trace):
-            continue
-        for second, (up, down) in enumerate(trace_stats(trace).per_second_bins):
-            lines.append(f"{name},{second},{up},{down}")
-    return "".join(line + "\n" for line in lines)
+    """Upload vs download packet counts per one-second bin, per trace, as CSV;
+    a row for every second up to the last packet, at most MAX_SLOTS per trace."""
+    named = [(name, trace) for name, trace in _named(dataset) if len(trace)]
+    for name, trace in named:
+        if trace.times[-1] >= MAX_SLOTS:
+            raise ValueError(f"{name}: more than {MAX_SLOTS} seconds of per-second rows")
+    lines = ["name,second,upload_count,download_count\n"]
+    for name, trace in named:
+        second = trace.times.astype(np.int64)
+        upload = trace.direction == Direction.UPLOAD
+        bins = int(second[-1]) + 1
+        up = np.bincount(second[upload], minlength=bins).tolist()
+        down = np.bincount(second[~upload], minlength=bins).tolist()
+        lines.extend(f"{name},{s},{u},{d}\n" for s, (u, d) in enumerate(zip(up, down)))
+    return "".join(lines)

@@ -28,6 +28,13 @@ logger = logging.getLogger(__name__)
 # Output times are quantized to microseconds; dataset precision is coarser.
 TIME_DECIMALS = 6
 
+# Most slots a simulator runs for one trace (regulator padding budget,
+# silent download slots, upload prelude, Tamaraw slots per direction) and
+# most rows of a per-second table. A paper-scale trace needs a few
+# thousand; past the limit an input is rejected with a ValueError instead
+# of running without bound.
+MAX_SLOTS = 1_000_000
+
 
 class Direction(IntEnum):
     """Packet direction. UPLOAD is client-to-network, written as +1."""

@@ -14,11 +14,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .attack import evaluate_closed_world, feature_matrix
-from .metrics import dataset_overhead
+from .attack import evaluate_closed_world, extract_features
+from .metrics import aggregate_reports, trace_overhead
 from .regulator import RegulatorParams
 from .seeding import stable_seed
-from .traces import Dataset
+from .traces import MAX_SLOTS, Dataset
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +54,8 @@ class SearchSpace:
             raise ValueError("R, T, U, C intervals must be positive")
         if not (0 < self.D[0] and self.D[1] <= 1):
             raise ValueError("D interval must lie in (0, 1]")
-        if self.N[0] < 0:
-            raise ValueError("N interval must be non-negative")
+        if self.N[0] < 0 or self.N[1] > MAX_SLOTS:
+            raise ValueError(f"N interval must lie in [0, {MAX_SLOTS}]")
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,16 @@ def run_trial(
     eval_k: int = 5,
     eval_folds: int = 10,
 ) -> TrialRecord:
-    defended = [
-        params.apply(trace, stable_seed(trial_seed, "trace", i))
-        for i, trace in enumerate(dataset.traces)
-    ]
-    overhead = dataset_overhead(dataset.traces, defended)
+    # Each defended trace is reduced to its overhead report and feature row
+    # as it is made, so a trial never holds the whole defended dataset.
+    reports, features = [], []
+    for i, trace in enumerate(dataset.traces):
+        defended = params.apply(trace, stable_seed(trial_seed, "trace", i))
+        reports.append(trace_overhead(trace, defended))
+        features.append(extract_features(defended))
+    overhead = aggregate_reports(reports)
     result = evaluate_closed_world(
-        dataset, feature_matrix(defended), k=eval_k, folds=eval_folds, seed=trial_seed
+        dataset, np.vstack(features), k=eval_k, folds=eval_folds, seed=trial_seed
     )
     trial_loss = loss(
         weights, result.accuracy, overhead.mean_bandwidth, overhead.mean_latency

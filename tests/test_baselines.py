@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from wfdefend import (
     apply_front,
     apply_tamaraw,
 )
+
+from wfdefend.traces import MAX_SLOTS
 
 FRONT = FrontParams(N_s=2500, N_c=2500, W_min=1.0, W_max=14.0)
 TAMARAW = TamarawParams(rho_out=0.04, rho_in=0.012, L=100)
@@ -122,3 +126,11 @@ class TestTamaraw:
         down = [p for p in defended if p.direction is Direction.DOWNLOAD]
         assert len(down) == 100
         assert all(p.kind is PacketKind.REAL for p in down)
+
+    def test_slot_count_past_the_limit_is_rejected(self):
+        # About 8e9 download slots lie between the two packets.
+        trace = Trace([0.0, 1e8], [Direction.DOWNLOAD, Direction.DOWNLOAD])
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=f"more than {MAX_SLOTS} download slots"):
+            apply_tamaraw(trace, TAMARAW)
+        assert time.monotonic() - start < 1.0

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import wfdefend
-from wfdefend import regulator
+from wfdefend import regulator, stats
 from wfdefend.cli import main
 
 
@@ -174,6 +174,46 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_creeping_slot_clock_hits_the_silent_slot_limit(self, tmp_path):
+        # At --R 1e20 from slot 0 the gap 1e-20 s still moves the clock, so
+        # after the budget's dummies about 1e17 silent slots would pass
+        # before the download at 1 ms.
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "0-0").write_text("0\t-1\n" * 10 + "0.001\t-1\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(wfdefend.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "wfdefend", "simulate", str(data), "--out",
+             str(tmp_path / "out"), "--defense", "regulator-heavy", "--seed", "1",
+             "--R", "1e20"],
+            capture_output=True, text=True, env=env, timeout=15,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "error: 0-0: more than 1000000 silent download slots" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
+
+    @pytest.mark.parametrize("defense, text, message", [
+        ("regulator-heavy", "0\t-1\n" * 9 + "1e8\t-1\n100000001\t-1\n", "the upload prelude"),
+        ("tamaraw", "0\t-1\n1e8\t-1\n", "Tamaraw needs more than 1000000 download slots"),
+    ])
+    def test_slot_limit_is_data_error_naming_the_file(
+        self, capsys, tmp_path, defense, text, message
+    ):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        (data / "9-9").write_text(text)
+        code, _, err = run(capsys, "simulate", str(data), "--out", str(tmp_path / "out"),
+                           "--defense", defense, "--seed", "1")
+        assert code == 2
+        assert f"error: 9-9: {message}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
+        assert list((tmp_path / "out").iterdir()) == []
+        (data / "9-9").rename(data / "0-9")  # a fifth instance of class 0
+        code, _, err = run(capsys, "eval", str(data), "--defense", defense, "--seed", "1",
+                           "--folds", "3")
+        assert code == 2
+        assert f"error: 0-9: {message}" in err
+
     def test_parameter_override(self, capsys, tmp_path):
         data = tmp_path / "data"
         write_synth_dataset(capsys, data)
@@ -296,6 +336,46 @@ class TestStats:
             "1-1,0,2,5\n1-1,1,0,3\n1-1,2,1,2\n1-1,3,0,1\n1-1,4,0,0\n1-1,5,0,1\n"
         )
 
+    def test_out_computes_trace_stats_once_per_trace(self, capsys, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        calls = []
+        original = stats.trace_stats
+        monkeypatch.setattr(stats, "trace_stats", lambda t: calls.append(t) or original(t))
+        code, _, err = run(capsys, "stats", str(data), "--out", str(tmp_path / "fig"))
+        assert code == 0, err
+        assert len(calls) == 12
+
+    def test_span_past_the_row_limit_is_named_and_writes_nothing(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "0-0").write_text("0.0\t1\n0.5\t-1\n")
+        (data / "0-1").write_text("0.0\t1\n1e300\t-1\n")
+        prefix = tmp_path / "tables" / "fig"
+        code, _, err = run(capsys, "stats", str(data), "--out", str(prefix))
+        assert code == 2
+        assert "error: 0-1: more than 1000000 seconds of per-second rows" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+    def test_long_span_without_out_prints_summary(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "0-0").write_text("0.0\t1\n1e15\t-1\n")
+        start = time.monotonic()
+        code, stdout, err = run(capsys, "stats", str(data))
+        assert code == 0, err
+        assert "mean_duration=1000000000000000.000000\n" in stdout
+        assert time.monotonic() - start < 5.0
+
+    def test_empty_trace_is_named(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "0-0").write_text("0.0\t1\n0.5\t-1\n")
+        (data / "0-1").write_text("")
+        code, _, err = run(capsys, "stats", str(data))
+        assert code == 2
+        assert "error: 0-1: statistics are undefined for an empty trace" in err
+
     def test_empty_dir_is_data_error(self, capsys, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -412,6 +492,24 @@ class TestOverrides:
         assert stdout == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "eval", "adjust"])
+    def test_n_past_the_slot_limit_is_usage_error(self, capsys, tmp_path, command):
+        # A budget of 1e12 dummies at 1 slot/s once ran without end.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        code, stdout, err = run(capsys, *regulator_argv(command, data, tmp_path), "--N", "1e12")
+        assert code == 1
+        assert "wfdefend: error: N must be at most 1000000 packets" in err
+        assert stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_adjusted_n_past_the_slot_limit_is_usage_error(self, capsys):
+        code, stdout, err = run(capsys, "adjust", "--preset", "regulator-heavy",
+                                "--reference", "1", "--target", "1000")
+        assert code == 1
+        assert "N must be at most 1000000 packets" in err
+        assert stdout == ""
+
     @pytest.mark.parametrize("argv", [
         ["eval", "{data}", "--seed", "1", "--R", "5"],
         ["simulate", "{data}", "--out", "{out}", "--defense", "tamaraw", "--R", "5"],
@@ -526,6 +624,15 @@ class TestTune:
         )
         assert code == 2
         assert "seed" in err
+
+    def test_slot_limit_is_data_error(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        (data / "0-9").write_text("0\t-1\n" * 9 + "1e8\t-1\n100000001\t-1\n")
+        code, _, err = run(capsys, "tune", str(data), "--trials", "1", "--seed", "0",
+                           "--folds", "3", "--log", str(tmp_path / "log.jsonl"))
+        assert code == 2
+        assert "upload prelude" in err
 
     def test_missing_weights_file_is_error(self, capsys, tmp_path):
         data = tmp_path / "data"

@@ -1,4 +1,6 @@
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from wfdefend import (
     RegulatorParams,
     Trace,
     apply_regulator,
+    resolve_defense,
 )
 from wfdefend.regulator import simulate_download, simulate_upload, target_rate
+from wfdefend.traces import MAX_SLOTS
 
 HEAVY = RegulatorParams(R=277.0, D=0.940, T=3.55, N=3550, U=3.95, C=1.77)
 
@@ -131,6 +135,45 @@ class TestDownload:
         params = RegulatorParams(R=1e20, D=0.94, T=3.55, N=10, U=3.95, C=1.77)
         with pytest.raises(ValueError, match="too small to advance the slot clock"):
             simulate_download(downloads(12, time=1.0), params, 0)
+
+
+class TestSlotLimit:
+    """Accepted inputs that once kept the slot clock running now raise promptly."""
+
+    def test_creeping_slot_clock_hits_the_silent_slot_limit(self):
+        # From slot 0 the gap 1e-20 s still moves the clock, so about 1e17
+        # silent slots would pass before the download at 1 ms.
+        params = RegulatorParams(R=1e20, D=0.94, T=3.55, N=0, U=3.95, C=1.77)
+        trace = Trace(np.r_[np.zeros(10), 0.001], np.full(11, Direction.DOWNLOAD))
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=f"more than {MAX_SLOTS} silent download slots"):
+            apply_regulator(trace, params, 0)
+        assert time.monotonic() - start < 5.0
+
+    def test_budget_past_the_limit_is_rejected(self):
+        # A budget of 1e12 dummies at 1 slot/s once ran without end.
+        with pytest.raises(ValueError, match=f"N must be at most {MAX_SLOTS}"):
+            resolve_defense("regulator-heavy", {"N": 1e12})
+        with pytest.raises(ValueError, match=f"N must be at most {MAX_SLOTS}"):
+            RegulatorParams(R=1.0, D=1.0, T=1.0, N=MAX_SLOTS + 1, U=1.0, C=1.0)
+        assert RegulatorParams(R=1.0, D=1.0, T=1.0, N=MAX_SLOTS, U=1.0, C=1.0).N == MAX_SLOTS
+
+    def test_long_upload_prelude_is_rejected(self):
+        times = np.r_[np.zeros(9), 1e8, 1e8 + 1]
+        trace = Trace(times, np.full(11, Direction.DOWNLOAD))
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="upload prelude"):
+            apply_regulator(trace, HEAVY, 0)
+        assert time.monotonic() - start < 5.0
+
+    def test_silent_slots_up_to_the_limit_run(self, monkeypatch):
+        # At 1 slot/s the slot at 0 s sends the last packet; the tail grace
+        # adds one silent slot per second.
+        monkeypatch.setattr("wfdefend.regulator.MAX_SLOTS", 1)
+        params = RegulatorParams(R=1.0, D=1.0, T=100.0, N=0, U=1.0, C=1.0, tail_grace=2.0)
+        assert simulate_download(downloads(11), params, 0).slots == (0.0, 1.0)
+        with pytest.raises(ValueError, match="more than 1 silent"):
+            simulate_download(downloads(11), replace(params, tail_grace=3.0), 0)
 
 
 class TestUpload:

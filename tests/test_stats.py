@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from wfdefend import (
     dataset_stats,
     trace_stats,
 )
+from wfdefend import stats as stats_module
 from wfdefend.stats import (
     decay_table,
     iqr_table,
@@ -27,6 +29,13 @@ def downloads(times):
     return Trace(times, np.full(len(times), Direction.DOWNLOAD))
 
 
+def per_second_rows(trace, name="0-0"):
+    """(upload, download) counts per second, from the per-second table."""
+    table = per_second_table(Dataset((trace,), name="x", filenames=(name,)))
+    rows = (row.split(",") for row in table.splitlines()[1:])
+    return [(int(up), int(down)) for _, _, up, down in rows]
+
+
 class TestTraceStats:
     def test_iqr_linear_interpolation(self):
         # Quantile oracle on 4 points: q25=0.75, q75=2.25.
@@ -37,21 +46,22 @@ class TestTraceStats:
         directions = [Direction.DOWNLOAD] * 60 + [Direction.UPLOAD] * 10
         stats = trace_stats(Trace(np.zeros(70), directions))
         assert stats.download_upload_ratio == 6.0
+        assert stats.upload_count == 10
 
     def test_ratio_infinite_without_uploads(self):
         stats = trace_stats(downloads([0.0, 1.0]))
         assert math.isinf(stats.download_upload_ratio)
 
+    # Per-second bins come from the per-second table, the one place that
+    # bins by second.
     def test_single_bin(self):
-        stats = trace_stats(downloads([0.0, 0.3, 0.9]))
-        assert stats.per_second_bins == ((0, 3),)
+        assert per_second_rows(downloads([0.0, 0.3, 0.9])) == [(0, 3)]
 
     def test_binning_conserves_packets(self):
         rng = np.random.default_rng(0)
         times = np.sort(rng.uniform(0, 12, 200))
         times -= times[0]
-        stats = trace_stats(downloads(times))
-        assert sum(u + d for u, d in stats.per_second_bins) == 200
+        assert sum(u + d for u, d in per_second_rows(downloads(times))) == 200
 
     def test_empty_trace_errors(self):
         with pytest.raises(ValueError):
@@ -70,6 +80,26 @@ class TestDatasetStats:
         with pytest.raises(ValueError):
             dataset_stats(Dataset((), name="x"))
 
+    def test_keeps_per_trace_stats_and_counts_directions_once(self):
+        directions = [Direction.DOWNLOAD] * 6 + [Direction.UPLOAD] * 2
+        traces = (downloads([0.0, 1.0]), Trace(np.arange(8.0), directions))
+        stats = dataset_stats(Dataset(traces, name="x"))
+        assert stats.per_trace == tuple(trace_stats(t) for t in traces)
+        assert stats.download_upload_ratio == 4.0  # (2 + 6) / 2
+
+    def test_empty_trace_is_named(self):
+        dataset = Dataset((downloads([0.0]), Trace([], [])), name="x", filenames=("0-0", "0-1"))
+        with pytest.raises(ValueError, match="^0-1: statistics are undefined for an empty trace"):
+            dataset_stats(dataset)
+
+    def test_long_span_returns_at_once(self):
+        # Per-second bins over 1e12 s once made this allocate terabytes.
+        trace = Trace([0.0, 1e12], [Direction.UPLOAD, Direction.DOWNLOAD])
+        start = time.monotonic()
+        stats = dataset_stats(Dataset((trace,), name="x"))
+        assert stats.mean_duration == 1e12
+        assert time.monotonic() - start < 1.0
+
 
 class TestPostTenthProfile:
     def test_all_at_tenth_packet_time(self):
@@ -84,7 +114,8 @@ class TestPostTenthProfile:
         long = downloads([0.0] * 10 + [1.0, 2.0])
         profile = post_tenth_packet_profile(Dataset((short, long), name="x"))
         assert profile.skipped == 1
-        assert profile.offsets == (1.0, 2.0)
+        assert profile.offsets.dtype == np.float64
+        assert profile.offsets.tolist() == [1.0, 2.0]
         assert profile.median_offset == 1.5
 
     def test_offsets_anchor_on_tenth_download(self):
@@ -94,7 +125,7 @@ class TestPostTenthProfile:
         order = np.argsort(times, kind="stable")
         trace = Trace(np.array(times)[order], np.array(directions)[order])
         profile = post_tenth_packet_profile(Dataset((trace,), name="x"))
-        assert profile.offsets == (1.0, 2.0)  # downloads at 10, 11 minus anchor 9
+        assert profile.offsets.tolist() == [1.0, 2.0]  # downloads at 10, 11 minus anchor 9
 
     def test_histogram_tables(self):
         trace = downloads([0.0] * 10 + [0.2, 1.4, 2.6])
@@ -139,7 +170,14 @@ def test_single_surge_iqr_far_below_duration():
 def test_csv_tables_smoke():
     trace = downloads([0.0, 0.5, 1.5])
     dataset = Dataset((trace,), name="x", filenames=("0-0",))
-    assert iqr_table(dataset).splitlines()[1].startswith("0-0,3,")
+    assert iqr_table(dataset, dataset_stats(dataset)).splitlines()[1].startswith("0-0,3,")
     lines = per_second_table(dataset).splitlines()
     assert lines[1] == "0-0,0,0,2"
     assert lines[2] == "0-0,1,0,1"
+
+
+def test_per_second_row_limit_names_the_trace(monkeypatch):
+    monkeypatch.setattr(stats_module, "MAX_SLOTS", 10)
+    assert len(per_second_rows(downloads([0.0, 9.5]))) == 10
+    with pytest.raises(ValueError, match="^1-2: more than 10 seconds of per-second rows"):
+        per_second_rows(downloads([0.0, 10.0]), name="1-2")

@@ -1,13 +1,18 @@
+import weakref
+
 import pytest
 
 from wfdefend import (
     LossWeights,
+    RegulatorParams,
     SearchSpace,
     generate_classes,
     random_search,
     separable_profiles,
 )
-from wfdefend.tuner import loss, parse_trial_json, trial_json
+from wfdefend import regulator
+from wfdefend.traces import MAX_SLOTS
+from wfdefend.tuner import loss, parse_trial_json, run_trial, trial_json
 
 SMALL_SPACE = SearchSpace(
     R=(50.0, 300.0), D=(0.8, 0.95), T=(1.0, 5.0), N=(0, 200), U=(2.0, 6.0), C=(1.0, 3.0)
@@ -46,6 +51,8 @@ class TestSearchSpace:
             SearchSpace(D=(0.5, 1.5))
         with pytest.raises(ValueError):
             SearchSpace(N=(-5, 10))
+        with pytest.raises(ValueError, match="N interval must lie in"):
+            SearchSpace(N=(0, MAX_SLOTS + 1))
 
 
 class TestRandomSearch:
@@ -115,3 +122,25 @@ def test_trial_json_roundtrip(tiny_dataset):
     parsed, master = parse_trial_json(line)
     assert master == 9
     assert parsed == records[0]
+
+
+def test_run_trial_streams_defended_traces(tiny_dataset, monkeypatch):
+    # Each defended trace is dropped once its report and feature row exist.
+    # (DefendedTrace defines __eq__, so it is unhashable and cannot go in a
+    # WeakSet; a list of weak references counts the same thing.)
+    made = []
+    most_live = 0
+    original = regulator.apply_regulator
+
+    def tracked(trace, params, seed):
+        nonlocal most_live
+        defended = original(trace, params, seed)
+        made.append(weakref.ref(defended))
+        most_live = max(most_live, sum(ref() is not None for ref in made))
+        return defended
+
+    monkeypatch.setattr(regulator, "apply_regulator", tracked)
+    params = RegulatorParams(R=100.0, D=0.9, T=3.0, N=50, U=3.0, C=1.5)
+    run_trial(tiny_dataset, params, 5, LossWeights(), 0, eval_k=1, eval_folds=2)
+    assert len(tiny_dataset) == 8
+    assert most_live <= 2
