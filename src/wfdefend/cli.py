@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import os
@@ -27,6 +28,7 @@ from .presets import (
     OVERRIDE_FIELDS,
     REGULATOR_PRESETS,
     DefenseParams,
+    defend,
     defense_names,
     resolve_defense,
 )
@@ -43,11 +45,11 @@ from .stats import (
 from .synth import generate_classes, separable_profiles
 from .traces import (
     ParseError,
-    Trace,
     attach_sources,
+    iter_dataset,
     load_dataset,
     parse_defended_schedule,
-    parse_trace,
+    read_trace,
     write_defended_trace,
     write_trace,
 )
@@ -132,101 +134,67 @@ def _write_whole(path: Path, text: str) -> None:
         raise
 
 
-def _defend(params: DefenseParams, trace: Trace, seed: int, name: str):
-    """`params.apply`, with a defense that cannot run naming the file."""
-    try:
-        return params.apply(trace, seed)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
-def _simulate_one(task: tuple[str, str, DefenseParams, int]):
-    """Defend one trace file; top-level so worker processes can run it."""
-    name, text, params, sub_seed = task
-    try:
-        trace = parse_trace(text)
-        defended = params.apply(trace, sub_seed)
-    except ValueError as exc:  # a ParseError or a defense that cannot run
-        raise ValueError(f"{name}: {exc}") from None
-    report = trace_overhead(trace, defended) if len(trace) and trace.duration > 0 else None
-    return name, write_defended_trace(defended), report
+def _simulate_file(params: DefenseParams, seed: int, path: Path):
+    """(defended text, overhead report) of one trace file; top-level so
+    worker processes can run it."""
+    trace = read_trace(path)
+    defended = defend(params, trace, stable_seed(seed, path.name), path.name)
+    return write_defended_trace(defended), trace_overhead(trace, defended)
 
 
 def cmd_simulate(args) -> int:
     params = _defense(args, args.defense)
     seed = _require_seed(args, params.randomized)
 
-    in_dir = Path(args.input)
-    if not in_dir.is_dir():
-        raise ValueError(f"not a directory: {in_dir}")
-    files = sorted(p for p in in_dir.iterdir() if p.is_file())
-    if not files:
-        raise ValueError(f"no trace files in {in_dir}")
+    # Each result is written as it arrives to a staging directory in the
+    # nearest existing directory above out_dir, so finished results are not
+    # held in memory. out_dir and its missing parents are created, and the
+    # results moved in, only once every trace is defended: a data error
+    # part-way through leaves the file system as it was.
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    # Each result is written to a staging directory beside out_dir as it
-    # arrives, so finished results are not held in memory, and moved into
-    # out_dir only once every trace is defended: a data error part-way
-    # through leaves out_dir as it was.
-    tasks = (
-        (p.name, p.read_text(encoding="utf-8"), params, stable_seed(seed, p.name))
-        for p in files
-    )
-    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
-    reports = []
-    names = []
+    nearest = next(p for p in out_dir.absolute().parents if p.is_dir())
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=nearest))
+    step = functools.partial(_simulate_file, params, seed)
+    reports, names = [], []
     try:
         with contextlib.ExitStack() as stack:
+            mapper = map
             if args.jobs > 1:
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
-                results = pool.map(_simulate_one, tasks, chunksize=8)
-            else:
-                results = map(_simulate_one, tasks)
-            for name, text, report in results:
+                mapper = functools.partial(pool.map, chunksize=8)
+            for name, (text, report) in iter_dataset(args.input, step, mapper):
                 (staging / name).write_text(text, encoding="utf-8")
-                if report is not None:
-                    reports.append(report)
-                    names.append(name)
-        for p in files:
-            os.replace(staging / p.name, out_dir / p.name)
+                reports.append(report)
+                names.append(name)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            os.replace(staging / name, out_dir / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    if reports:
-        overhead = aggregate_reports(reports)
-        report_path = out_dir.parent / f"{out_dir.name}.overhead.csv"
-        _write_whole(report_path, csv_table(overhead, names))
-        for line in kv_lines(overhead):
-            print(line)
-        print(f"report={report_path}")
-    else:
-        print("traces=0 (no non-degenerate traces; overhead not reported)")
+    overhead = aggregate_reports(reports)
+    report_path = out_dir.parent / f"{out_dir.name}.overhead.csv"
+    _write_whole(report_path, csv_table(overhead, names))
+    for line in kv_lines(overhead):
+        print(line)
+    print(f"report={report_path}")
     return EXIT_OK
 
 
 def cmd_overhead(args) -> int:
-    original_dir = Path(args.original)
     defended_dir = Path(args.defended)
-    dataset = load_dataset(original_dir)
-    assert dataset.filenames is not None
+    dataset = load_dataset(Path(args.original))
     reports = []
-    names = []
     for name, original in zip(dataset.filenames, dataset.traces):
         defended_path = defended_dir / name
         if not defended_path.is_file():
             raise ValueError(f"no defended trace for {name} in {defended_dir}")
         schedule = parse_defended_schedule(defended_path.read_text(encoding="utf-8"))
-        defended = attach_sources(original, schedule)
-        if len(original) and original.duration > 0:
-            reports.append(trace_overhead(original, defended))
-            names.append(name)
-    if not reports:
-        raise ValueError("no non-degenerate trace pairs to report on")
+        reports.append(trace_overhead(original, attach_sources(original, schedule)))
     overhead = aggregate_reports(reports)
     for line in kv_lines(overhead):
         print(line)
     if args.out:
-        _write_whole(Path(args.out), csv_table(overhead, names))
+        _write_whole(Path(args.out), csv_table(overhead, dataset.filenames))
     return EXIT_OK
 
 
@@ -268,7 +236,7 @@ def cmd_eval(args) -> int:
     if params is not None:
         # A generator: each defended trace is dropped once its row is made.
         observed = (
-            _defend(params, trace, stable_seed(seed, name), name)
+            defend(params, trace, stable_seed(seed, name), name)
             for trace, name in zip(dataset.traces, dataset.filenames)
         )
     features = feature_matrix(observed)
@@ -320,23 +288,19 @@ def _read_trial_log(log_path: Path, seed: int) -> list[TrialRecord]:
     return records
 
 
+def _json_file(path: Optional[str], what: str) -> dict:
+    """The JSON in the `what` file at `path`; {} when no path is given."""
+    if not path:
+        return {}
+    if not Path(path).is_file():
+        raise ValueError(f"{what} file not found: {path}")
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
 def cmd_tune(args) -> int:
     _require_k(args)
-    if args.weights:
-        weights_path = Path(args.weights)
-        if not weights_path.is_file():
-            raise ValueError(f"weights file not found: {weights_path}")
-        weights = LossWeights(**json.loads(weights_path.read_text(encoding="utf-8")))
-    else:
-        weights = LossWeights()
-    if args.space:
-        space_path = Path(args.space)
-        if not space_path.is_file():
-            raise ValueError(f"space file not found: {space_path}")
-        raw = json.loads(space_path.read_text(encoding="utf-8"))
-        space = SearchSpace(**{k: tuple(v) for k, v in raw.items()})
-    else:
-        space = SearchSpace()
+    weights = LossWeights(**_json_file(args.weights, "weights"))
+    space = SearchSpace(**{k: tuple(v) for k, v in _json_file(args.space, "space").items()})
 
     dataset = load_dataset(Path(args.input))
     log_path = Path(args.log)
@@ -492,6 +456,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    # Warnings, such as each skipped trace file, go to this call's stderr.
+    stderr_handler = logging.StreamHandler(sys.stderr)
+    package_logger = logging.getLogger("wfdefend")
+    package_logger.addHandler(stderr_handler)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -500,6 +468,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
         print(f"wfdefend: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        package_logger.removeHandler(stderr_handler)
 
 
 if __name__ == "__main__":

@@ -36,61 +36,29 @@ class DatasetOverhead:
     per_trace: tuple[OverheadReport, ...]
 
 
-def _original_duration(original: Trace) -> float:
-    """Time of the original's last packet, the denominator of both latency
-    figures."""
+def trace_overhead(original: Trace, defended: DefendedTrace) -> OverheadReport:
+    """The three overheads of one defended trace against its original, as
+    defined above. An empty or zero-duration original, or a defended trace
+    with no real packets, is a ValueError."""
     if not len(original):
         raise ValueError("overhead is undefined for an empty original trace")
     t_last = float(original.times[-1])
     if t_last <= 0:
         raise ValueError("latency overhead is undefined for a zero-duration trace")
-    return t_last
-
-
-def _delays(defended: DefendedTrace) -> tuple[float, float]:
-    """(delay of the last real download packet, worst real upload delay);
-    a direction with no real packets contributes 0."""
     real = ~defended.dummy
+    if not real.any():
+        raise ValueError("defended trace carries no real packets")
     delay = defended.send_time - defended.source_time
     download = delay[real & (defended.direction == Direction.DOWNLOAD)]
     upload = delay[real & (defended.direction == Direction.UPLOAD)]
-    last_download = float(download[-1]) if len(download) else 0.0
-    worst_upload = max(0.0, float(upload.max())) if len(upload) else 0.0
-    return last_download, worst_upload
-
-
-def bandwidth_overhead(original: Trace, defended: DefendedTrace) -> float:
-    """Dummy packets sent divided by the original packet count."""
-    if not len(original):
-        raise ValueError("bandwidth overhead is undefined for an empty original trace")
-    return defended.dummy_count() / len(original)
-
-
-def latency_overhead(original: Trace, defended: DefendedTrace) -> float:
-    """Extra delay of the last real packet relative to the original duration."""
-    t_last = _original_duration(original)
-    real = defended.send_time[~defended.dummy]
-    if not len(real):
-        raise ValueError("defended trace carries no real packets")
-    return max(0.0, float(real.max()) - t_last) / t_last
-
-
-def estimated_latency_overhead(original: Trace, defended: DefendedTrace) -> float:
-    """Delay of the last real download packet plus the worst upload delay,
-    over the original duration. Directions with no packets contribute 0."""
-    t_last = _original_duration(original)
-    last_download_delay, max_upload_delay = _delays(defended)
-    return (last_download_delay + max_upload_delay) / t_last
-
-
-def trace_overhead(original: Trace, defended: DefendedTrace) -> OverheadReport:
-    t_last = _original_duration(original)
-    last_download_delay, max_upload_delay = _delays(defended)
+    last_download_delay = float(download[-1]) if len(download) else 0.0
+    max_upload_delay = max(0.0, float(upload.max())) if len(upload) else 0.0
+    dummies = defended.dummy_count()
     return OverheadReport(
-        bandwidth_overhead=bandwidth_overhead(original, defended),
-        latency_overhead=latency_overhead(original, defended),
+        bandwidth_overhead=dummies / len(original),
+        latency_overhead=max(0.0, float(defended.send_time[real].max()) - t_last) / t_last,
         estimated_latency_overhead=(last_download_delay + max_upload_delay) / t_last,
-        dummy_count=defended.dummy_count(),
+        dummy_count=dummies,
         real_count=len(original),
         max_upload_delay=max_upload_delay,
         last_real_download_delay=last_download_delay,

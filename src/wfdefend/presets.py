@@ -12,6 +12,7 @@ from typing import Optional, Union
 
 from .baselines import FrontParams, TamarawParams
 from .regulator import RegulatorParams
+from .traces import DefendedTrace, Trace
 
 DefenseParams = Union[RegulatorParams, FrontParams, TamarawParams]
 
@@ -62,3 +63,12 @@ def resolve_defense(name: str, overrides: Optional[dict] = None) -> DefenseParam
             raise ValueError(f"N must be a whole number of packets, got {overrides['N']}")
         overrides["N"] = int(overrides["N"])
     return replace(params, **overrides)
+
+
+def defend(params: DefenseParams, trace: Trace, seed: int, name: str) -> DefendedTrace:
+    """`params.apply(trace, seed)`; a defense that cannot run on the trace
+    (one past the slot limit) raises a ValueError that starts with `name`."""
+    try:
+        return params.apply(trace, seed)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None

@@ -11,6 +11,9 @@ Traces are columnar. A Trace holds a float64 `times` array and an int8
 dummies). Constructors copy the columns into read-only arrays and validate
 them once, vectorized. Iterating a trace yields per-packet row views
 (`Packet`, `DefendedPacket`) built on demand, for inspection and tests.
+
+read_trace is the one rule for a usable trace file; iter_dataset and
+load_dataset walk a directory by it, skipping and naming the rest.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import partial
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,6 +38,8 @@ TIME_DECIMALS = 6
 # thousand; past the limit an input is rejected with a ValueError instead
 # of running without bound.
 MAX_SLOTS = 1_000_000
+
+T = TypeVar("T")
 
 
 class Direction(IntEnum):
@@ -470,28 +476,71 @@ def label_from_filename(name: str) -> str:
     return name.rsplit("-", 1)[0]
 
 
-def load_dataset(root: str | Path) -> Dataset:
-    """Load every readable trace file under `root`, lexicographic by filename.
+class UnusableTrace(ValueError):
+    """A trace file that no command can use; the message says why."""
 
-    Unreadable or malformed files are skipped with a warning and counted in
-    Dataset.skipped. A directory with zero readable trace files is an error.
+
+def read_trace(path: Path) -> Trace:
+    """The trace in file `path`, labeled by its name, if it is usable.
+
+    This is the one rule for a usable trace: the file reads as UTF-8, it
+    parses, and its duration is positive, so it has at least 2 packets.
+    That is all that features, overhead and statistics need. Anything else
+    raises UnusableTrace with the reason.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+        trace = parse_trace(text, label=label_from_filename(path.name))
+    except (OSError, ValueError) as exc:  # ValueError covers ParseError and UnicodeDecodeError
+        raise UnusableTrace(str(exc)) from None
+    if not trace.duration > 0:
+        raise UnusableTrace(f"zero duration, {len(trace)} packet(s)")
+    return trace
+
+
+def _attempt(step: Callable[[Path], T], path: Path) -> tuple[Optional[T], Optional[str]]:
+    """(step(path), None), or (None, why) when the file is unusable."""
+    try:
+        return step(path), None
+    except UnusableTrace as exc:
+        return None, str(exc)
+
+
+def iter_dataset(
+    root: str | Path,
+    step: Callable[[Path], T] = read_trace,
+    mapper: Callable = map,
+    skipped: Optional[list[tuple[str, str]]] = None,
+) -> Iterator[tuple[str, T]]:
+    """Lazily yield (filename, step(path)) for each file under `root`, in
+    filename order, skipping every file whose `step` raises UnusableTrace.
+
+    `step` reads the file with read_trace and may go on to use the trace;
+    `mapper`, such as a process pool's `map`, runs it where the work is
+    done. Each skip logs one `skipping <path>: <reason>` warning and is
+    appended, as (filename, reason), to `skipped` if given. A directory
+    with no usable file is a ValueError, raised once the walk is over.
     """
     root = Path(root)
     if not root.is_dir():
         raise ValueError(f"not a directory: {root}")
-    traces: list[Trace] = []
-    filenames: list[str] = []
-    skipped = 0
-    for path in sorted(p for p in root.iterdir() if p.is_file()):
-        try:
-            text = path.read_text(encoding="utf-8")
-            trace = parse_trace(text, label=label_from_filename(path.name))
-        except (OSError, ParseError, UnicodeDecodeError) as exc:
-            logger.warning("skipping %s: %s", path, exc)
-            skipped += 1
+    paths = sorted(p for p in root.iterdir() if p.is_file())
+    used = 0
+    for path, (result, reason) in zip(paths, mapper(partial(_attempt, step), paths)):
+        if reason is not None:
+            logger.warning("skipping %s: %s", path, reason)
+            if skipped is not None:
+                skipped.append((path.name, reason))
             continue
-        traces.append(trace)
-        filenames.append(path.name)
-    if not traces:
-        raise ValueError(f"no readable trace files in {root}")
-    return Dataset(tuple(traces), name=root.name, filenames=tuple(filenames), skipped=skipped)
+        used += 1
+        yield path.name, result
+    if not used:
+        raise ValueError(f"no usable trace files in {root}")
+
+
+def load_dataset(root: str | Path) -> Dataset:
+    """Every usable trace file under `root`, in filename order: iter_dataset
+    read into memory, with Dataset.skipped counting the files it skipped."""
+    skipped: list[tuple[str, str]] = []
+    filenames, traces = zip(*iter_dataset(root, skipped=skipped))
+    return Dataset(traces, name=Path(root).name, filenames=filenames, skipped=len(skipped))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .attack import evaluate_closed_world, extract_features
 from .metrics import aggregate_reports, trace_overhead
+from .presets import defend
 from .regulator import RegulatorParams
 from .seeding import stable_seed
 from .traces import MAX_SLOTS, Dataset
@@ -103,9 +104,10 @@ def run_trial(
 ) -> TrialRecord:
     # Each defended trace is reduced to its overhead report and feature row
     # as it is made, so a trial never holds the whole defended dataset.
+    names = dataset.filenames or [f"trace {i}" for i in range(len(dataset))]
     reports, features = [], []
-    for i, trace in enumerate(dataset.traces):
-        defended = params.apply(trace, stable_seed(trial_seed, "trace", i))
+    for i, (trace, name) in enumerate(zip(dataset.traces, names)):
+        defended = defend(params, trace, stable_seed(trial_seed, "trace", i), name)
         reports.append(trace_overhead(trace, defended))
         features.append(extract_features(defended))
     overhead = aggregate_reports(reports)

@@ -35,7 +35,7 @@ from wfdefend import (
     trace_stats,
 )
 from wfdefend.cli import main
-from wfdefend.metrics import bandwidth_overhead, estimated_latency_overhead, latency_overhead
+from wfdefend.metrics import trace_overhead
 from wfdefend.regulator import target_rate
 from wfdefend.seeding import stable_seed
 from wfdefend.presets import FRONT_PRESETS, REGULATOR_PRESETS, TAMARAW_PRESETS
@@ -111,7 +111,7 @@ def test_criterion_3_invariant_suite():
             if p.kind is PacketKind.REAL and p.direction is Direction.UPLOAD:
                 assert p.delay <= params.C + 1e-9
         if len(trace) and trace.duration > 0:
-            assert latency_overhead(trace, defended) >= 0.0
+            assert trace_overhead(trace, defended).latency_overhead >= 0.0
 
     for _ in range(300):  # front pairs
         trace = random_trace(rng, 250)
@@ -120,7 +120,7 @@ def test_criterion_3_invariant_suite():
         pairs += 1
         assert_conservation_and_fifo(trace, defended)
         if len(trace) and trace.duration > 0:
-            assert latency_overhead(trace, defended) == 0.0
+            assert trace_overhead(trace, defended).latency_overhead == 0.0
 
     for _ in range(300):  # tamaraw pairs (deterministic; seed unused)
         trace = random_trace(rng, 250)
@@ -136,7 +136,7 @@ def test_criterion_3_invariant_suite():
             gaps = np.diff(times)
             assert np.all(np.abs(gaps - rho) <= 1e-9)
         if len(trace) and trace.duration > 0:
-            assert latency_overhead(trace, defended) >= 0.0
+            assert trace_overhead(trace, defended).latency_overhead >= 0.0
 
     elapsed = time.monotonic() - start
     ok = pairs >= 1000 and elapsed < 60.0
@@ -197,8 +197,9 @@ def test_criterion_5_dataset_statistics():
     bandwidths, latencies = [], []
     for i, trace in enumerate(overhead_sample):
         defended = apply_regulator(trace, HEAVY, stable_seed(5, "dfcw", i))
-        bandwidths.append(bandwidth_overhead(trace, defended))
-        latencies.append(estimated_latency_overhead(trace, defended))
+        report = trace_overhead(trace, defended)
+        bandwidths.append(report.bandwidth_overhead)
+        latencies.append(report.estimated_latency_overhead)
     mean_bw = float(np.mean(bandwidths))
     mean_lat = float(np.mean(latencies))
 

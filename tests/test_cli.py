@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -138,18 +139,35 @@ class TestSimulate:
     def test_data_error_leaves_out_dir_as_it_was(self, capsys, tmp_path, jobs):
         data = tmp_path / "data"
         write_synth_dataset(capsys, data)
-        (data / "9-9").write_text("0.0\t1\nnan\t-1\n")  # sorts last
+        (data / "9-9").write_text("0\t-1\n1e8\t-1\n")  # sorts last; past the slot limit
         out = tmp_path / "out"
         out.mkdir()
         (out / "0-0").write_text("earlier run\n")
         code, _, err = run(
             capsys, "simulate", str(data), "--out", str(out),
-            "--defense", "regulator-heavy", "--seed", "1", "--jobs", jobs,
+            "--defense", "tamaraw", "--jobs", jobs,
         )
         assert code == 2
-        assert "9-9: line 2: non-finite time" in err
+        assert "error: 9-9: Tamaraw needs more than 1000000 download slots" in err
         assert tree_bytes(out) == {"0-0": b"earlier run\n"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
+
+    def test_out_and_its_missing_parents_are_created_only_on_success(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        (data / "9-9").write_text("0\t-1\n1e8\t-1\n")  # past the slot limit
+        argv = ["simulate", str(data), "--out", str(tmp_path / "a" / "b" / "out"),
+                "--defense", "tamaraw"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error: 9-9: Tamaraw needs more than" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+        (data / "9-9").unlink()
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        parent = tmp_path / "a" / "b"
+        assert sorted(p.name for p in parent.iterdir()) == ["out", "out.overhead.csv"]
+        assert len(list((parent / "out").iterdir())) == 12
 
     def test_slot_clock_that_cannot_advance_is_data_error(self, capsys, tmp_path):
         # At --R 1e20 the slot gap is lost in rounding; the run once never
@@ -171,8 +189,7 @@ class TestSimulate:
             assert "too small to advance the slot clock" in result.stderr
             if command == "simulate":
                 assert "error: 0-0: slot gap" in result.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
-        assert list((tmp_path / "out").iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
     def test_creeping_slot_clock_hits_the_silent_slot_limit(self, tmp_path):
         # At --R 1e20 from slot 0 the gap 1e-20 s still moves the clock, so
@@ -190,7 +207,7 @@ class TestSimulate:
         )
         assert result.returncode == 2, result.stderr
         assert "error: 0-0: more than 1000000 silent download slots" in result.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
     @pytest.mark.parametrize("defense, text, message", [
         ("regulator-heavy", "0\t-1\n" * 9 + "1e8\t-1\n100000001\t-1\n", "the upload prelude"),
@@ -206,8 +223,7 @@ class TestSimulate:
                            "--defense", defense, "--seed", "1")
         assert code == 2
         assert f"error: 9-9: {message}" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
-        assert list((tmp_path / "out").iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
         (data / "9-9").rename(data / "0-9")  # a fifth instance of class 0
         code, _, err = run(capsys, "eval", str(data), "--defense", defense, "--seed", "1",
                            "--folds", "3")
@@ -286,8 +302,8 @@ class TestStats:
 
     def test_out_bytes_are_pinned(self, capsys, tmp_path):
         # Mixed directions with tied times; 0-1 has fewer than ten
-        # downloads, 1-0 is a single packet, 1-1 starts at 10 s in its file
-        # and has an empty second.
+        # downloads, 1-0 is a single packet and so skipped, 1-1 starts at
+        # 10 s in its file and has an empty second.
         data = tmp_path / "data"
         data.mkdir()
         (data / "0-0").write_text(
@@ -306,20 +322,19 @@ class TestStats:
         code, stdout, err = run(capsys, "stats", str(data), "--out", str(prefix))
         assert code == 0, err
         assert stdout == (
-            "traces=4\n"
-            "skipped_files=0\n"
-            "median_time_iqr=1.206250\n"
-            "mean_packet_count=9.750000\n"
-            "mean_duration=2.862500\n"
-            "download_upload_ratio=3.333333\n"
+            "traces=3\n"
+            "skipped_files=1\n"
+            "median_time_iqr=1.312500\n"
+            "mean_packet_count=12.666667\n"
+            "mean_duration=3.816667\n"
+            "download_upload_ratio=3.222222\n"
             "post_tenth_median_offset=1.350000\n"
-            "post_tenth_skipped_traces=2\n"
+            "post_tenth_skipped_traces=1\n"
         )
         assert Path(f"{prefix}_traces.csv").read_text() == (
             "name,packet_count,duration,time_iqr,download_upload_ratio\n"
             "0-0,18,3.750000,1.312500,3.500000\n"
             "0-1,5,2.200000,1.100000,1.500000\n"
-            "1-0,1,0.000000,0.000000,inf\n"
             "1-1,15,5.500000,1.625000,4.000000\n"
         )
         assert Path(f"{prefix}_decay.csv").read_text() == (
@@ -332,7 +347,6 @@ class TestStats:
             "name,second,upload_count,download_count\n"
             "0-0,0,2,8\n0-0,1,1,3\n0-0,2,1,1\n0-0,3,0,2\n"
             "0-1,0,1,2\n0-1,1,1,0\n0-1,2,0,1\n"
-            "1-0,0,0,1\n"
             "1-1,0,2,5\n1-1,1,0,3\n1-1,2,1,2\n1-1,3,0,1\n1-1,4,0,0\n1-1,5,0,1\n"
         )
 
@@ -372,9 +386,10 @@ class TestStats:
         data.mkdir()
         (data / "0-0").write_text("0.0\t1\n0.5\t-1\n")
         (data / "0-1").write_text("")
-        code, _, err = run(capsys, "stats", str(data))
-        assert code == 2
-        assert "error: 0-1: statistics are undefined for an empty trace" in err
+        code, stdout, err = run(capsys, "stats", str(data))
+        assert code == 0, err
+        assert f"skipping {data / '0-1'}: zero duration, 0 packet(s)" in err
+        assert "traces=1\nskipped_files=1\n" in stdout
 
     def test_empty_dir_is_data_error(self, capsys, tmp_path):
         empty = tmp_path / "empty"
@@ -632,7 +647,7 @@ class TestTune:
         code, _, err = run(capsys, "tune", str(data), "--trials", "1", "--seed", "0",
                            "--folds", "3", "--log", str(tmp_path / "log.jsonl"))
         assert code == 2
-        assert "upload prelude" in err
+        assert "error: 0-9: the upload prelude" in err
 
     def test_missing_weights_file_is_error(self, capsys, tmp_path):
         data = tmp_path / "data"
@@ -643,6 +658,16 @@ class TestTune:
         )
         assert code == 2
         assert "weights" in err
+
+    def test_missing_space_file_is_error(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=4)
+        code, _, err = run(
+            capsys, "tune", str(data), "--trials", "1", "--seed", "5",
+            "--space", str(tmp_path / "nope.json"),
+        )
+        assert code == 2
+        assert "space file not found" in err
 
     def test_weights_and_space_files(self, capsys, tmp_path):
         data = tmp_path / "data"
@@ -659,6 +684,69 @@ class TestTune:
         assert code == 0, err
         row = stdout.splitlines()[1].split(",")
         assert 50 <= float(row[5]) <= 100  # R drawn from the file's interval
+
+
+# Files a failed page load can leave in a crawl, and the reason each is skipped.
+UNUSABLE_FILES = {
+    "bad-empty": (b"", "zero duration, 0 packet(s)"),
+    "bad-one-packet": (b"0.5\t-1\n", "zero duration, 1 packet(s)"),
+    "bad-zero-duration": (b"0.5\t1\n0.5\t-1\n", "zero duration, 2 packet(s)"),
+    "bad-text": (b"x y\n", "line 1: non-numeric time field 'x'"),
+    "bad-not-utf8": (b"\xff\xfe\t-1\n", "'utf-8' codec can't decode byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{data}", "--out", "{out}/defended", "--defense", "regulator-heavy",
+     "--seed", "7", "--jobs", "1"],
+    ["simulate", "{data}", "--out", "{out}/defended", "--defense", "regulator-heavy",
+     "--seed", "7", "--jobs", "2"],
+    ["overhead", "{data}", "{defended}", "--out", "{out}/overhead.csv"],
+    ["stats", "{data}", "--out", "{out}/fig"],
+    ["eval", "{data}", "--seed", "1", "--folds", "3", "--features-out", "{out}/f.csv"],
+    ["eval", "{data}", "--seed", "1", "--folds", "3", "--defense", "tamaraw",
+     "--features-out", "{out}/f.csv"],
+    ["tune", "{data}", "--trials", "1", "--seed", "5", "--folds", "2", "--k", "1",
+     "--log", "{out}/trials.jsonl"],
+], ids=["simulate-j1", "simulate-j2", "overhead", "stats", "eval", "eval-tamaraw", "tune"])
+def test_unusable_files_are_skipped_by_every_command(capsys, tmp_path, argv):
+    # Each command skips the same files, names each with its reason, and
+    # writes what it writes without them.
+    clean = tmp_path / "clean"
+    write_synth_dataset(capsys, clean)
+    mixed = tmp_path / "mixed"
+    shutil.copytree(clean, mixed)
+    for name, (data, _) in UNUSABLE_FILES.items():
+        (mixed / name).write_bytes(data)
+    defended = tmp_path / "defended"
+    code, _, err = run(capsys, "simulate", str(clean), "--out", str(defended),
+                       "--defense", "tamaraw")
+    assert code == 0, err
+
+    results = {}
+    for data in (clean, mixed):
+        out = tmp_path / "out"
+        out.mkdir()
+        code, stdout, err = run(
+            capsys, *(a.format(data=data, out=out, defended=defended) for a in argv)
+        )
+        assert code == 0, err
+        files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert files
+        shutil.rmtree(out)
+        results[data.name] = stdout, err, files
+
+    clean_stdout, clean_err, clean_files = results["clean"]
+    mixed_stdout, mixed_err, mixed_files = results["mixed"]
+    assert "skipping" not in clean_err
+    for name, (_, reason) in UNUSABLE_FILES.items():
+        assert f"skipping {mixed / name}: {reason}" in mixed_err
+    assert mixed_files == clean_files
+    if argv[0] == "stats":
+        assert "skipped_files=0\n" in clean_stdout
+        assert "skipped_files=5\n" in mixed_stdout
+        mixed_stdout = mixed_stdout.replace("skipped_files=5\n", "skipped_files=0\n")
+    assert mixed_stdout == clean_stdout
 
 
 class TestAdjust:

@@ -15,14 +15,7 @@ from wfdefend import (
     trace_overhead,
     write_defended_trace,
 )
-from wfdefend.metrics import (
-    aggregate_reports,
-    bandwidth_overhead,
-    csv_table,
-    estimated_latency_overhead,
-    kv_lines,
-    latency_overhead,
-)
+from wfdefend.metrics import aggregate_reports, csv_table, kv_lines
 from wfdefend.presets import PRESETS, defense_names
 from wfdefend.traces import merge, one_direction
 
@@ -49,22 +42,22 @@ def with_dummies(defended: DefendedTrace, dummy_times, direction=Direction.DOWNL
 class TestBandwidth:
     def test_no_dummies(self):
         trace = make_trace(np.linspace(0, 10, 100))
-        assert bandwidth_overhead(trace, identity_defense(trace)) == 0.0
+        assert trace_overhead(trace, identity_defense(trace)).bandwidth_overhead == 0.0
 
     def test_half(self):
         trace = make_trace(np.linspace(0, 10, 100))
         defended = with_dummies(identity_defense(trace), np.linspace(0, 5, 50))
-        assert bandwidth_overhead(trace, defended) == 0.5
+        assert trace_overhead(trace, defended).bandwidth_overhead == 0.5
 
     def test_empty_original_errors(self):
-        with pytest.raises(ValueError):
-            bandwidth_overhead(Trace([], []), identity_defense(make_trace([0.0, 1.0])))
+        with pytest.raises(ValueError, match="empty original"):
+            trace_overhead(Trace([], []), identity_defense(make_trace([0.0, 1.0])))
 
 
 class TestLatency:
     def test_identity_is_zero(self):
         trace = make_trace([0.0, 14.0, 28.0])
-        assert latency_overhead(trace, identity_defense(trace)) == 0.0
+        assert trace_overhead(trace, identity_defense(trace)).latency_overhead == 0.0
 
     def test_definition_arithmetic(self):
         trace = make_trace([0.0, 28.0])
@@ -76,23 +69,29 @@ class TestLatency:
             seed=0,
             drawn_budget=0,
         )
-        assert latency_overhead(trace, defended) == pytest.approx(0.1, abs=1e-12)
+        assert trace_overhead(trace, defended).latency_overhead == pytest.approx(0.1, abs=1e-12)
 
     def test_trailing_dummies_do_not_count(self):
         trace = make_trace([0.0, 28.0])
         defended = with_dummies(identity_defense(trace), [40.0])
-        assert latency_overhead(trace, defended) == 0.0
+        assert trace_overhead(trace, defended).latency_overhead == 0.0
 
     def test_zero_duration_errors(self):
         trace = make_trace([0.0])
-        with pytest.raises(ValueError):
-            latency_overhead(trace, identity_defense(trace))
+        with pytest.raises(ValueError, match="zero-duration"):
+            trace_overhead(trace, identity_defense(trace))
+
+    def test_no_real_packets_errors(self):
+        trace = make_trace([0.0, 1.0])
+        only_dummies = one_direction(DOWN, [0.5], [np.nan])
+        with pytest.raises(ValueError, match="no real packets"):
+            trace_overhead(trace, only_dummies)
 
 
 class TestEstimatedLatency:
     def test_no_delays(self):
         trace = make_trace([0.0, 5.0, 28.0])
-        assert estimated_latency_overhead(trace, identity_defense(trace)) == 0.0
+        assert trace_overhead(trace, identity_defense(trace)).estimated_latency_overhead == 0.0
 
     def test_definition_arithmetic(self):
         # Last download delayed 1.0s, worst upload delay 0.4s, duration 28s.
@@ -105,7 +104,7 @@ class TestEstimatedLatency:
             seed=0,
             drawn_budget=0,
         )
-        assert estimated_latency_overhead(trace, defended) == pytest.approx(
+        assert trace_overhead(trace, defended).estimated_latency_overhead == pytest.approx(
             (1.0 + 0.4) / 28.0, abs=1e-12
         )
 

@@ -21,6 +21,7 @@ from wfdefend import (
 )
 from wfdefend.presets import PRESETS
 from wfdefend.synth import generate, separable_profiles
+from wfdefend.traces import iter_dataset
 
 
 def test_parse_basic():
@@ -335,8 +336,8 @@ def test_defended_packet_invariants():
 
 def test_load_dataset(tmp_path):
     (tmp_path / "0-0").write_text("0.0\t1\n1.0\t-1\n")
-    (tmp_path / "0-1").write_text("0.0\t1\n")
-    (tmp_path / "1-0").write_text("0.0\t-1\n")
+    (tmp_path / "0-1").write_text("0.0\t1\n0.5\t1\n")
+    (tmp_path / "1-0").write_text("0.0\t-1\n0.5\t-1\n")
     dataset = load_dataset(tmp_path)
     assert len(dataset) == 3
     assert dataset.labels() == ["0", "0", "1"]
@@ -345,16 +346,16 @@ def test_load_dataset(tmp_path):
 
 
 def test_load_dataset_skips_malformed(tmp_path, caplog):
-    (tmp_path / "0-0").write_text("0.0\t1\n")
+    (tmp_path / "0-0").write_text("0.0\t1\n0.5\t1\n")
     (tmp_path / "0-1").write_text("garbage line\n")
-    (tmp_path / "1-0").write_text("0.0\t-1\n")
+    (tmp_path / "1-0").write_text("0.0\t-1\n0.5\t-1\n")
     dataset = load_dataset(tmp_path)
     assert len(dataset) == 2
     assert dataset.skipped == 1
 
 
 def test_load_dataset_skips_non_finite_times(tmp_path, caplog):
-    (tmp_path / "0-0").write_text("0.0\t1\n")
+    (tmp_path / "0-0").write_text("0.0\t1\n0.5\t1\n")
     (tmp_path / "0-1").write_text("0.0\t1\ninf\t-1\n")
     (tmp_path / "1-0").write_text("0.0\t1\nnan\t-1\n")
     dataset = load_dataset(tmp_path)
@@ -365,8 +366,44 @@ def test_load_dataset_skips_non_finite_times(tmp_path, caplog):
 
 
 def test_load_dataset_empty_dir_errors(tmp_path):
-    with pytest.raises(ValueError, match="no readable"):
+    with pytest.raises(ValueError, match="no usable trace files"):
         load_dataset(tmp_path)
+
+
+def test_iter_dataset_skips_each_unusable_file_with_its_reason(tmp_path, caplog):
+    files = {
+        "0-0": b"0.0\t1\n0.5\t-1\n",
+        "0-1": b"",
+        "0-2": b"0.0\t1\n",
+        "0-3": b"0.25\t1\n0.25\t-1\n",
+        "0-4": b"x y\n",
+        "0-5": b"\xff\xfe\n",
+        "1-0": b"0.0\t-1\n2.0\t1\n",
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    skipped = []
+    walk = iter_dataset(tmp_path, skipped=skipped)
+    assert next(walk)[0] == "0-0"
+    assert skipped == []  # lazy: nothing past the first usable file is read yet
+    assert [name for name, _ in walk] == ["1-0"]
+    assert skipped == [
+        ("0-1", "zero duration, 0 packet(s)"),
+        ("0-2", "zero duration, 1 packet(s)"),
+        ("0-3", "zero duration, 2 packet(s)"),
+        ("0-4", "line 1: non-numeric time field 'x'"),
+        ("0-5", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ]
+    for name, reason in skipped:
+        assert f"skipping {tmp_path / name}: {reason}" in caplog.text
+
+
+def test_iter_dataset_with_nothing_usable_errors_after_the_walk(tmp_path, caplog):
+    (tmp_path / "0-0").write_text("0.0\t1\n")
+    skipped = []
+    with pytest.raises(ValueError, match="no usable trace files in"):
+        list(iter_dataset(tmp_path, skipped=skipped))
+    assert skipped == [("0-0", "zero duration, 1 packet(s)")]
 
 
 def test_load_dataset_deterministic(tmp_path):
