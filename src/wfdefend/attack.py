@@ -63,22 +63,61 @@ def feature_matrix(observed: Iterable[Observable]) -> np.ndarray:
 
 
 def _fold_assignment(labels: Sequence[str], folds: int, seed: int) -> np.ndarray:
+    """Fold of each trace: each class, in label order, is shuffled by its own
+    seeded permutation and dealt round-robin over the folds."""
+    by_label: dict[str, list[int]] = {}
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
     fold_of = np.empty(len(labels), dtype=int)
-    for label in sorted(set(labels)):
-        idx = [i for i, l in enumerate(labels) if l == label]
+    for label in sorted(by_label):
+        idx = np.array(by_label[label])
         rng = np.random.default_rng(stable_seed(seed, "fold", label))
-        for j, pos in enumerate(rng.permutation(len(idx))):
-            fold_of[idx[pos]] = j % folds
+        fold_of[idx[rng.permutation(len(idx))]] = np.arange(len(idx)) % folds
     return fold_of
+
+
+# The columns whose squared differences bound the distance from below:
+# every tenth cumulative sample, the last one, and the summary features.
+BOUND_COLUMNS = np.r_[0:CUMULATIVE_SAMPLES:10, CUMULATIVE_SAMPLES - 1,
+                      CUMULATIVE_SAMPLES:FEATURE_LENGTH]
+# Both sums add non-negative terms, so each is within about 104 ulp of its
+# exact value; a bound shrunk by this much never exceeds the distance.
+BOUND_MARGIN = 1 - 1e-12
+
+
+def _neighbours(
+    train_x: np.ndarray, train_b: np.ndarray, row: np.ndarray, k: int
+) -> np.ndarray:
+    """Indices of the k training rows nearest to `row`, nearest first, ties
+    to the lower index: the first k of a stable argsort of the squared
+    distances, found by partial-distance search (Bei and Gray, 1985).
+
+    `train_b` holds the BOUND_COLUMNS of `train_x`. Their squared
+    differences sum to a lower bound on each row's distance. The k rows of
+    smallest bound have distances whose largest, tau, at least k rows
+    reach; a row whose bound lies above tau lies above it too. Only rows
+    whose bound does not get a full distance, with the same arithmetic a
+    full scan would use, so distances and ties keep their bits.
+    """
+    if k >= len(train_x):
+        candidates = np.arange(len(train_x))
+    else:
+        diff = train_b - row[BOUND_COLUMNS]
+        bound = np.einsum("ij,ij->i", diff, diff)
+        nearest = np.argpartition(bound, k - 1)[:k]
+        tau = ((train_x[nearest] - row) ** 2).sum(axis=1).max()
+        candidates = np.flatnonzero(bound * BOUND_MARGIN <= tau)
+    d2 = ((train_x[candidates] - row) ** 2).sum(axis=1)
+    return candidates[np.argsort(d2, kind="stable")[:k]]
 
 
 def _knn_predict(
     train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray, k: int
 ) -> list:
+    train_b = np.ascontiguousarray(train_x[:, BOUND_COLUMNS])
     predictions = []
     for row in test_x:
-        d2 = ((train_x - row) ** 2).sum(axis=1)
-        order = np.argsort(d2, kind="stable")[: min(k, len(train_y))]
+        order = _neighbours(train_x, train_b, row, k)
         votes = Counter(train_y[order])
         best = max(votes.values())
         # Break ties toward the nearest neighbor of a tied class.

@@ -188,8 +188,11 @@ def cmd_overhead(args) -> int:
         defended_path = defended_dir / name
         if not defended_path.is_file():
             raise ValueError(f"no defended trace for {name} in {defended_dir}")
-        schedule = parse_defended_schedule(defended_path.read_text(encoding="utf-8"))
-        reports.append(trace_overhead(original, attach_sources(original, schedule)))
+        try:
+            schedule = parse_defended_schedule(defended_path.read_text(encoding="utf-8"))
+            reports.append(trace_overhead(original, attach_sources(original, schedule)))
+        except ValueError as exc:  # covers ParseError and UnicodeDecodeError
+            raise ValueError(f"{defended_path}: {exc}") from None
     overhead = aggregate_reports(reports)
     for line in kv_lines(overhead):
         print(line)
@@ -288,6 +291,48 @@ def _read_trial_log(log_path: Path, seed: int) -> list[TrialRecord]:
     return records
 
 
+def _flatten(tree: dict, prefix: str = ""):
+    """(dotted key, leaf value) of a nested dict, in order."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _flatten(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def _check_fingerprint(log_path: Path, fingerprint: dict, resuming: bool) -> None:
+    """Tie the trial log to the run that writes it, through the fingerprint
+    file beside it (the log's own bytes hold only trial records).
+
+    A fresh log gets the fingerprint written. A resumed log must have been
+    written with the same fingerprint; a mismatch is a ValueError naming the
+    first field that differs. A resumed log with no fingerprint, from before
+    fingerprints were kept, is adopted with a warning.
+    """
+    path = log_path.with_name(f"{log_path.name}.fingerprint.json")
+    # What the file will hold, read back: tuples come back as lists.
+    text = json.dumps(fingerprint, indent=1) + "\n"
+    fingerprint = json.loads(text)
+    if resuming and path.is_file():
+        try:
+            recorded = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # covers JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
+        if not isinstance(recorded, dict):
+            raise ValueError(f"{path}: not a JSON object")
+        old, new = dict(_flatten(recorded)), dict(_flatten(fingerprint))
+        for key in [*old, *(key for key in new if key not in old)]:
+            if old.get(key) != new.get(key):
+                raise ValueError(
+                    f"trial log {log_path} was produced with {key}={old.get(key)}, "
+                    f"not {new.get(key)} (see {path})"
+                )
+        return
+    if resuming:
+        logger.warning("trial log %s has no fingerprint; adopting it as this run's", log_path)
+    _write_whole(path, text)
+
+
 def _json_file(path: Optional[str], what: str) -> dict:
     """The JSON in the `what` file at `path`; {} when no path is given."""
     if not path:
@@ -305,6 +350,17 @@ def cmd_tune(args) -> int:
     dataset = load_dataset(Path(args.input))
     log_path = Path(args.log)
     existing = _read_trial_log(log_path, args.seed)
+    fingerprint = {
+        "space": asdict(space),
+        "weights": asdict(weights),
+        "k": args.k,
+        "folds": args.folds,
+        # The files the trials read: a skipped file changes no result.
+        "dataset": {
+            name: (Path(args.input) / name).stat().st_size for name in dataset.filenames
+        },
+    }
+    _check_fingerprint(log_path, fingerprint, resuming=bool(existing))
     start = len(existing)
     if start > args.trials:
         start = args.trials

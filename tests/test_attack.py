@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfdefend import (
     Dataset,
@@ -11,9 +15,14 @@ from wfdefend import (
 from wfdefend.attack import (
     CUMULATIVE_SAMPLES,
     FEATURE_LENGTH,
+    BOUND_COLUMNS,
+    _fold_assignment,
+    _knn_predict,
+    _neighbours,
     feature_matrix,
     feature_matrix_csv,
 )
+from wfdefend.seeding import stable_seed
 
 
 def uniform_trace(n, direction, duration=10.0, label=None):
@@ -132,3 +141,106 @@ def test_feature_matrix_csv():
     assert len(lines) == 1 + len(dataset)
     assert lines[1].split(",")[0] == "a"
     assert len(lines[1].split(",")) == 1 + FEATURE_LENGTH
+
+
+# The evaluator as it was before partial-distance search: a full distance
+# to every training row, then a stable sort. It is the reference for the
+# neighbour order and the predictions.
+def full_scan_neighbours(train_x, row, k):
+    d2 = ((train_x - row) ** 2).sum(axis=1)
+    return np.argsort(d2, kind="stable")[: min(k, len(train_x))]
+
+
+def full_scan_knn_predict(train_x, train_y, test_x, k):
+    predictions = []
+    for row in test_x:
+        order = full_scan_neighbours(train_x, row, k)
+        votes = Counter(train_y[order])
+        best = max(votes.values())
+        for idx in order:
+            if votes[train_y[idx]] == best:
+                predictions.append(train_y[idx])
+                break
+    return predictions
+
+
+def _knn_case(rng, mode, n_train, n_test):
+    """(train_x, test_x) of 104-wide rows shaped to stress one way the
+    lower bound could mislead the search."""
+    def draw(n):
+        if mode in ("grid", "duplicates", "far"):
+            return rng.integers(0, 3, (n, FEATURE_LENGTH)).astype(float)
+        return rng.random((n, FEATURE_LENGTH))
+
+    train_x, test_x = draw(n_train), draw(n_test)
+    if mode == "duplicates":
+        train_x = train_x[rng.integers(0, max(1, n_train // 4), n_train)]
+        test_x[: n_test // 2] = train_x[rng.integers(0, n_train, n_test // 2)]
+    elif mode == "near-ties":
+        base = train_x[rng.integers(0, min(3, n_train), n_train)]
+        train_x = base + rng.choice([-1e-15, 0.0, 1e-15], base.shape)
+        test_x = train_x[rng.integers(0, n_train, n_test)] + rng.choice(
+            [-1e-15, 0.0, 1e-15], (n_test, FEATURE_LENGTH))
+    elif mode == "magnitudes":
+        scale = 10.0 ** rng.uniform(-8, 8, FEATURE_LENGTH)
+        train_x, test_x = train_x * scale, test_x * scale
+    elif mode == "far":
+        test_x = test_x * 1e150
+    return train_x, test_x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["grid", "duplicates", "near-ties", "magnitudes", "far", "uniform"]),
+    st.integers(1, 40),
+    st.integers(1, 12),
+)
+def test_knn_matches_full_scan(seed, mode, n_train, k):
+    rng = np.random.default_rng(seed)
+    train_x, test_x = _knn_case(rng, mode, n_train, n_test=6)
+    train_y = np.array([str(v) for v in rng.integers(0, 3, n_train)], dtype=object)
+    train_b = np.ascontiguousarray(train_x[:, BOUND_COLUMNS])
+    for row in test_x:
+        assert _neighbours(train_x, train_b, row, k).tolist() == (
+            full_scan_neighbours(train_x, row, k).tolist()
+        )
+    assert _knn_predict(train_x, train_y, test_x, k) == (
+        full_scan_knn_predict(train_x, train_y, test_x, k)
+    )
+
+
+def test_knn_ties_go_to_the_lower_training_index():
+    train_x = np.zeros((6, FEATURE_LENGTH))
+    train_x[[1, 4]] = 1.0  # rows 1 and 4 tie with each other, nearest
+    train_y = np.array(["a", "b", "c", "b", "c", "a"], dtype=object)
+    row = np.ones(FEATURE_LENGTH)
+    train_b = np.ascontiguousarray(train_x[:, BOUND_COLUMNS])
+    assert _neighbours(train_x, train_b, row, 3).tolist() == [1, 4, 0]
+    # One vote each for b, c and a: the tie goes to the nearest, row 1.
+    assert _knn_predict(train_x, train_y, row[None, :], 3) == ["b"]
+
+
+# The fold assignment as it was before it grouped labels in one pass: each
+# class rescans every label. It is the reference for `_fold_assignment`.
+def rescanning_fold_assignment(labels, folds, seed):
+    fold_of = np.empty(len(labels), dtype=int)
+    for label in sorted(set(labels)):
+        idx = [i for i, l in enumerate(labels) if l == label]
+        rng = np.random.default_rng(stable_seed(seed, "fold", label))
+        for j, pos in enumerate(rng.permutation(len(idx))):
+            fold_of[idx[pos]] = j % folds
+    return fold_of
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from(["0", "1", "10", "2", "a", "b-c"]), min_size=1, max_size=60),
+    st.integers(2, 12),
+    st.integers(0, 2**63 - 1),
+)
+def test_fold_assignment_matches_rescanning(labels, folds, seed):
+    fold_of = _fold_assignment(labels, folds, seed)
+    expected = rescanning_fold_assignment(labels, folds, seed)
+    assert fold_of.dtype == expected.dtype
+    assert fold_of.tolist() == expected.tolist()

@@ -287,6 +287,28 @@ class TestOverhead:
         code, _, err = run(capsys, "overhead", str(data), str(empty))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"x y\n", "line 1: "),
+            (b"\xff\n", "'utf-8' codec can't decode"),
+            (b"0.0\t-1\tR\n", "missing real upload packets"),
+        ],
+        ids=["malformed", "not-utf8", "schedule-mismatch"],
+    )
+    def test_bad_defended_file_is_data_error_naming_it(self, capsys, tmp_path, content, reason):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        out = tmp_path / "defended"
+        code, _, err = run(capsys, "simulate", str(data), "--out", str(out), "--defense", "tamaraw")
+        assert code == 0, err
+        (out / "1-2").write_bytes(content)
+        code, stdout, err = run(capsys, "overhead", str(data), str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"wfdefend: error: {out / '1-2'}: ")
+        assert reason in err
+
 
 class TestStats:
     def test_prints_summary_and_tables(self, capsys, tmp_path):
@@ -639,6 +661,88 @@ class TestTune:
         )
         assert code == 2
         assert "seed" in err
+
+    def test_fingerprint_records_the_run(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=4)
+        log = tmp_path / "trials.jsonl"
+        code, _, err = run(capsys, "tune", str(data), "--trials", "1", "--seed", "5",
+                           "--log", str(log), "--folds", "2", "--k", "1")
+        assert code == 0, err
+        fingerprint = json.loads((tmp_path / "trials.jsonl.fingerprint.json").read_text())
+        assert fingerprint == {
+            "space": {"R": [100.0, 600.0], "D": [0.7, 0.99], "T": [1.0, 10.0],
+                      "N": [500, 8000], "U": [1.0, 8.0], "C": [0.5, 5.0]},
+            "weights": {"w_accuracy": 1.0, "w_bandwidth": 1.0, "w_latency": 1.0},
+            "k": 1,
+            "folds": 2,
+            "dataset": {p.name: p.stat().st_size for p in sorted(data.iterdir())},
+        }
+
+    @pytest.mark.parametrize("change, field", [
+        ("k", "k=1, not 2"),
+        ("space", "space.R=[100.0, 600.0], not [50, 100]"),
+        ("dataset", "dataset.1-3="),
+    ])
+    def test_fingerprint_mismatch_is_data_error(self, capsys, tmp_path, change, field):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=4)
+        log = tmp_path / "trials.jsonl"
+        base = ["tune", str(data), "--seed", "5", "--log", str(log), "--folds", "2"]
+        code, _, err = run(capsys, *base, "--trials", "1", "--k", "1")
+        assert code == 0, err
+        before = log.read_bytes()
+        k = "1"
+        if change == "k":
+            k = "2"
+        elif change == "space":
+            space = tmp_path / "s.json"
+            space.write_text(json.dumps({"R": [50, 100]}))
+            base += ["--space", str(space)]
+        else:
+            with (data / "1-3").open("a") as trace:
+                trace.write("99.0\t-1\n")
+        code, stdout, err = run(capsys, *base, "--trials", "2", "--k", k)
+        assert code == 2
+        assert stdout == ""
+        assert f"trial log {log} was produced with {field}" in err
+        assert log.read_bytes() == before
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"{", "Expecting property name"),
+        (b"[]", "not a JSON object"),
+        (b"\xff", "'utf-8' codec can't decode"),
+    ], ids=["torn", "not-object", "not-utf8"])
+    def test_unreadable_fingerprint_is_data_error(self, capsys, tmp_path, content, reason):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=4)
+        base = ("tune", str(data), "--seed", "5", "--folds", "2", "--k", "1")
+        log = tmp_path / "trials.jsonl"
+        run(capsys, *base, "--log", str(log), "--trials", "1")
+        fingerprint = tmp_path / "trials.jsonl.fingerprint.json"
+        fingerprint.write_bytes(content)
+        code, _, err = run(capsys, *base, "--log", str(log), "--trials", "2")
+        assert code == 2
+        assert err.startswith(f"wfdefend: error: {fingerprint}: ")
+        assert reason in err
+        assert len(log.read_text().splitlines()) == 1
+
+    def test_log_without_fingerprint_is_adopted(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=4)
+        base = ("tune", str(data), "--seed", "5", "--folds", "2", "--k", "1")
+        log = tmp_path / "trials.jsonl"
+        fingerprint = tmp_path / "trials.jsonl.fingerprint.json"
+        run(capsys, *base, "--log", str(log), "--trials", "1")
+        expected = fingerprint.read_bytes()
+        fingerprint.unlink()
+        code, _, err = run(capsys, *base, "--log", str(log), "--trials", "2")
+        assert code == 0, err
+        assert f"trial log {log} has no fingerprint" in err
+        assert fingerprint.read_bytes() == expected
+        fresh = tmp_path / "fresh.jsonl"
+        run(capsys, *base, "--log", str(fresh), "--trials", "2")
+        assert log.read_bytes() == fresh.read_bytes()
 
     def test_slot_limit_is_data_error(self, capsys, tmp_path):
         data = tmp_path / "data"
