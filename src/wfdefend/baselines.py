@@ -8,13 +8,12 @@ each direction's total count up to a multiple of L.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .traces import MAX_SLOTS, DefendedTrace, Direction, Trace, merge, one_direction
+from .traces import MAX_SLOTS, DefendedTrace, Direction, Trace, first_slot_at_or_after, merge
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,20 +52,19 @@ class TamarawParams:
     def __post_init__(self):
         if not (self.rho_out > 0 and self.rho_in > 0):
             raise ValueError("rho_out and rho_in must be > 0")
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
+        if not (isinstance(self.L, int) and self.L >= 1):
+            raise ValueError(f"L must be a positive integer, got {self.L}")
+        if self.L > MAX_SLOTS:
+            raise ValueError(f"L must be at most {MAX_SLOTS} packets, got {self.L}")
 
     def apply(self, trace: Trace, seed: int) -> DefendedTrace:
         return apply_tamaraw(trace, self)
 
 
-def _front_side(
-    rng: np.random.Generator, max_count: int, params: FrontParams
-) -> tuple[int, np.ndarray]:
+def _front_side(rng: np.random.Generator, max_count: int, params: FrontParams) -> np.ndarray:
     count = int(rng.integers(1, max_count, endpoint=True))
     window = float(rng.uniform(params.W_min, params.W_max))
-    times = np.sort(rng.rayleigh(window, count))
-    return count, times
+    return np.sort(rng.rayleigh(window, count))
 
 
 def apply_front(trace: Trace, params: FrontParams, seed: int) -> DefendedTrace:
@@ -79,50 +77,36 @@ def apply_front(trace: Trace, params: FrontParams, seed: int) -> DefendedTrace:
     duration. Draw order is client first, then server.
     """
     rng = np.random.default_rng(seed)
-    _, client_times = _front_side(rng, params.N_c, params)
-    server_count, server_times = _front_side(rng, params.N_s, params)
+    client_times = _front_side(rng, params.N_c, params)
+    server_times = _front_side(rng, params.N_s, params)
 
-    real = DefendedTrace(
-        trace.times, trace.direction, np.zeros(len(trace), np.bool_), trace.times
+    parts = (
+        (trace.times, trace.direction, trace.times),
+        (client_times, Direction.UPLOAD, np.full(len(client_times), np.nan)),
+        (server_times, Direction.DOWNLOAD, np.full(len(server_times), np.nan)),
     )
-    client = one_direction(Direction.UPLOAD, client_times, np.full(len(client_times), np.nan))
-    server = one_direction(Direction.DOWNLOAD, server_times, np.full(len(server_times), np.nan))
-    return merge((real, client, server), seed=seed, drawn_budget=server_count)
+    return merge(parts, seed=seed, drawn_budget=len(server_times))
 
 
 def _tamaraw_direction(
-    times: list[float], direction: Direction, rho: float, L: int
-) -> DefendedTrace:
+    times: np.ndarray, direction: Direction, rho: float, L: int
+) -> tuple[np.ndarray, Direction, np.ndarray]:
     # The last real packet goes out within len(times) slots of k*rho >= its time.
-    if times and len(times) + times[-1] / rho > MAX_SLOTS:
+    if len(times) and len(times) + times[-1] / rho > MAX_SLOTS:
         raise ValueError(
             f"Tamaraw needs more than {MAX_SLOTS} {direction.name.lower()} slots "
-            f"to reach the last packet at {times[-1]} s"
+            f"to reach the last packet at {float(times[-1])} s"
         )
-    # Send and source time per slot; a NaN source marks a dummy.
-    send: list[float] = []
-    source: list[float] = []
-    sent = 0
-    available = 0
-    k = 0
-    while sent < len(times):
-        slot = k * rho
-        while available < len(times) and times[available] <= slot:
-            available += 1
-        send.append(slot)
-        if sent < available:
-            source.append(times[sent])
-            sent += 1
-        else:
-            source.append(math.nan)
-        k += 1
+    # Packet j takes the first slot at or after its time, unless the packets
+    # before it still fill that slot: slot_j = max(slot_{j-1} + 1, first_j).
+    j = np.arange(len(times))
+    slot = j + np.maximum.accumulate(first_slot_at_or_after(times, rho) - j)
+    used = int(slot[-1]) + 1 if len(times) else 0
     # Pad the direction up to a positive multiple of L packets.
-    target = L * max(1, math.ceil(len(send) / L))
-    while len(send) < target:
-        send.append(k * rho)
-        source.append(math.nan)
-        k += 1
-    return one_direction(direction, send, source)
+    target = L * max(1, -(-used // L))
+    source = np.full(target, np.nan)
+    source[slot] = times
+    return np.arange(target) * rho, direction, source
 
 
 def apply_tamaraw(trace: Trace, params: TamarawParams) -> DefendedTrace:
@@ -134,9 +118,10 @@ def apply_tamaraw(trace: Trace, params: TamarawParams) -> DefendedTrace:
     sent and the total count reaches the next positive multiple of L.
     """
     down = _tamaraw_direction(
-        trace.times_of(Direction.DOWNLOAD).tolist(), Direction.DOWNLOAD, params.rho_in, params.L
+        trace.times_of(Direction.DOWNLOAD), Direction.DOWNLOAD, params.rho_in, params.L
     )
     up = _tamaraw_direction(
-        trace.times_of(Direction.UPLOAD).tolist(), Direction.UPLOAD, params.rho_out, params.L
+        trace.times_of(Direction.UPLOAD), Direction.UPLOAD, params.rho_out, params.L
     )
-    return merge((down, up), seed=0, drawn_budget=down.dummy_count())
+    down_dummies = len(down[0]) - trace.count(Direction.DOWNLOAD)
+    return merge((down, up), seed=0, drawn_budget=down_dummies)

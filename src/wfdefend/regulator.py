@@ -29,6 +29,7 @@ from .traces import (
     DefendedTrace,
     Direction,
     Trace,
+    first_slot_at_or_after,
     merge,
     one_direction,
 )
@@ -217,12 +218,8 @@ def simulate_upload(
             f"{MAX_SLOTS} slots"
         )
 
-    slots: list[float] = []
     prelude_gap = 1.0 / params.initial_upload_rate
-    k = 0
-    while k * prelude_gap < surge_start:
-        slots.append(k * prelude_gap)
-        k += 1
+    slots = (np.arange(first_slot_at_or_after(surge_start, prelude_gap)) * prelude_gap).tolist()
     upload_credit = 0.0
     for slot in download_slots:
         upload_credit += 1.0 / params.U
@@ -266,4 +263,5 @@ def apply_regulator(trace: Trace, params: RegulatorParams, seed: int) -> Defende
     """Defend a trace; a pure function of (trace, params, seed)."""
     download = simulate_download(trace, params, seed)
     upload = simulate_upload(trace, params, download.slots, download.surge_start)
-    return merge((download.packets, upload), seed=seed, drawn_budget=download.drawn_budget)
+    halves = [(h.send_time, h.direction, h.source_time) for h in (download.packets, upload)]
+    return merge(halves, seed=seed, drawn_budget=download.drawn_budget)

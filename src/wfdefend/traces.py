@@ -101,7 +101,7 @@ def _direction_column(values, length: int) -> np.ndarray:
 def _check_sorted(times: np.ndarray, message: str) -> None:
     if not np.isfinite(times).all():
         raise ValueError("packet times must be finite")
-    if (np.diff(times) < 0).any():
+    if (times[1:] < times[:-1]).any():
         raise ValueError(message)
 
 
@@ -240,19 +240,34 @@ def one_direction(direction: Direction, send_time, source_time) -> DefendedTrace
     )
 
 
-def merge(parts: Sequence[DefendedTrace], seed: int, drawn_budget: int) -> DefendedTrace:
-    """Merge schedules by send time with one stable sort: at equal send
-    times packets keep the order of `parts`, then their order within it."""
-    send = np.concatenate([p.send_time for p in parts])
+def merge(parts: Sequence[tuple], seed: int, drawn_budget: int) -> DefendedTrace:
+    """One DefendedTrace of `parts`, each (send_time, direction, source_time)
+    sorted by send time, with one Direction or a column of them; a NaN source
+    marks a dummy. At equal send times a stable sort keeps the parts' order."""
+    sends, directions, sources = [], [], []
+    for send, direction, source in parts:
+        send = np.asarray(send, np.float64)
+        _check_sorted(send, "each merged part must be sorted by send_time")
+        sends.append(send)
+        directions.append(np.full(send.shape, direction, np.int8))
+        sources.append(source)
+    send = np.concatenate(sends)
     order = np.argsort(send, kind="stable")
-
-    def column(name: str) -> np.ndarray:
-        return np.concatenate([getattr(p, name) for p in parts])[order]
-
+    source = np.concatenate(sources)[order]
     return DefendedTrace(
-        send[order], column("direction"), column("dummy"), column("source_time"),
+        send[order], np.concatenate(directions)[order], np.isnan(source), source,
         seed=seed, drawn_budget=drawn_budget,
     )
+
+
+def first_slot_at_or_after(t, gap: float):
+    """For each time t >= 0, the least integer k with t <= k * gap in float64:
+    the first tick at or after t of the clock 0, gap, 2*gap, ... ceil(t / gap)
+    is one off where t / gap and k * gap round apart; one step corrects it."""
+    k = np.ceil(np.divide(t, gap))
+    k -= (k - 1) * gap >= t
+    k += k * gap < t
+    return k.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -524,7 +539,8 @@ def iter_dataset(
     root = Path(root)
     if not root.is_dir():
         raise ValueError(f"not a directory: {root}")
-    paths = sorted(p for p in root.iterdir() if p.is_file())
+    # Every path has the same parent, so names sort as the paths would, faster.
+    paths = sorted((p for p in root.iterdir() if p.is_file()), key=lambda p: p.name)
     used = 0
     for path, (result, reason) in zip(paths, mapper(partial(_attempt, step), paths)):
         if reason is not None:

@@ -2,10 +2,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import assert_conservation_and_fifo, random_trace
+from oracle_tamaraw import oracle_tamaraw
 
 from wfdefend import (
+    DefendedTrace,
     Direction,
     FrontParams,
     PacketKind,
@@ -19,6 +23,25 @@ from wfdefend.traces import MAX_SLOTS
 
 FRONT = FrontParams(N_s=2500, N_c=2500, W_min=1.0, W_max=14.0)
 TAMARAW = TamarawParams(rho_out=0.04, rho_in=0.012, L=100)
+RHOS = (0.012, 0.04, 1 / 3, 1e-3, 7.0)
+
+
+@pytest.mark.parametrize(
+    "apply", [lambda t: apply_front(t, FRONT, 9), lambda t: apply_tamaraw(t, TAMARAW)],
+    ids=["front", "tamaraw"],
+)
+def test_one_validated_defended_trace_per_trace(monkeypatch, apply):
+    calls = []
+    validate = DefendedTrace.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(DefendedTrace, "__post_init__", counted)
+    trace = Trace([0.0, 0.01, 0.3, 0.3], [1, -1, -1, 1])
+    defended = apply(trace)
+    assert calls == [defended]
 
 
 class TestFront:
@@ -72,6 +95,8 @@ class TestTamaraw:
             TamarawParams(rho_out=0.0, rho_in=0.012, L=100)
         with pytest.raises(ValueError):
             TamarawParams(rho_out=0.04, rho_in=0.012, L=0)
+        with pytest.raises(ValueError, match="L must be a positive integer, got 2.5"):
+            TamarawParams(rho_out=0.04, rho_in=0.012, L=2.5)
 
     def test_single_download_pads_to_l(self):
         trace = Trace([0.0], [Direction.DOWNLOAD])
@@ -134,3 +159,64 @@ class TestTamaraw:
         with pytest.raises(ValueError, match=f"more than {MAX_SLOTS} download slots"):
             apply_tamaraw(trace, TAMARAW)
         assert time.monotonic() - start < 1.0
+
+    def test_pad_multiple_past_the_slot_limit_is_rejected(self):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=f"L must be at most {MAX_SLOTS} packets, got 10"):
+            TamarawParams(rho_out=0.04, rho_in=0.012, L=10**9)
+        assert time.monotonic() - start < 1.0
+        TamarawParams(rho_out=0.04, rho_in=0.012, L=MAX_SLOTS)
+
+
+@st.composite
+def tamaraw_cases(draw):
+    """A trace whose times sit on, or one float step beside, multiples of
+    either clock (or between them), with many ties, and Tamaraw params."""
+    rho = {d: draw(st.sampled_from(RHOS)) for d in (Direction.DOWNLOAD, Direction.UPLOAD)}
+    L = draw(st.sampled_from([1, 2, 3, 7, 50]))
+    packets = draw(st.lists(
+        st.tuples(
+            st.sampled_from([Direction.DOWNLOAD, Direction.UPLOAD]),
+            st.sampled_from([Direction.DOWNLOAD, Direction.UPLOAD]),  # whose clock
+            st.integers(0, 30),
+            st.sampled_from(["below", "at", "above", "between"]),
+            st.floats(0.0, 1.0),
+        ),
+        max_size=40,
+    ))
+    times, direction = [], []
+    for d, clock, k, where, fraction in packets:
+        t = k * rho[clock]
+        if where == "below":
+            t = float(np.nextafter(t, -np.inf))
+        elif where == "above":
+            t = float(np.nextafter(t, np.inf))
+        elif where == "between":
+            t = (k + fraction) * rho[clock]
+        times.append(max(t, 0.0))
+        direction.append(d)
+    order = np.argsort(times, kind="stable")
+    trace = Trace(np.array(times)[order], np.array(direction, np.int8)[order])
+    return trace, TamarawParams(rho_out=rho[Direction.UPLOAD], rho_in=rho[Direction.DOWNLOAD], L=L)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tamaraw_cases())
+@example((Trace([], []), TamarawParams(rho_out=1 / 3, rho_in=7.0, L=1)))
+@example((Trace([0.036], [Direction.DOWNLOAD]), TamarawParams(rho_out=0.04, rho_in=0.012, L=1)))
+@example((Trace(np.full(5, 0.024), np.full(5, -1)), TAMARAW))
+def test_tamaraw_matches_the_slot_loop_bit_for_bit(case):
+    trace, params = case
+    defended = apply_tamaraw(trace, params)
+    send, direction, source = (np.array(column) for column in zip(*oracle_tamaraw(trace, params)))
+    dummy = np.isnan(source)
+    assert _bits(defended.send_time) == _bits(send)
+    assert defended.direction.tolist() == direction.tolist()
+    assert defended.dummy.tolist() == dummy.tolist()
+    assert np.isnan(defended.source_time).tolist() == dummy.tolist()
+    assert _bits(defended.source_time[~dummy]) == _bits(source[~dummy])
+    assert defended.drawn_budget == defended.dummy_count(Direction.DOWNLOAD)

@@ -35,8 +35,11 @@ def make_trace(times, direction=Direction.DOWNLOAD):
 
 def with_dummies(defended: DefendedTrace, dummy_times, direction=Direction.DOWNLOAD):
     dummy_times = np.sort(dummy_times)
-    dummies = one_direction(direction, dummy_times, np.full(len(dummy_times), np.nan))
-    return merge((defended, dummies), seed=0, drawn_budget=len(dummy_times))
+    parts = (
+        (defended.send_time, defended.direction, defended.source_time),
+        (dummy_times, direction, np.full(len(dummy_times), np.nan)),
+    )
+    return merge(parts, seed=0, drawn_budget=len(dummy_times))
 
 
 class TestBandwidth:

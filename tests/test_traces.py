@@ -21,7 +21,7 @@ from wfdefend import (
 )
 from wfdefend.presets import PRESETS
 from wfdefend.synth import generate, separable_profiles
-from wfdefend.traces import iter_dataset
+from wfdefend.traces import first_slot_at_or_after, iter_dataset, merge
 
 
 def test_parse_basic():
@@ -406,6 +406,14 @@ def test_iter_dataset_with_nothing_usable_errors_after_the_walk(tmp_path, caplog
     assert skipped == [("0-0", "zero duration, 1 packet(s)")]
 
 
+def test_iter_dataset_walks_files_in_code_point_order_of_their_names(tmp_path):
+    for name in ("b-1", "a-9", "\u00e9-1", "A-1", "a-10"):
+        (tmp_path / name).write_text("0.0\t1\n0.5\t-1\n")
+    (tmp_path / "sub").mkdir()
+    names = [name for name, _ in iter_dataset(tmp_path)]
+    assert names == ["A-1", "a-10", "a-9", "b-1", "\u00e9-1"]
+
+
 def test_load_dataset_deterministic(tmp_path):
     for i in range(5):
         (tmp_path / f"{i}-0").write_text(f"0.0\t1\n{i}.5\t-1\n")
@@ -417,3 +425,44 @@ def test_load_dataset_deterministic(tmp_path):
 def test_trace_rejects_unsorted():
     with pytest.raises(ValueError, match="sorted"):
         Trace([1.0, 0.0], [Direction.UPLOAD, Direction.UPLOAD])
+
+
+def test_merge_rejects_a_part_out_of_order():
+    upload = ([0.0, 1.0], Direction.UPLOAD, [0.0, 1.0])
+    # The merged times would sort, so only the per-part check sees this.
+    backwards = ([0.5, 0.25], Direction.DOWNLOAD, [np.nan, np.nan])
+    with pytest.raises(ValueError, match="each merged part must be sorted"):
+        merge((upload, backwards), seed=0, drawn_budget=0)
+    with pytest.raises(ValueError, match="finite"):
+        merge((upload, ([np.inf], Direction.DOWNLOAD, [np.nan])), seed=0, drawn_budget=0)
+
+
+def test_merge_orders_ties_by_part_then_position():
+    down = ([0.0, 1.0], Direction.DOWNLOAD, [np.nan, 0.5])
+    up = (np.array([0.0, 1.0]), np.array([1, 1]), np.array([0.0, np.nan]))
+    merged = merge((down, up), seed=3, drawn_budget=1)
+    assert merged.send_time.tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert merged.direction.tolist() == [-1, 1, -1, 1]
+    assert merged.dummy.tolist() == [True, False, False, True]
+    assert (merged.seed, merged.drawn_budget) == (3, 1)
+
+
+def _first_slot_by_loop(t: float, gap: float) -> int:
+    k = 0
+    while k * gap < t:
+        k += 1
+    return k
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([0.012, 0.04, 1 / 3, 1e-3, 7.0, 1 / 4.0, 1 / 3.7, 1 / 6.1]),
+    st.integers(0, 400),
+    st.sampled_from([-1, 0, 1]),
+)
+def test_first_slot_at_or_after_matches_the_loop(gap, k, step):
+    # Exact clock ticks and their float neighbours are where ceil(t / gap) errs.
+    t = max(0.0, float(np.nextafter(k * gap, step * np.inf)) if step else k * gap)
+    expected = _first_slot_by_loop(t, gap)
+    assert int(first_slot_at_or_after(t, gap)) == expected
+    assert first_slot_at_or_after(np.array([t, t]), gap).tolist() == [expected, expected]
