@@ -1,9 +1,12 @@
 """Command-line entry point for reproducible batch workflows.
 
 Subcommands: simulate, overhead, stats, eval, tune, adjust, synth.
-Exit codes: 0 success, 1 usage error, 2 data error. Every randomized
-command requires an explicit --seed; there is no wall-clock default, so
-reruns with the same seed are byte-identical regardless of --jobs.
+Exit codes: 0 success, 1 usage error, 2 data error, and 141 (128 +
+SIGPIPE, as the shell reports a process that SIGPIPE ended) when stdout
+is closed before the output is written, which ends the command quietly.
+Every randomized command requires an explicit --seed; there is no
+wall-clock default, so reruns with the same seed are byte-identical
+regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+EXIT_PIPE = 141
 
 
 class UsageError(Exception):
@@ -112,6 +116,20 @@ def _require_k(args) -> None:
         raise UsageError(f"--k must be >= 1, got {args.k}")
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(args) -> int:
+    """Worker processes for --jobs: the pool forks all of them at its first
+    task, so there are never more than the CPUs this process may run on."""
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    return min(args.jobs, _usable_cpus())
+
+
 def _print_params(params) -> None:
     for name, value in asdict(params).items():
         print(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
@@ -145,6 +163,7 @@ def _simulate_file(params: DefenseParams, seed: int, path: Path):
 def cmd_simulate(args) -> int:
     params = _defense(args, args.defense)
     seed = _require_seed(args, params.randomized)
+    workers = _workers(args)
 
     # Each result is written as it arrives to a staging directory in the
     # nearest existing directory above out_dir, so finished results are not
@@ -159,8 +178,8 @@ def cmd_simulate(args) -> int:
     try:
         with contextlib.ExitStack() as stack:
             mapper = map
-            if args.jobs > 1:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            if workers > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 mapper = functools.partial(pool.map, chunksize=8)
             for name, (text, report) in iter_dataset(args.input, step, mapper):
                 (staging / name).write_text(text, encoding="utf-8")
@@ -314,13 +333,7 @@ def _check_fingerprint(log_path: Path, fingerprint: dict, resuming: bool) -> Non
     text = json.dumps(fingerprint, indent=1) + "\n"
     fingerprint = json.loads(text)
     if resuming and path.is_file():
-        try:
-            recorded = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # covers JSONDecodeError and UnicodeDecodeError
-            raise ValueError(f"{path}: {exc}") from None
-        if not isinstance(recorded, dict):
-            raise ValueError(f"{path}: not a JSON object")
-        old, new = dict(_flatten(recorded)), dict(_flatten(fingerprint))
+        old, new = dict(_flatten(_read_json_object(path))), dict(_flatten(fingerprint))
         for key in [*old, *(key for key in new if key not in old)]:
             if old.get(key) != new.get(key):
                 raise ValueError(
@@ -333,19 +346,39 @@ def _check_fingerprint(log_path: Path, fingerprint: dict, resuming: bool) -> Non
     _write_whole(path, text)
 
 
-def _json_file(path: Optional[str], what: str) -> dict:
-    """The JSON in the `what` file at `path`; {} when no path is given."""
+def _read_json_object(path: Path) -> dict:
+    """The JSON object in the file at `path`; errors name the file."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # covers JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return value
+
+
+def _json_file(path: Optional[str], what: str, build):
+    """`build(**fields)` from the JSON object in the `what` file at `path`,
+    `build()` when no path is given; errors name the file."""
     if not path:
-        return {}
+        return build()
     if not Path(path).is_file():
         raise ValueError(f"{what} file not found: {path}")
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    fields = _read_json_object(Path(path))
+    try:
+        return build(**fields)
+    except (TypeError, ValueError) as exc:  # an unknown key, a bad interval
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _space(**intervals) -> SearchSpace:
+    return SearchSpace(**{name: tuple(bounds) for name, bounds in intervals.items()})
 
 
 def cmd_tune(args) -> int:
     _require_k(args)
-    weights = LossWeights(**_json_file(args.weights, "weights"))
-    space = SearchSpace(**{k: tuple(v) for k, v in _json_file(args.space, "space").items()})
+    weights = _json_file(args.weights, "weights", LossWeights)
+    space = _json_file(args.space, "space", _space)
 
     dataset = load_dataset(Path(args.input))
     log_path = Path(args.log)
@@ -445,7 +478,8 @@ def build_parser() -> _Parser:
     p.add_argument("--defense", required=True,
                    help=f"defense preset: {', '.join(defense_names())}")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the number of usable CPUs")
     _add_overrides(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -517,7 +551,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     package_logger = logging.getLogger("wfdefend")
     package_logger.addHandler(stderr_handler)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Whoever reads stdout has gone. Point stdout at the null device, so
+        # the interpreter's last flush cannot raise again, and end quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except UsageError as exc:
         print(f"wfdefend: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,6 +12,7 @@ from wfdefend import (
     evaluate_closed_world,
     extract_features,
 )
+from wfdefend import attack
 from wfdefend.attack import (
     CUMULATIVE_SAMPLES,
     FEATURE_LENGTH,
@@ -22,7 +23,9 @@ from wfdefend.attack import (
     feature_matrix,
     feature_matrix_csv,
 )
+from wfdefend.presets import resolve_defense
 from wfdefend.seeding import stable_seed
+from wfdefend.synth import generate_classes, separable_profiles
 
 
 def uniform_trace(n, direction, duration=10.0, label=None):
@@ -168,7 +171,7 @@ def _knn_case(rng, mode, n_train, n_test):
     """(train_x, test_x) of 104-wide rows shaped to stress one way the
     lower bound could mislead the search."""
     def draw(n):
-        if mode in ("grid", "duplicates", "far"):
+        if mode in ("grid", "duplicates", "far", "repeats"):
             return rng.integers(0, 3, (n, FEATURE_LENGTH)).astype(float)
         return rng.random((n, FEATURE_LENGTH))
 
@@ -186,19 +189,32 @@ def _knn_case(rng, mode, n_train, n_test):
         train_x, test_x = train_x * scale, test_x * scale
     elif mode == "far":
         test_x = test_x * 1e150
+    elif mode == "repeats":
+        # A few distinct rows, some of them training rows, each repeated;
+        # beside them copies that differ in one column, and copies whose
+        # zeros are -0.0: equal values, other bytes.
+        train_x[::2] = np.where(train_x[::2] == 0, -0.0, train_x[::2])
+        few = np.vstack([test_x[:2], train_x[rng.integers(0, n_train, 2)]])
+        nudged, columns = few.copy(), rng.integers(0, FEATURE_LENGTH, len(few))
+        columns[[0, -1]] = 0, FEATURE_LENGTH - 1
+        nudged[np.arange(len(few)), columns] += 1.0
+        few = np.vstack([few, nudged])
+        few = np.vstack([few, np.where(few == 0, -0.0, few)])
+        test_x = few[rng.integers(0, len(few), n_test)]
     return train_x, test_x
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["grid", "duplicates", "near-ties", "magnitudes", "far", "uniform"]),
+    st.sampled_from(
+        ["grid", "duplicates", "near-ties", "magnitudes", "far", "uniform", "repeats"]),
     st.integers(1, 40),
     st.integers(1, 12),
 )
 def test_knn_matches_full_scan(seed, mode, n_train, k):
     rng = np.random.default_rng(seed)
-    train_x, test_x = _knn_case(rng, mode, n_train, n_test=6)
+    train_x, test_x = _knn_case(rng, mode, n_train, n_test=12)
     train_y = np.array([str(v) for v in rng.integers(0, 3, n_train)], dtype=object)
     train_b = np.ascontiguousarray(train_x[:, BOUND_COLUMNS])
     for row in test_x:
@@ -219,6 +235,37 @@ def test_knn_ties_go_to_the_lower_training_index():
     assert _neighbours(train_x, train_b, row, 3).tolist() == [1, 4, 0]
     # One vote each for b, c and a: the tie goes to the nearest, row 1.
     assert _knn_predict(train_x, train_y, row[None, :], 3) == ["b"]
+
+
+def test_knn_searches_once_per_distinct_row(monkeypatch):
+    rng = np.random.default_rng(8)
+    train_x, test_x = _knn_case(rng, "repeats", n_train=30, n_test=40)
+    train_y = np.array([str(v) for v in rng.integers(0, 3, 30)], dtype=object)
+    searched = []
+    search = attack._neighbours
+
+    def counting(train_x, train_b, row, k):
+        searched.append(row.tobytes())
+        return search(train_x, train_b, row, k)
+
+    monkeypatch.setattr(attack, "_neighbours", counting)
+    predictions = _knn_predict(train_x, train_y, test_x, 5)
+    distinct = {row.tobytes() for row in test_x}
+    assert len(distinct) < len(test_x)
+    assert sorted(searched) == sorted(distinct)
+    assert predictions == full_scan_knn_predict(train_x, train_y, test_x, 5)
+
+
+def test_tamaraw_eval_matches_full_scan(monkeypatch):
+    # Tamaraw pads short traces into a few anonymity sets, so most feature
+    # rows repeat exactly and sit at the k-th neighbour's distance.
+    dataset = generate_classes(separable_profiles(20, base_total=60, step=1), 10, seed=4)
+    tamaraw = resolve_defense("tamaraw")
+    features = feature_matrix(tamaraw.apply(trace, 0) for trace in dataset.traces)
+    assert len(np.unique(features, axis=0)) < len(features) // 4
+    grouped = evaluate_closed_world(dataset, features=features, k=5, folds=5, seed=3)
+    monkeypatch.setattr(attack, "_knn_predict", full_scan_knn_predict)
+    assert grouped == evaluate_closed_world(dataset, features=features, k=5, folds=5, seed=3)
 
 
 # The fold assignment as it was before it grouped labels in one pass: each

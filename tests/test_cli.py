@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import wfdefend
-from wfdefend import regulator, stats
+from wfdefend import cli, regulator, stats
 from wfdefend.cli import main
 
 
@@ -82,6 +82,67 @@ class TestSimulate:
             )
             assert code == 0, err
         assert tree_bytes(out1) == tree_bytes(out2)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, tmp_path, jobs):
+        # Both once ran serially and exited 0.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        code, stdout, err = run(
+            capsys, "simulate", str(data), "--out", str(tmp_path / "out"),
+            "--defense", "tamaraw", "--jobs", jobs,
+        )
+        assert code == 1
+        assert f"--jobs must be >= 1, got {jobs}" in err
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        ("64", 3, [3]), ("2", 3, [2]), ("2", 1, []), ("1", 3, []),
+    ])
+    def test_pool_never_outnumbers_the_usable_cpus(
+        self, capsys, tmp_path, monkeypatch, jobs, cpus, workers
+    ):
+        # The pool forks all its workers at the first task, so it is counted
+        # by a stand-in that maps serially, never by starting one.
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        outputs = {}
+        for name, argv_jobs in (("serial", "1"), ("pooled", jobs)):
+            code, _, err = run(
+                capsys, "simulate", str(data), "--out", str(tmp_path / name),
+                "--defense", "regulator-light", "--seed", "3", "--jobs", argv_jobs,
+            )
+            assert code == 0, err
+            outputs[name] = tree_bytes(tmp_path / name)
+        assert started == workers
+        assert outputs["pooled"] == outputs["serial"]
+
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cli._usable_cpus() == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert cli._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
 
     def test_unknown_defense_is_usage_error(self, capsys, tmp_path):
         data = tmp_path / "data"
@@ -773,6 +834,36 @@ class TestTune:
         assert code == 2
         assert "space file not found" in err
 
+    @pytest.mark.parametrize("option, content, reason", [
+        ("--space", b"{", "Expecting property name"),
+        ("--space", b'{"R": 5}', "'int' object is not iterable"),
+        ("--space", b'{"Q": [1, 2]}', "unexpected keyword argument 'Q'"),
+        ("--space", b"\xff", "'utf-8' codec can't decode"),
+        ("--space", b"[]", "not a JSON object"),
+        ("--weights", b"", "Expecting value: line 1 column 1 (char 0)"),
+        ("--weights", b'{"Q": 1}', "unexpected keyword argument 'Q'"),
+        ("--weights", b'{"w_accuracy": -1}', "loss weights must be non-negative"),
+    ], ids=["space-malformed", "space-non-list", "space-unknown-key", "space-not-utf8",
+            "space-not-object", "weights-malformed", "weights-unknown-key",
+            "weights-negative"])
+    def test_bad_json_file_is_data_error_naming_it(
+        self, capsys, tmp_path, option, content, reason
+    ):
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=4)
+        path = tmp_path / "file.json"
+        path.write_bytes(content)
+        log = tmp_path / "log.jsonl"
+        code, stdout, err = run(
+            capsys, "tune", str(data), "--trials", "1", "--seed", "5",
+            "--log", str(log), option, str(path),
+        )
+        assert code == 2
+        assert err.startswith(f"wfdefend: error: {path}: ")
+        assert reason in err
+        assert stdout == ""
+        assert not log.exists()
+
     def test_weights_and_space_files(self, capsys, tmp_path):
         data = tmp_path / "data"
         write_synth_dataset(capsys, data, classes=2, instances=4)
@@ -851,6 +942,36 @@ def test_unusable_files_are_skipped_by_every_command(capsys, tmp_path, argv):
         assert "skipped_files=5\n" in mixed_stdout
         mixed_stdout = mixed_stdout.replace("skipped_files=5\n", "skipped_files=0\n")
     assert mixed_stdout == clean_stdout
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["stats", "{data}"],
+    ["eval", "{data}", "--seed", "1", "--folds", "3"],
+    ["tune", "{data}", "--trials", "2", "--seed", "5", "--folds", "2", "--k", "1",
+     "--log", "{log}"],
+], ids=["stats", "eval", "tune"])
+def test_closed_stdout_ends_quietly(capsys, tmp_path, argv, buffered):
+    # `wfdefend stats DIR | true` once printed "error: [Errno 32] Broken
+    # pipe" and exited 2, as if the data were at fault.
+    data = tmp_path / "data"
+    write_synth_dataset(capsys, data)
+    env = {**os.environ, "PYTHONPATH": str(Path(wfdefend.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "wfdefend",
+             *(a.format(data=data, log=tmp_path / "log.jsonl") for a in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == cli.EXIT_PIPE == 141
 
 
 class TestAdjust:
