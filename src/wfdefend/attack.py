@@ -182,7 +182,6 @@ def evaluate_closed_world(
     fold_of = _fold_assignment(labels, folds, seed)
 
     fold_accuracies = []
-    class_total: Counter = Counter()
     class_correct: Counter = Counter()
     for f in range(folds):
         test_mask = fold_of == f
@@ -196,15 +195,14 @@ def evaluate_closed_world(
         )
         hits = 0
         for predicted, actual in zip(predictions, test_y):
-            class_total[actual] += 1
             if predicted == actual:
                 class_correct[actual] += 1
                 hits += 1
         fold_accuracies.append(hits / len(test_y))
 
-    per_class = {
-        label: class_correct[label] / class_total[label] for label in sorted(counts)
-    }
+    # Each trace is tested in exactly one fold, so a class's tests number
+    # its instances.
+    per_class = {label: class_correct[label] / counts[label] for label in sorted(counts)}
     return EvalResult(
         accuracy=float(np.mean(fold_accuracies)),
         per_class_accuracy=per_class,

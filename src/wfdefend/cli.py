@@ -77,6 +77,11 @@ class UsageError(Exception):
     pass
 
 
+# The least value of each count option, checked for every subcommand that
+# has the option before the command runs, so a bad count writes nothing.
+COUNT_MINIMUMS = {"k": 1, "jobs": 1, "folds": 2, "trials": 1, "classes": 1, "instances": 1}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -111,23 +116,10 @@ def _require_seed(args, randomized: bool = True) -> int:
     return args.seed
 
 
-def _require_k(args) -> None:
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _workers(args) -> int:
-    """Worker processes for --jobs: the pool forks all of them at its first
-    task, so there are never more than the CPUs this process may run on."""
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    return min(args.jobs, _usable_cpus())
 
 
 def _print_params(params) -> None:
@@ -163,7 +155,9 @@ def _simulate_file(params: DefenseParams, seed: int, path: Path):
 def cmd_simulate(args) -> int:
     params = _defense(args, args.defense)
     seed = _require_seed(args, params.randomized)
-    workers = _workers(args)
+    # The pool forks all its workers at its first task, so there are never
+    # more than the CPUs this process may run on.
+    workers = min(args.jobs, _usable_cpus())
 
     # Each result is written as it arrives to a staging directory in the
     # nearest existing directory above out_dir, so finished results are not
@@ -250,7 +244,6 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     params = _defense(args, args.defense)
     seed = _require_seed(args)
-    _require_k(args)
 
     dataset = load_dataset(Path(args.input))
     check_folds(dataset, args.folds)  # before any trace is defended
@@ -376,7 +369,6 @@ def _space(**intervals) -> SearchSpace:
 
 
 def cmd_tune(args) -> int:
-    _require_k(args)
     weights = _json_file(args.weights, "weights", LossWeights)
     space = _json_file(args.space, "space", _space)
 
@@ -551,6 +543,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     package_logger = logging.getLogger("wfdefend")
     package_logger.addHandler(stderr_handler)
     try:
+        for name, low in COUNT_MINIMUMS.items():
+            value = getattr(args, name, low)
+            if value < low:
+                raise UsageError(f"--{name} must be >= {low}, got {value}")
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code

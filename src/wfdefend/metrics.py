@@ -11,7 +11,7 @@ plus the worst delay of any upload packet, over the original duration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .traces import DefendedTrace, Direction, Trace
 
@@ -110,13 +110,13 @@ CSV_HEADER = (
 )
 
 
-def csv_table(overhead: DatasetOverhead, names: Optional[Sequence[str]] = None) -> str:
-    """Comma-separated per-trace table for downstream plotting."""
-    if names is not None and len(names) != len(overhead.per_trace):
+def csv_table(overhead: DatasetOverhead, names: Sequence[str]) -> str:
+    """Comma-separated per-trace table for downstream plotting, one row per
+    report, named by the aligned entry of `names`."""
+    if len(names) != len(overhead.per_trace):
         raise ValueError("names must align with per-trace reports")
     lines = [CSV_HEADER]
-    for i, r in enumerate(overhead.per_trace):
-        name = names[i] if names is not None else str(i)
+    for name, r in zip(names, overhead.per_trace):
         lines.append(
             f"{name},{r.real_count},{r.dummy_count},{r.bandwidth_overhead:.6f},"
             f"{r.latency_overhead:.6f},{r.estimated_latency_overhead:.6f},"

@@ -84,7 +84,7 @@ class RegulatorParams:
             raise ValueError(
                 f"initial_upload_rate must be > 0, got {self.initial_upload_rate}"
             )
-        if self.tail_grace < 0:
+        if not self.tail_grace >= 0:
             raise ValueError(f"tail_grace must be >= 0, got {self.tail_grace}")
 
     def apply(self, trace: Trace, seed: int) -> DefendedTrace:
@@ -139,17 +139,15 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
     available = ACTIVATION_PACKETS
     sent_dummies = 0
     silent = 0
-    # Times at which the two stop conditions were met; the slot clock keeps
-    # running until tail_grace past the later of the two, so padding can
-    # outlive the real data and vary the total trace volume.
-    last_real_time = surge_start if next_unsent == total else None
-    budget_done_time = surge_start if budget == 0 else None
+    # The slot clock runs until tail_grace past the slot at which the real
+    # data and the padding budget are both spent, so padding can outlive
+    # the real data and vary the total trace volume.
+    end = math.inf
+    if next_unsent == total and budget == 0:
+        end = surge_start + params.tail_grace
     slots: list[float] = []
 
-    while True:
-        if last_real_time is not None and budget_done_time is not None:
-            if slot >= max(last_real_time, budget_done_time) + params.tail_grace:
-                break
+    while slot < end:
         rate = params.R * params.D ** (slot - surge_time)
         if rate < 1.0:
             rate = 1.0
@@ -164,14 +162,14 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
             send.append(slot)
             source.append(down[next_unsent])
             next_unsent += 1
-            if next_unsent == total:
-                last_real_time = slot
+            if next_unsent == total and sent_dummies == budget:
+                end = slot + params.tail_grace
         elif sent_dummies < budget:
             send.append(slot)
             source.append(math.nan)
             sent_dummies += 1
-            if sent_dummies == budget:
-                budget_done_time = slot
+            if sent_dummies == budget and next_unsent == total:
+                end = slot + params.tail_grace
         else:  # Queue empty with the budget spent: the slot passes silently.
             silent += 1
             if silent > MAX_SLOTS:
@@ -200,11 +198,13 @@ def simulate_upload(
 
     Upload slots run at initial_upload_rate from t=0 until the surge starts,
     then one slot fires per U download slots (fractional ratios accumulate
-    credit). Each slot sends the oldest waiting real upload packet, else a
-    dummy. Independent flush events guarantee no real packet waits longer
-    than C: a packet still queued exactly C seconds after it became
-    available goes out immediately without consuming a slot. When a slot
-    and a flush coincide the slot fires first.
+    credit). No real packet waits longer than C: before each slot, every
+    queued packet whose `time + C` lies strictly before the slot is flushed
+    out at that instant without consuming a slot. The slot then sends the
+    oldest real packet queued at or before it, else a dummy; a packet whose
+    flush falls exactly on a slot goes out in the slot. Packets still queued
+    after the last slot are flushed at `time + C`. Flushes keep the packets'
+    order, since `time + C` never decreases along the sorted upload times.
 
     If the download schedule never started (surge_start is +inf) the whole
     defense is inactive and upload packets pass through unmodified.
@@ -231,31 +231,19 @@ def simulate_upload(
     send: list[float] = []
     source: list[float] = []
     sent = 0
-    available = 0
-    si = 0
-    fi = 0
-    while si < len(slots) or fi < len(up):
-        if fi < sent:
-            # This packet already went out through a slot; drop its flush.
-            fi = sent
-            continue
-        slot_first = si < len(slots) and (fi >= len(up) or slots[si] <= flushes[fi])
-        if slot_first:
-            slot = slots[si]
-            si += 1
-            while available < len(up) and up[available] <= slot:
-                available += 1
-            send.append(slot)
-            if sent < available:
-                source.append(up[sent])
-                sent += 1
-            else:
-                source.append(math.nan)
+    for slot in slots:
+        while sent < len(up) and flushes[sent] < slot:
+            send.append(flushes[sent])
+            source.append(up[sent])
+            sent += 1
+        send.append(slot)
+        if sent < len(up) and up[sent] <= slot:
+            source.append(up[sent])
+            sent += 1
         else:
-            send.append(flushes[fi])
-            source.append(up[fi])
-            sent = fi + 1
-            fi += 1
+            source.append(math.nan)
+    send += flushes[sent:]
+    source += up[sent:]
     return one_direction(Direction.UPLOAD, send, source)
 
 

@@ -289,9 +289,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.traces)
 
-    def labels(self) -> list[Optional[str]]:
-        return [t.label for t in self.traces]
-
 
 def _read_lines(lines: list[str], defended: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(times, direction values, dummy) of `lines` read one line at a time

@@ -92,6 +92,11 @@ def assert_conservation_and_fifo(original: Trace, defended: DefendedTrace) -> No
             assert p.send_time >= p.source_time
 
 
+def float_bits(values) -> list[int]:
+    """The int64 bit patterns of float64 values, so equal means bit-identical."""
+    return np.asarray(values, np.float64).view(np.int64).tolist()
+
+
 def schedule_key(defended: DefendedTrace) -> list[tuple[float, int, str]]:
     return [(p.send_time, int(p.direction), p.kind.value) for p in defended]
 

@@ -100,7 +100,7 @@ class TestEvaluate:
         rng = np.random.default_rng(1)
         sizes = {str(i): 100 + 120 * i for i in range(10)}
         dataset = sized_dataset(sizes, instances=30, rng=rng)
-        shuffled = list(dataset.labels())
+        shuffled = [t.label for t in dataset.traces]
         rng.shuffle(shuffled)
         traces = tuple(
             Trace(t.times, t.direction, label=l) for t, l in zip(dataset.traces, shuffled)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_conservation_and_fifo, random_trace
+from helpers import assert_conservation_and_fifo, float_bits, random_trace
 from oracle_tamaraw import oracle_tamaraw
 
 from wfdefend import (
@@ -200,10 +200,6 @@ def tamaraw_cases(draw):
     return trace, TamarawParams(rho_out=rho[Direction.UPLOAD], rho_in=rho[Direction.DOWNLOAD], L=L)
 
 
-def _bits(values) -> list[int]:
-    return np.asarray(values, np.float64).view(np.int64).tolist()
-
-
 @settings(max_examples=300, deadline=None)
 @given(tamaraw_cases())
 @example((Trace([], []), TamarawParams(rho_out=1 / 3, rho_in=7.0, L=1)))
@@ -214,9 +210,9 @@ def test_tamaraw_matches_the_slot_loop_bit_for_bit(case):
     defended = apply_tamaraw(trace, params)
     send, direction, source = (np.array(column) for column in zip(*oracle_tamaraw(trace, params)))
     dummy = np.isnan(source)
-    assert _bits(defended.send_time) == _bits(send)
+    assert float_bits(defended.send_time) == float_bits(send)
     assert defended.direction.tolist() == direction.tolist()
     assert defended.dummy.tolist() == dummy.tolist()
     assert np.isnan(defended.source_time).tolist() == dummy.tolist()
-    assert _bits(defended.source_time[~dummy]) == _bits(source[~dummy])
+    assert float_bits(defended.source_time[~dummy]) == float_bits(source[~dummy])
     assert defended.drawn_budget == defended.dummy_count(Direction.DOWNLOAD)

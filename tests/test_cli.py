@@ -944,6 +944,39 @@ def test_unusable_files_are_skipped_by_every_command(capsys, tmp_path, argv):
     assert mixed_stdout == clean_stdout
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tune", "{data}", "--seed", "1", "--trials", "-2", "--folds", "2", "--log", "{out}"],
+     "--trials must be >= 1, got -2"),
+    (["tune", "{data}", "--seed", "1", "--trials", "0", "--folds", "2", "--log", "{out}"],
+     "--trials must be >= 1, got 0"),
+    (["tune", "{data}", "--seed", "1", "--trials", "1", "--folds", "1", "--log", "{out}"],
+     "--folds must be >= 2, got 1"),
+    (["eval", "{data}", "--seed", "1", "--folds", "1", "--features-out", "{out}"],
+     "--folds must be >= 2, got 1"),
+    (["eval", "{data}", "--seed", "1", "--folds", "1", "--defense", "regulator-heavy"],
+     "--folds must be >= 2, got 1"),
+    (["synth", "--out", "{out}", "--seed", "1", "--classes", "0"],
+     "--classes must be >= 1, got 0"),
+    (["synth", "--out", "{out}", "--seed", "1", "--instances", "-1"],
+     "--instances must be >= 1, got -1"),
+    (["simulate", "{data}", "--out", "{out}", "--defense", "tamaraw", "--jobs", "0"],
+     "--jobs must be >= 1, got 0"),
+], ids=["tune-trials-2", "tune-trials0", "tune-folds1", "eval-folds1",
+        "eval-defended-folds1", "synth-classes0", "synth-instances-1", "simulate-jobs0"])
+def test_count_below_its_minimum_is_usage_error_writing_nothing(capsys, tmp_path, argv, message):
+    # `tune --trials -2` once exited 0 and wrote the log's fingerprint, and
+    # `eval --folds 1` and `synth --classes 0` exited 2 as if the data were
+    # at fault.
+    data = tmp_path / "data"
+    write_synth_dataset(capsys, data)
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, err = run(capsys, *(a.format(data=data, out=tmp_path / "out") for a in argv))
+    assert code == 1
+    assert f"wfdefend: error: {message}\n" == err
+    assert stdout == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["stats", "{data}"],

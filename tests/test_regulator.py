@@ -4,15 +4,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     assert_conservation_and_fifo,
+    float_bits,
     random_params,
     random_trace,
     schedule_key,
     seed_with_budget,
 )
-from oracle_regulator import reference_defend
+from oracle_regulator import _reference_upload, reference_defend
 
 from wfdefend import (
     Direction,
@@ -50,6 +53,7 @@ class TestParams:
             dict(C=0.0),
             dict(initial_upload_rate=0.0),
             dict(tail_grace=-0.1),
+            dict(tail_grace=math.nan),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -290,3 +294,69 @@ class TestApply:
         # Dummies stop at t=2 but the slot clock runs on until t=4.
         assert schedule.slots[-1] == pytest.approx(3.0)
         assert len([p for p in schedule.packets if p.kind is PacketKind.DUMMY]) == 3
+
+
+# Upload cases on a 0.25 s grid: slots, upload times, C and surge_start all
+# land on it, so flushes fall exactly on slots, several flushes fall between
+# two slots, and some fall after the last slot.
+GRID = 0.25
+
+
+@st.composite
+def upload_cases(draw):
+    up = sorted(draw(st.lists(st.integers(0, 40), max_size=25)))
+    surge = draw(st.integers(0, 12))
+    gaps = draw(st.lists(st.integers(1, 6), max_size=30))
+    slots = (surge + np.cumsum(gaps, dtype=int)).tolist()
+    if gaps and draw(st.booleans()):
+        slots = [surge, *slots]
+    params = RegulatorParams(
+        R=2.0, D=1.0, T=1.0, N=0,
+        U=draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+        C=draw(st.integers(1, 12)) * GRID,
+        initial_upload_rate=draw(st.sampled_from([4.0, 2.0, 1.0])),
+    )
+    trace = Trace([k * GRID for k in up], [Direction.UPLOAD] * len(up))
+    return trace, params, [k * GRID for k in slots], surge * GRID
+
+
+@settings(max_examples=300, deadline=None)
+@given(upload_cases())
+@example((Trace([], []), HEAVY, [], 0.0))
+@example((Trace([0.0, 0.0, 0.25], [Direction.UPLOAD] * 3), replace(HEAVY, U=1.0, C=1.0), [], 0.0))
+@example((Trace([0.0, 0.0], [Direction.UPLOAD] * 2), replace(HEAVY, U=1.0, C=1.0), [1.0], 1.0))
+def test_upload_matches_the_event_merge_bit_for_bit(case):
+    trace, params, slots, surge_start = case
+    out = simulate_upload(trace, params, slots, surge_start)
+    rows = _reference_upload(trace.times.tolist(), params, slots, surge_start)
+    send = [r[0] for r in rows]
+    source = [math.nan if r[3] is None else r[3] for r in rows]
+    dummy = np.isnan(source)
+    assert float_bits(out.send_time) == float_bits(send)
+    assert out.dummy.tolist() == dummy.tolist()
+    assert np.isnan(out.source_time).tolist() == dummy.tolist()
+    assert float_bits(out.source_time[~dummy]) == float_bits(np.array(source)[~dummy])
+
+
+@pytest.mark.parametrize("at_zero, at_four, budget, last_slot", [
+    (0, 0, 0, 0.0),  # both spent at activation: the clock runs tail_grace past it
+    (2, 0, 4, 5.0),  # real data sent at t=1, then the budget spent at t=5
+    (0, 2, 2, 5.0),  # the budget spent at t=1, then real data sent at t=5
+])
+def test_tail_grace_runs_past_the_later_of_budget_and_real_data(
+    at_zero, at_four, budget, last_slot
+):
+    # One slot a second from t=0, after ten downloads at t=0; then
+    # `at_zero` more downloads at t=0 and `at_four` at t=4.
+    times = [0.0] * (10 + at_zero) + [4.0] * at_four
+    count = len(times)
+    trace = Trace(times, [Direction.DOWNLOAD] * count)
+    params = RegulatorParams(R=1.0, D=1.0, T=1000.0, N=4, U=1.0, C=1.77, tail_grace=2.5)
+    seed = seed_with_budget(params.N, budget)
+    schedule = simulate_download(trace, params, seed)
+    reference, trail = reference_defend(trace, params, seed)
+    assert schedule.drawn_budget == budget
+    assert list(schedule.slots) == [slot.time for slot in trail]
+    assert schedule.slots[-1] == last_slot + 2.0  # the last slot before last_slot + 2.5
+    defended = apply_regulator(trace, params, seed)
+    assert schedule_key(defended) == schedule_key(reference)

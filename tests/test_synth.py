@@ -71,7 +71,7 @@ class TestGenerate:
 
     def test_labels_carry_class_id(self):
         dataset = generate(profile(class_id="site7"), instances=2, seed=1)
-        assert dataset.labels() == ["site7", "site7"]
+        assert [t.label for t in dataset.traces] == ["site7", "site7"]
 
 
 def test_separable_classes_establish_evaluator_baseline():

@@ -340,7 +340,7 @@ def test_load_dataset(tmp_path):
     (tmp_path / "1-0").write_text("0.0\t-1\n0.5\t-1\n")
     dataset = load_dataset(tmp_path)
     assert len(dataset) == 3
-    assert dataset.labels() == ["0", "0", "1"]
+    assert [t.label for t in dataset.traces] == ["0", "0", "1"]
     assert dataset.filenames == ("0-0", "0-1", "1-0")
     assert dataset.skipped == 0
 
