@@ -76,63 +76,110 @@ def _fold_assignment(labels: Sequence[str], folds: int, seed: int) -> np.ndarray
     return fold_of
 
 
-# The columns whose squared differences bound the distance from below:
-# every tenth cumulative sample, the last one, and the summary features.
-BOUND_COLUMNS = np.r_[0:CUMULATIVE_SAMPLES:10, CUMULATIVE_SAMPLES - 1,
-                      CUMULATIVE_SAMPLES:FEATURE_LENGTH]
-# Both sums add non-negative terms, so each is within about 104 ulp of its
-# exact value; a bound shrunk by this much never exceeds the distance.
-BOUND_MARGIN = 1 - 1e-12
+# Each block of test rows gets a key matrix of at most this many bytes (one
+# row at least), so a fold of any size is searched in bounded memory: the
+# keys and their partitioned copy stay under 32 MB.
+KEY_BLOCK_BYTES = 16 * 2**20
+# The filter's slack per unit of ||q||^2 + max ||t||^2; see `_neighbours`.
+SLACK = 4 * (FEATURE_LENGTH + 4) * np.finfo(float).eps
 
 
-def _neighbours(
-    train_x: np.ndarray, train_b: np.ndarray, row: np.ndarray, k: int
-) -> np.ndarray:
-    """Indices of the k training rows nearest to `row`, nearest first, ties
-    to the lower index: the first k of a stable argsort of the squared
-    distances, found by partial-distance search (Bei and Gray, 1985).
+def _keys(train_x: np.ndarray, train_sq: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The rank key ||t||^2 - 2 q.t of every training row t (whose squared
+    norms are `train_sq`) for each row q of `block`, by one matrix product.
+    Scaling by -2 is exact and addition commutes, so working in place gives
+    the bits of `train_sq - 2 * (block @ train_x.T)` without its temporaries."""
+    keys = block @ train_x.T
+    keys *= -2
+    keys += train_sq
+    return keys
 
-    `train_b` holds the BOUND_COLUMNS of `train_x`. Their squared
-    differences sum to a lower bound on each row's distance. The k rows of
-    smallest bound have distances whose largest, tau, at least k rows
-    reach; a row whose bound lies above tau lies above it too. Only rows
-    whose bound does not get a full distance, with the same arithmetic a
-    full scan would use, so distances and ties keep their bits.
+
+def _neighbours(train_x: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k training rows nearest to each of `rows`, nearest
+    first, ties to the lower index: row i holds the first min(k, m) of a
+    stable argsort of `((train_x - rows[i]) ** 2).sum(axis=1)`, found by
+    filter and refine over blocks of rows.
+
+    Rank. For a row q and a training row t, the key ||t||^2 - 2 q.t is the
+    squared distance less the row constant ||q||^2. One matrix product
+    gives the keys of a block of rows.
+
+    Filter. A training row is a candidate when its key is at most the
+    k-th smallest key of the row plus 2 s_q. Refine. Only candidates get
+    a distance, with the arithmetic above, and a stable sort; they are in
+    ascending index order, so ties keep going to the lower index.
+
+    Why no neighbour is lost. Let n = 104 features, u = eps/2, gamma_j =
+    j u / (1 - j u), Q = ||q||^2, M = max ||t||^2. A float dot product
+    in any summation order, FMA or not, is within gamma_n sum |a_i b_i| of
+    the exact one (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 3.1), so BLAS blocking and threads do not matter. With |q.t| <=
+    (Q + M)/2 and a final subtraction, the computed key is within e_K =
+    (2 gamma_n + 2u(1 + gamma_n))(Q + M) of the exact one. A distance
+    sums n non-negative terms, each a difference squared (relative error
+    gamma_3), so it is within e_D = gamma_(n+2) D <= 2 gamma_(n+2)(Q + M)
+    of the exact D. Let t be a row the full scan keeps, so its distance
+    is at most the k-th smallest distance, and let S be the k rows of
+    smallest key, the k-th of which is kappa. Every r in S has an exact
+    distance of at most Q + kappa + e_K, so the k-th smallest computed
+    distance is at most Q + kappa + e_K + e_D; then t's exact distance is
+    at most Q + kappa + e_K + 2 e_D, and its computed key at most
+    kappa + 2 e_K + 2 e_D, about kappa + (8n + 12) u (Q + M). The limit
+    kappa + 2 s_q, with s_q = SLACK (Q + M) = 8(n + 4) u (Q + M), is
+    about twice that, which also covers the rounding of Q, M, s_q and
+    the limit itself (each a few u relative, |kappa| <= 2(Q + M)).
+    Gradual underflow adds at most 2^-1075 per product, under a thousand
+    of them, far below the smallest normal number, which s_q adds too.
+
+    The bounds assume no overflow. Every key and every distance is at most
+    about 2(Q + M), so a block with a row whose 4(Q + M) is not finite
+    (rows near 1e150 square to inf) gets a full scan instead, and so does
+    every row when k >= m.
     """
-    if k >= len(train_x):
-        candidates = np.arange(len(train_x))
-    else:
-        diff = train_b - row[BOUND_COLUMNS]
-        bound = np.einsum("ij,ij->i", diff, diff)
-        nearest = np.argpartition(bound, k - 1)[:k]
-        tau = ((train_x[nearest] - row) ** 2).sum(axis=1).max()
-        candidates = np.flatnonzero(bound * BOUND_MARGIN <= tau)
-    d2 = ((train_x[candidates] - row) ** 2).sum(axis=1)
-    return candidates[np.argsort(d2, kind="stable")[:k]]
+    m = len(train_x)
+    every = np.arange(m)
+    nearest = np.empty((len(rows), min(k, m)), dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_sq = np.einsum("ij,ij->i", train_x, train_x)
+        row_sq = np.einsum("ij,ij->i", rows, rows)
+        max_sq = train_sq.max()
+        safe = np.isfinite(4 * (row_sq + max_sq))
+    step = max(1, KEY_BLOCK_BYTES // (8 * m))
+    for start in range(0, len(rows), step):
+        block, block_sq = rows[start : start + step], row_sq[start : start + step]
+        filtered = k < m and safe[start : start + step].all()
+        if filtered:
+            keys = _keys(train_x, train_sq, block)
+            slack = SLACK * (block_sq + max_sq) + np.finfo(float).tiny
+            limit = np.partition(keys, k - 1, axis=1)[:, k - 1] + 2 * slack
+        for i, row in enumerate(block):
+            candidates = (keys[i] <= limit[i]).nonzero()[0] if filtered else every
+            d2 = ((train_x[candidates] - row) ** 2).sum(axis=1)
+            nearest[start + i] = candidates[d2.argsort(kind="stable")[:k]]
+    return nearest
 
 
 def _knn_predict(
     train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray, k: int
-) -> list:
-    """Majority label of each test row's k nearest training rows.
+) -> np.ndarray:
+    """Majority label code of each test row's k nearest training rows; a
+    tied vote goes to the nearest neighbour among the tied classes.
 
     A prediction depends only on the row's bytes and the training set, so
     rows with equal bytes share one search. Tamaraw's anonymity sets make
     many defended traces share one feature row, exactly.
     """
-    train_b = np.ascontiguousarray(train_x[:, BOUND_COLUMNS])
-    by_row: dict[bytes, object] = {}
-    predictions = []
-    for row in test_x:
-        key = row.tobytes()
-        if key not in by_row:
-            order = _neighbours(train_x, train_b, row, k)
-            votes = Counter(train_y[order])
-            best = max(votes.values())
-            # Break ties toward the nearest neighbor of a tied class.
-            by_row[key] = next(train_y[i] for i in order if votes[train_y[i]] == best)
-        predictions.append(by_row[key])
-    return predictions
+    row_bytes = np.dtype((np.void, test_x.itemsize * test_x.shape[1]))
+    _, first, inverse = np.unique(
+        np.ascontiguousarray(test_x).view(row_bytes)[:, 0],
+        return_index=True, return_inverse=True,
+    )
+    codes = train_y[_neighbours(train_x, test_x[first], k)]
+    votes = (codes[:, :, None] == codes[:, None, :]).sum(axis=2)
+    # argmax takes the first, nearest, neighbour of a class with the most votes.
+    winner = votes.argmax(axis=1)
+    return codes[np.arange(len(codes)), winner][inverse]
 
 
 def check_folds(dataset: Dataset, folds: int) -> Counter:
@@ -178,11 +225,13 @@ def evaluate_closed_world(
         features = feature_matrix(dataset.traces)
     if len(features) != len(dataset):
         raise ValueError(f"{len(features)} feature rows for {len(dataset)} traces")
-    y = np.array(labels, dtype=object)
+    classes = sorted(counts)
+    code = {label: i for i, label in enumerate(classes)}
+    y = np.array([code[label] for label in labels])
     fold_of = _fold_assignment(labels, folds, seed)
 
     fold_accuracies = []
-    class_correct: Counter = Counter()
+    class_correct = np.zeros(len(classes), dtype=np.int64)
     for f in range(folds):
         test_mask = fold_of == f
         train_x, train_y = features[~test_mask], y[~test_mask]
@@ -190,19 +239,18 @@ def evaluate_closed_world(
         mins = train_x.min(axis=0)
         span = train_x.max(axis=0) - mins
         span[span == 0] = 1.0
-        predictions = _knn_predict(
+        hit = test_y == _knn_predict(
             (train_x - mins) / span, train_y, (test_x - mins) / span, k
         )
-        hits = 0
-        for predicted, actual in zip(predictions, test_y):
-            if predicted == actual:
-                class_correct[actual] += 1
-                hits += 1
-        fold_accuracies.append(hits / len(test_y))
+        fold_accuracies.append(np.count_nonzero(hit) / len(test_y))
+        class_correct += np.bincount(test_y[hit], minlength=len(classes))
 
     # Each trace is tested in exactly one fold, so a class's tests number
     # its instances.
-    per_class = {label: class_correct[label] / counts[label] for label in sorted(counts)}
+    per_class = {
+        label: correct / counts[label]
+        for label, correct in zip(classes, class_correct.tolist())
+    }
     return EvalResult(
         accuracy=float(np.mean(fold_accuracies)),
         per_class_accuracy=per_class,

@@ -8,12 +8,21 @@ each direction's total count up to a multiple of L.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .traces import MAX_SLOTS, DefendedTrace, Direction, Trace, first_slot_at_or_after, merge
+from .traces import (
+    MAX_SLOTS,
+    DefendedTrace,
+    Direction,
+    Trace,
+    check_count,
+    first_slot_at_or_after,
+    merge,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,10 +38,12 @@ class FrontParams:
     W_max: float
 
     def __post_init__(self):
-        if self.N_s < 1 or self.N_c < 1:
-            raise ValueError("N_s and N_c must be >= 1")
-        if not 0 < self.W_min <= self.W_max:
-            raise ValueError("require 0 < W_min <= W_max")
+        check_count("N_s", self.N_s, 1)
+        check_count("N_c", self.N_c, 1)
+        if not 0 < self.W_min <= self.W_max < math.inf:
+            raise ValueError(
+                f"require 0 < W_min <= W_max < inf, got {self.W_min} and {self.W_max}"
+            )
 
     def apply(self, trace: Trace, seed: int) -> DefendedTrace:
         return apply_front(trace, self, seed)
@@ -52,10 +63,7 @@ class TamarawParams:
     def __post_init__(self):
         if not (self.rho_out > 0 and self.rho_in > 0):
             raise ValueError("rho_out and rho_in must be > 0")
-        if not (isinstance(self.L, int) and self.L >= 1):
-            raise ValueError(f"L must be a positive integer, got {self.L}")
-        if self.L > MAX_SLOTS:
-            raise ValueError(f"L must be at most {MAX_SLOTS} packets, got {self.L}")
+        check_count("L", self.L, 1)
 
     def apply(self, trace: Trace, seed: int) -> DefendedTrace:
         return apply_tamaraw(trace, self)

@@ -29,6 +29,7 @@ from .traces import (
     DefendedTrace,
     Direction,
     Trace,
+    check_count,
     first_slot_at_or_after,
     merge,
     one_direction,
@@ -72,10 +73,7 @@ class RegulatorParams:
             raise ValueError(f"D must be in (0, 1], got {self.D}")
         if not self.T > 0:
             raise ValueError(f"T must be > 0, got {self.T}")
-        if not (isinstance(self.N, int) and self.N >= 0):
-            raise ValueError(f"N must be a non-negative integer, got {self.N}")
-        if self.N > MAX_SLOTS:
-            raise ValueError(f"N must be at most {MAX_SLOTS} packets, got {self.N}")
+        check_count("N", self.N, 0)
         if not self.U > 0:
             raise ValueError(f"U must be > 0, got {self.U}")
         if not self.C > 0:
@@ -84,8 +82,9 @@ class RegulatorParams:
             raise ValueError(
                 f"initial_upload_rate must be > 0, got {self.initial_upload_rate}"
             )
-        if not self.tail_grace >= 0:
-            raise ValueError(f"tail_grace must be >= 0, got {self.tail_grace}")
+        # An infinite grace would run the clock to the silent-slot limit.
+        if not 0 <= self.tail_grace < math.inf:
+            raise ValueError(f"tail_grace must be finite and >= 0, got {self.tail_grace}")
 
     def apply(self, trace: Trace, seed: int) -> DefendedTrace:
         return apply_regulator(trace, self, seed)

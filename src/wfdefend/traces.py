@@ -39,6 +39,17 @@ TIME_DECIMALS = 6
 # of running without bound.
 MAX_SLOTS = 1_000_000
 
+
+def check_count(name: str, value: object, low: int) -> None:
+    """Reject a count of packets or slots that is not an int (a bool is
+    not one) from `low` (0 or 1) to MAX_SLOTS."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        kind = "positive" if low == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    if value > MAX_SLOTS:
+        raise ValueError(f"{name} must be at most {MAX_SLOTS} packets, got {value}")
+
+
 T = TypeVar("T")
 
 

@@ -16,7 +16,6 @@ from wfdefend import attack
 from wfdefend.attack import (
     CUMULATIVE_SAMPLES,
     FEATURE_LENGTH,
-    BOUND_COLUMNS,
     _fold_assignment,
     _knn_predict,
     _neighbours,
@@ -146,9 +145,9 @@ def test_feature_matrix_csv():
     assert len(lines[1].split(",")) == 1 + FEATURE_LENGTH
 
 
-# The evaluator as it was before partial-distance search: a full distance
-# to every training row, then a stable sort. It is the reference for the
-# neighbour order and the predictions.
+# The evaluator as it was before any pruning: a full distance to every
+# training row, then a stable sort. It is the reference for the neighbour
+# order and the predictions.
 def full_scan_neighbours(train_x, row, k):
     d2 = ((train_x - row) ** 2).sum(axis=1)
     return np.argsort(d2, kind="stable")[: min(k, len(train_x))]
@@ -169,7 +168,7 @@ def full_scan_knn_predict(train_x, train_y, test_x, k):
 
 def _knn_case(rng, mode, n_train, n_test):
     """(train_x, test_x) of 104-wide rows shaped to stress one way the
-    lower bound could mislead the search."""
+    filter could mislead the search."""
     def draw(n):
         if mode in ("grid", "duplicates", "far", "repeats"):
             return rng.integers(0, 3, (n, FEATURE_LENGTH)).astype(float)
@@ -189,6 +188,26 @@ def _knn_case(rng, mode, n_train, n_test):
         train_x, test_x = train_x * scale, test_x * scale
     elif mode == "far":
         test_x = test_x * 1e150
+    elif mode in ("permuted", "underflow"):
+        # Training rows that are the test row plus one small offset vector
+        # in permuted order: their exact distances are equal, their keys
+        # differ by rounding far larger than their distances do, so only
+        # the slack keeps the true nearest among the candidates. Scaled
+        # down, the squares are subnormal and the slack's relative part
+        # underflows to nothing.
+        base = rng.random(FEATURE_LENGTH) * 10.0 ** rng.uniform(0, 3)
+        offset = rng.random(FEATURE_LENGTH) * 10.0 ** rng.uniform(-9, -2)
+        train_x = base + np.array([rng.permutation(offset) for _ in range(n_train)])
+        test_x = np.vstack([base, train_x[rng.integers(0, n_train, n_test - 1)] - offset])
+        if mode == "underflow":
+            scale = 10.0 ** rng.uniform(-166, -160)
+            train_x, test_x = train_x * scale, test_x * scale
+    elif mode == "overflow":
+        # Some rows square to inf, so keys and distances overflow and the
+        # search falls back to a full scan.
+        scale = 10.0 ** rng.uniform(153, 160)
+        train_x[rng.random(n_train) < 0.3, rng.integers(0, FEATURE_LENGTH)] *= scale
+        test_x[rng.random(n_test) < 0.3] *= scale
     elif mode == "repeats":
         # A few distinct rows, some of them training rows, each repeated;
         # beside them copies that differ in one column, and copies whose
@@ -204,26 +223,81 @@ def _knn_case(rng, mode, n_train, n_test):
     return train_x, test_x
 
 
+def assert_matches_full_scan(train_x, test_x, k):
+    expected = [full_scan_neighbours(train_x, row, k).tolist() for row in test_x]
+    assert _neighbours(train_x, test_x, k).tolist() == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from(
-        ["grid", "duplicates", "near-ties", "magnitudes", "far", "uniform", "repeats"]),
+    st.sampled_from(["grid", "duplicates", "near-ties", "magnitudes", "far", "uniform",
+                     "repeats", "permuted", "overflow", "underflow"]),
     st.integers(1, 40),
     st.integers(1, 12),
 )
 def test_knn_matches_full_scan(seed, mode, n_train, k):
     rng = np.random.default_rng(seed)
     train_x, test_x = _knn_case(rng, mode, n_train, n_test=12)
-    train_y = np.array([str(v) for v in rng.integers(0, 3, n_train)], dtype=object)
-    train_b = np.ascontiguousarray(train_x[:, BOUND_COLUMNS])
-    for row in test_x:
-        assert _neighbours(train_x, train_b, row, k).tolist() == (
-            full_scan_neighbours(train_x, row, k).tolist()
+    train_y = rng.integers(0, 3, n_train)
+    with np.errstate(over="ignore"):
+        assert_matches_full_scan(train_x, test_x, k)
+        assert _knn_predict(train_x, train_y, test_x, k).tolist() == (
+            full_scan_knn_predict(train_x, train_y, test_x, k)
         )
-    assert _knn_predict(train_x, train_y, test_x, k) == (
-        full_scan_knn_predict(train_x, train_y, test_x, k)
+
+
+def test_knn_slack_alone_decides_candidates(monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = [_knn_case(rng, "permuted", n_train=60, n_test=12) for _ in range(20)]
+    for train_x, test_x in cases:
+        assert_matches_full_scan(train_x, test_x, 3)
+    # Without the slack the filter drops true neighbours in these cases.
+    monkeypatch.setattr(attack, "SLACK", 0.0)
+    misses = sum(
+        _neighbours(train_x, test_x, 3).tolist()
+        != [full_scan_neighbours(train_x, row, 3).tolist() for row in test_x]
+        for train_x, test_x in cases
     )
+    assert misses > 0
+
+
+def test_knn_falls_back_to_a_full_scan_near_overflow(monkeypatch):
+    rng = np.random.default_rng(12)
+    train_x, test_x = _knn_case(rng, "grid", n_train=40, n_test=12)
+    train_x[[3, 17], 5] = 1e160  # these rows square to inf, and so do their keys
+    test_x[::3] *= 1e155
+    # For the second query, finite keys (8.4e307, 0 and 5.4e307) but two
+    # distances that overflow and tie at inf, where the lower index, row 0,
+    # wins; the filter alone would keep row 2, whose key is smaller. The
+    # first query is safe to filter, but it shares the second's block.
+    rows = -np.outer([3e152, 0.0, 2e152], np.ones(FEATURE_LENGTH))
+    queries = np.outer([0.0, 1.2e153], np.ones(FEATURE_LENGTH))
+    blocks = []
+    keys = attack._keys
+    monkeypatch.setattr(attack, "_keys", lambda *a: blocks.append(a) or keys(*a))
+    with np.errstate(over="ignore"):
+        assert_matches_full_scan(train_x, test_x, 4)
+        assert_matches_full_scan(rows, queries, 2)
+        assert _neighbours(rows, queries, 2).tolist() == [[1, 2], [1, 0]]
+    assert blocks == []
+
+
+def test_knn_key_matrices_stay_under_the_block_size(monkeypatch):
+    rng = np.random.default_rng(13)
+    train_x, test_x = _knn_case(rng, "uniform", n_train=50, n_test=23)
+    monkeypatch.setattr(attack, "KEY_BLOCK_BYTES", 8 * 50 * 5 + 7)
+    sizes = []
+    keys = attack._keys
+
+    def recording(*args):
+        result = keys(*args)
+        sizes.append(result.nbytes)
+        return result
+
+    monkeypatch.setattr(attack, "_keys", recording)
+    assert_matches_full_scan(train_x, test_x, 5)
+    assert sizes == [8 * 50 * 5] * 4 + [8 * 50 * 3]
 
 
 def test_knn_ties_go_to_the_lower_training_index():
@@ -231,29 +305,28 @@ def test_knn_ties_go_to_the_lower_training_index():
     train_x[[1, 4]] = 1.0  # rows 1 and 4 tie with each other, nearest
     train_y = np.array(["a", "b", "c", "b", "c", "a"], dtype=object)
     row = np.ones(FEATURE_LENGTH)
-    train_b = np.ascontiguousarray(train_x[:, BOUND_COLUMNS])
-    assert _neighbours(train_x, train_b, row, 3).tolist() == [1, 4, 0]
+    assert _neighbours(train_x, row[None, :], 3).tolist() == [[1, 4, 0]]
     # One vote each for b, c and a: the tie goes to the nearest, row 1.
-    assert _knn_predict(train_x, train_y, row[None, :], 3) == ["b"]
+    assert _knn_predict(train_x, train_y, row[None, :], 3).tolist() == ["b"]
 
 
 def test_knn_searches_once_per_distinct_row(monkeypatch):
     rng = np.random.default_rng(8)
     train_x, test_x = _knn_case(rng, "repeats", n_train=30, n_test=40)
-    train_y = np.array([str(v) for v in rng.integers(0, 3, 30)], dtype=object)
+    train_y = rng.integers(0, 3, 30)
     searched = []
     search = attack._neighbours
 
-    def counting(train_x, train_b, row, k):
-        searched.append(row.tobytes())
-        return search(train_x, train_b, row, k)
+    def counting(train_x, rows, k):
+        searched.extend(row.tobytes() for row in rows)
+        return search(train_x, rows, k)
 
     monkeypatch.setattr(attack, "_neighbours", counting)
     predictions = _knn_predict(train_x, train_y, test_x, 5)
     distinct = {row.tobytes() for row in test_x}
     assert len(distinct) < len(test_x)
     assert sorted(searched) == sorted(distinct)
-    assert predictions == full_scan_knn_predict(train_x, train_y, test_x, 5)
+    assert predictions.tolist() == full_scan_knn_predict(train_x, train_y, test_x, 5)
 
 
 def test_tamaraw_eval_matches_full_scan(monkeypatch):

@@ -1,3 +1,5 @@
+import math
+import re
 import time
 
 import numpy as np
@@ -53,6 +55,24 @@ class TestFront:
         with pytest.raises(ValueError):
             FrontParams(N_s=1, N_c=1, W_min=0.0, W_max=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(N_s=2.5), "N_s must be a positive integer, got 2.5"),
+            (dict(N_s=True), "N_s must be a positive integer, got True"),
+            (dict(N_c=True), "N_c must be a positive integer, got True"),
+            (dict(N_s=MAX_SLOTS + 1), f"N_s must be at most {MAX_SLOTS} packets"),
+            (dict(N_c=MAX_SLOTS + 1), f"N_c must be at most {MAX_SLOTS} packets"),
+            (dict(W_max=math.inf), "require 0 < W_min <= W_max < inf, got 1.0 and inf"),
+            (dict(W_min=math.inf, W_max=math.inf), "got inf and inf"),
+        ],
+    )
+    def test_counts_and_window_rules(self, kwargs, message):
+        base = dict(N_s=1, N_c=1, W_min=1.0, W_max=14.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FrontParams(**{**base, **kwargs})
+        FrontParams(N_s=MAX_SLOTS, N_c=MAX_SLOTS, W_min=1.0, W_max=14.0)
+
     def test_empty_trace_dummy_counts_within_bounds(self):
         defended = apply_front(Trace([], []), FRONT, seed=42)
         uploads = defended.dummy_count(Direction.UPLOAD)
@@ -97,6 +117,8 @@ class TestTamaraw:
             TamarawParams(rho_out=0.04, rho_in=0.012, L=0)
         with pytest.raises(ValueError, match="L must be a positive integer, got 2.5"):
             TamarawParams(rho_out=0.04, rho_in=0.012, L=2.5)
+        with pytest.raises(ValueError, match="L must be a positive integer, got True"):
+            TamarawParams(rho_out=0.04, rho_in=0.012, L=True)
 
     def test_single_download_pads_to_l(self):
         trace = Trace([0.0], [Direction.DOWNLOAD])

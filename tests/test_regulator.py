@@ -54,6 +54,8 @@ class TestParams:
             dict(initial_upload_rate=0.0),
             dict(tail_grace=-0.1),
             dict(tail_grace=math.nan),
+            dict(tail_grace=math.inf),
+            dict(N=True),
         ],
     )
     def test_invalid_rejected(self, kwargs):
