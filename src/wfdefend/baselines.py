@@ -93,7 +93,7 @@ def apply_front(trace: Trace, params: FrontParams, seed: int) -> DefendedTrace:
         (client_times, Direction.UPLOAD, np.full(len(client_times), np.nan)),
         (server_times, Direction.DOWNLOAD, np.full(len(server_times), np.nan)),
     )
-    return merge(parts, seed=seed, drawn_budget=len(server_times))
+    return merge(parts, drawn_budget=len(server_times))
 
 
 def _tamaraw_direction(
@@ -132,4 +132,4 @@ def apply_tamaraw(trace: Trace, params: TamarawParams) -> DefendedTrace:
         trace.times_of(Direction.UPLOAD), Direction.UPLOAD, params.rho_out, params.L
     )
     down_dummies = len(down[0]) - trace.count(Direction.DOWNLOAD)
-    return merge((down, up), seed=0, drawn_budget=down_dummies)
+    return merge((down, up), drawn_budget=down_dummies)

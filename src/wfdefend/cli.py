@@ -144,6 +144,23 @@ def _write_whole(path: Path, text: str) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _staged_dir(out_dir: Path):
+    """A staging directory for the files of `out_dir`, made in the nearest
+    existing directory above it. `out_dir` and its missing parents are
+    created, and the staged files moved in, only when the block ends
+    without an error; an error leaves the file system as it was."""
+    nearest = next(p for p in out_dir.absolute().parents if p.is_dir())
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=nearest))
+    try:
+        yield staging
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path in staging.iterdir():
+            os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def _simulate_file(params: DefenseParams, seed: int, path: Path):
     """(defended text, overhead report) of one trace file; top-level so
     worker processes can run it."""
@@ -159,31 +176,21 @@ def cmd_simulate(args) -> int:
     # more than the CPUs this process may run on.
     workers = min(args.jobs, _usable_cpus())
 
-    # Each result is written as it arrives to a staging directory in the
-    # nearest existing directory above out_dir, so finished results are not
-    # held in memory. out_dir and its missing parents are created, and the
-    # results moved in, only once every trace is defended: a data error
-    # part-way through leaves the file system as it was.
+    # Each result is written to the staging directory as it arrives, so
+    # finished results are not held in memory, and reaches out_dir only once
+    # every trace is defended.
     out_dir = Path(args.out)
-    nearest = next(p for p in out_dir.absolute().parents if p.is_dir())
-    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=nearest))
     step = functools.partial(_simulate_file, params, seed)
     reports, names = [], []
-    try:
-        with contextlib.ExitStack() as stack:
-            mapper = map
-            if workers > 1:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-                mapper = functools.partial(pool.map, chunksize=8)
-            for name, (text, report) in iter_dataset(args.input, step, mapper):
-                (staging / name).write_text(text, encoding="utf-8")
-                reports.append(report)
-                names.append(name)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            os.replace(staging / name, out_dir / name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    with _staged_dir(out_dir) as staging, contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            mapper = functools.partial(pool.map, chunksize=8)
+        for name, (text, report) in iter_dataset(args.input, step, mapper):
+            (staging / name).write_text(text, encoding="utf-8")
+            reports.append(report)
+            names.append(name)
     overhead = aggregate_reports(reports)
     report_path = out_dir.parent / f"{out_dir.name}.overhead.csv"
     _write_whole(report_path, csv_table(overhead, names))
@@ -422,11 +429,9 @@ def cmd_adjust(args) -> int:
             f"not a regulator preset: {args.preset!r}; "
             f"expected one of {sorted(REGULATOR_PRESETS)}"
         )
-    if args.reference <= 0 or args.target <= 0:
-        raise UsageError("--reference and --target must be positive packet counts")
     try:
         adjusted = volume_adjustment(args.reference, args.target, params)
-    except ValueError as exc:  # a rescaled N past the limit
+    except ValueError as exc:  # a count not finite and positive, an N past the limit
         raise UsageError(str(exc)) from None
     _print_params(adjusted)
     return EXIT_OK
@@ -443,16 +448,12 @@ def cmd_synth(args) -> int:
     )
     dataset = generate_classes(profiles, args.instances, args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index = 0
-    for profile in profiles:
-        for instance in range(args.instances):
-            name = f"{profile.class_id}-{instance}"
-            (out_dir / name).write_text(
-                write_trace(dataset.traces[index]), encoding="utf-8"
-            )
-            index += 1
-    print(f"traces={index}")
+    with _staged_dir(out_dir) as staging:
+        # The traces come grouped by class, `instances` to a class.
+        for index, trace in enumerate(dataset.traces):
+            name = f"{trace.label}-{index % args.instances}"
+            (staging / name).write_text(write_trace(trace), encoding="utf-8")
+    print(f"traces={len(dataset)}")
     print(f"out={out_dir}")
     return EXIT_OK
 

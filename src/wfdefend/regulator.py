@@ -100,16 +100,6 @@ class DownloadSchedule:
     drawn_budget: int
 
 
-def target_rate(params: RegulatorParams, elapsed: float) -> float:
-    """Target sending rate `elapsed` seconds into a surge, floored at 1 pkt/s."""
-    if elapsed < 0:
-        raise ValueError(f"elapsed must be >= 0, got {elapsed}")
-    rate = params.R * params.D ** elapsed
-    if rate < 1.0:
-        return 1.0
-    return rate
-
-
 def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> DownloadSchedule:
     """Run the download padding loop over the trace's download packets.
 
@@ -251,4 +241,4 @@ def apply_regulator(trace: Trace, params: RegulatorParams, seed: int) -> Defende
     download = simulate_download(trace, params, seed)
     upload = simulate_upload(trace, params, download.slots, download.surge_start)
     halves = [(h.send_time, h.direction, h.source_time) for h in (download.packets, upload)]
-    return merge(halves, seed=seed, drawn_budget=download.drawn_budget)
+    return merge(halves, drawn_budget=download.drawn_budget)

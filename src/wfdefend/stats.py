@@ -113,11 +113,21 @@ def volume_adjustment(
 
     R and N scale by target/reference and are rounded to the nearest whole
     packet rate / packet count; all other parameters are left unchanged.
+    Counts that are not finite and positive, and a ratio so large that the
+    rescaled R or N is not finite, raise ValueError.
     """
-    if reference_mean_count <= 0 or target_mean_count <= 0:
-        raise ValueError("mean packet counts must be positive")
+    if not (0 < reference_mean_count < math.inf and 0 < target_mean_count < math.inf):
+        raise ValueError(
+            "mean packet counts must be finite and positive, got "
+            f"{reference_mean_count} and {target_mean_count}"
+        )
     ratio = target_mean_count / reference_mean_count
-    return replace(params, R=float(round(params.R * ratio)), N=int(round(params.N * ratio)))
+    R, N = params.R * ratio, params.N * ratio
+    if not (math.isfinite(R) and math.isfinite(N)):
+        raise ValueError(
+            f"the count ratio {ratio:g} rescales R to {R:g} and N to {N:g}, not finite"
+        )
+    return replace(params, R=float(round(R)), N=int(round(N)))
 
 
 def offsets_histogram(profile: PostTenthProfile) -> list[tuple[float, int]]:

@@ -7,10 +7,11 @@ each packet real or dummy: `time<TAB>±1<TAB>{R,D}`.
 
 Traces are columnar. A Trace holds a float64 `times` array and an int8
 `direction` array (+1 upload, -1 download); a DefendedTrace holds
-`send_time`, `direction`, a bool `dummy` mask and `source_time` (NaN for
-dummies). Constructors copy the columns into read-only arrays and validate
-them once, vectorized. Iterating a trace yields per-packet row views
-(`Packet`, `DefendedPacket`) built on demand, for inspection and tests.
+`send_time`, `direction` and `source_time`, where a NaN source marks a
+dummy, and derives its bool `dummy` mask from that. Constructors copy the
+columns into read-only arrays and validate them once, vectorized.
+Iterating a trace yields per-packet row views (`Packet`, `DefendedPacket`)
+built on demand, for inspection and tests.
 
 read_trace is the one rule for a usable trace file; iter_dataset and
 load_dataset walk a directory by it, skipping and naming the rest.
@@ -19,7 +20,7 @@ load_dataset walk a directory by it, skipping and naming the rest.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import partial
 from pathlib import Path
@@ -169,47 +170,44 @@ class Trace:
 
 @dataclass(frozen=True, eq=False)
 class DefendedTrace:
-    """Defended packet schedule plus the randomness bookkeeping that produced it.
+    """Defended packet schedule and the download padding budget drawn for it.
 
     Real packets carry the availability time of the original packet they
-    deliver (`source_time`) and are never sent before it; dummies carry
-    NaN. `seed` is the seed all randomness was drawn from and
-    `drawn_budget` the realized download padding budget. At equal send
+    deliver (`source_time`) and are never sent before it; a NaN source time
+    is what marks a dummy, and `dummy` is that mask, derived once.
+    `drawn_budget` is the realized download padding budget. At equal send
     times the download side is listed before the upload side, and
     earlier-queued packets first.
     """
 
     send_time: np.ndarray
     direction: np.ndarray
-    dummy: np.ndarray
     source_time: np.ndarray
-    seed: int = 0
     drawn_budget: int = 0
+    dummy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         send = _column(self.send_time, np.float64, "send_time")
         n = len(send)
         direction = _direction_column(self.direction, n)
-        dummy = _column(self.dummy, np.bool_, "dummy", n)
         source = _column(self.source_time, np.float64, "source_time", n)
-        real = ~dummy
-        if (real & ~np.isfinite(source)).any():
-            raise ValueError("real packet requires a finite source_time")
-        early = real & (send < source)
+        if np.isinf(source).any():
+            raise ValueError("source_time must be finite, or NaN for a dummy")
+        early = send < source  # False at a NaN source
         if early.any():
             i = int(np.argmax(early))
             raise ValueError(
                 f"real packet sent at {float(send[i])} before its source "
                 f"time {float(source[i])}"
             )
-        if not np.isnan(source[dummy]).all():
-            raise ValueError("dummy packet must not carry a source_time")
         if self.drawn_budget < 0:
             raise ValueError("drawn_budget must be non-negative")
         _check_sorted(send, "defended packets must be sorted by send_time")
+        dummy = np.isnan(source)
+        dummy.flags.writeable = False
         for name, column in (
-            ("send_time", send), ("direction", direction), ("dummy", dummy),
-            ("source_time", source),
+            ("send_time", send), ("direction", direction), ("source_time", source),
+            ("dummy", dummy),
         ):
             object.__setattr__(self, name, column)
 
@@ -230,11 +228,9 @@ class DefendedTrace:
         if not isinstance(other, DefendedTrace):
             return NotImplemented
         return (
-            self.seed == other.seed
-            and self.drawn_budget == other.drawn_budget
+            self.drawn_budget == other.drawn_budget
             and np.array_equal(self.send_time, other.send_time)
             and np.array_equal(self.direction, other.direction)
-            and np.array_equal(self.dummy, other.dummy)
             and np.array_equal(self.source_time, other.source_time, equal_nan=True)
         )
 
@@ -245,13 +241,10 @@ class DefendedTrace:
 
 def one_direction(direction: Direction, send_time, source_time) -> DefendedTrace:
     """One direction of a schedule; a NaN source time marks a dummy."""
-    source = np.asarray(source_time, dtype=np.float64)
-    return DefendedTrace(
-        send_time, np.full(len(source), direction, np.int8), np.isnan(source), source
-    )
+    return DefendedTrace(send_time, np.full(len(send_time), direction, np.int8), source_time)
 
 
-def merge(parts: Sequence[tuple], seed: int, drawn_budget: int) -> DefendedTrace:
+def merge(parts: Sequence[tuple], drawn_budget: int) -> DefendedTrace:
     """One DefendedTrace of `parts`, each (send_time, direction, source_time)
     sorted by send time, with one Direction or a column of them; a NaN source
     marks a dummy. At equal send times a stable sort keeps the parts' order."""
@@ -264,10 +257,9 @@ def merge(parts: Sequence[tuple], seed: int, drawn_budget: int) -> DefendedTrace
         sources.append(source)
     send = np.concatenate(sends)
     order = np.argsort(send, kind="stable")
-    source = np.concatenate(sources)[order]
     return DefendedTrace(
-        send[order], np.concatenate(directions)[order], np.isnan(source), source,
-        seed=seed, drawn_budget=drawn_budget,
+        send[order], np.concatenate(directions)[order], np.concatenate(sources)[order],
+        drawn_budget=drawn_budget,
     )
 
 
@@ -491,7 +483,7 @@ def attach_sources(
     if missing:
         raise ValueError(missing[0])
     dummy_downloads = int(np.count_nonzero(dummy & (direction == Direction.DOWNLOAD)))
-    return DefendedTrace(send, direction, dummy, source, seed=0, drawn_budget=dummy_downloads)
+    return DefendedTrace(send, direction, source, drawn_budget=dummy_downloads)
 
 
 def label_from_filename(name: str) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from wfdefend import (
@@ -60,16 +62,27 @@ def seed_with_budget(n: int, want: int, limit: int = 100_000) -> int:
     raise AssertionError(f"no seed in range yields budget {want} of {n}")
 
 
-def defended_from_rows(rows, seed: int = 0, drawn_budget: int = 0) -> DefendedTrace:
+def surge_slots(params: RegulatorParams, budget: int) -> list[float]:
+    """The download slots `simulate_download` emits for one surge that never
+    resets: ten downloads at t=0 start it at 0, `budget` dummies keep the
+    clock running, and T is too large for any queue to pass."""
+    from wfdefend.regulator import simulate_download
+
+    params = replace(params, T=1e12, N=budget)
+    trace = Trace(np.zeros(10), np.full(10, Direction.DOWNLOAD))
+    schedule = simulate_download(trace, params, seed_with_budget(budget, budget))
+    assert schedule.surge_start == 0.0 and len(schedule.slots) == budget
+    return list(schedule.slots)
+
+
+def defended_from_rows(rows, drawn_budget: int = 0) -> DefendedTrace:
     """DefendedTrace from (send_time, direction, kind, source_time) rows;
-    dummies have source_time None."""
+    a DUMMY row gets the NaN source time that marks a dummy."""
     rows = list(rows)
     return DefendedTrace(
         send_time=[r[0] for r in rows],
         direction=[r[1] for r in rows],
-        dummy=[r[2] is PacketKind.DUMMY for r in rows],
-        source_time=[np.nan if r[3] is None else r[3] for r in rows],
-        seed=seed,
+        source_time=[np.nan if r[2] is PacketKind.DUMMY else r[3] for r in rows],
         drawn_budget=drawn_budget,
     )
 

@@ -17,6 +17,7 @@ from helpers import (
     assert_same_schedule,
     random_params,
     random_trace,
+    surge_slots,
 )
 from oracle_regulator import reference_defend
 
@@ -36,7 +37,6 @@ from wfdefend import (
 )
 from wfdefend.cli import main
 from wfdefend.metrics import trace_overhead
-from wfdefend.regulator import target_rate
 from wfdefend.seeding import stable_seed
 from wfdefend.presets import FRONT_PRESETS, REGULATOR_PRESETS, TAMARAW_PRESETS
 from wfdefend.stats import post_tenth_packet_profile
@@ -76,20 +76,32 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_rate_law():
-    at_zero = target_rate(HEAVY, 0.0)
-    at_ten = target_rate(HEAVY, 10.0)
-    direct = 277.0 * 0.94**10  # 149.1964, evaluated directly
-    floored = target_rate(HEAVY, 120.0)
+    """Each gap of a surge that never resets is 1 / max(1, R * D**elapsed)."""
+    slots = surge_slots(HEAVY, 5000)
+    steps = list(zip(slots, slots[1:]))
+    lawful = all(b == a + 1.0 / max(1.0, 277.0 * 0.94**a) for a, b in steps)
+    at_zero = 1.0 / (slots[1] - slots[0])
+    # The rate in force over the gap that starts at the first slot past 10 s.
+    ten, after_ten = next((a, b) for a, b in steps if a >= 10.0)
+    at_ten = 1.0 / (after_ten - ten)
+    direct = 277.0 * 0.94**ten  # 149.1964 at exactly 10 s
+    # Past 120 s the rate is floored: each slot is the last one plus 1.0.
+    late = [(a, b) for a, b in steps if a >= 120.0]
+    floored = bool(late) and all(b == a + 1.0 for a, b in late)
     ok = (
-        at_zero == 277.0
-        and abs(at_ten - direct) <= 0.01
-        and abs(at_ten - 149.1963866) <= 0.01
-        and floored == 1.0
+        lawful
+        and slots[1] == 1.0 / 277.0
+        and at_ten == pytest.approx(direct, rel=1e-9)
+        and abs(at_ten - 149.1963866) <= 0.1
+        and floored
     )
-    report(2, ok, f"rate(0)={at_zero}, rate(10)={at_ten:.4f}, rate(120)={floored}")
-    assert at_zero == 277.0
-    assert at_ten == pytest.approx(direct, abs=0.01)
-    assert floored == 1.0
+    report(2, ok, f"rate(0)={at_zero:.4f}, rate({ten:.4f})={at_ten:.4f}, "
+                  f"{len(late)} gaps of 1.0 past 120 s")
+    assert lawful
+    assert slots[:2] == [0.0, 1.0 / 277.0]
+    assert at_ten == pytest.approx(direct, rel=1e-9)
+    assert at_ten == pytest.approx(149.1963866, abs=0.1)
+    assert floored
 
 
 def test_criterion_3_invariant_suite():

@@ -1043,6 +1043,21 @@ class TestAdjust:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "reference, target",
+        [("1", "inf"), ("nan", "1"), ("1e-300", "1e300")],
+    )
+    def test_non_finite_count_or_ratio_is_one_line_usage_error(self, capsys, reference, target):
+        code, stdout, err = run(
+            capsys, "adjust", "--preset", "regulator-heavy",
+            "--reference", reference, "--target", target,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("wfdefend: error: ")
+        assert "Traceback" not in err
+
 
 class TestSynth:
     def test_deterministic_output(self, capsys, tmp_path):
@@ -1056,3 +1071,24 @@ class TestSynth:
         code, _, err = run(capsys, "synth", "--out", str(tmp_path / "x"))
         assert code == 1
         assert "--seed" in err
+
+    def test_failed_write_leaves_no_out_dir(self, capsys, tmp_path, monkeypatch):
+        write_text = Path.write_text
+        calls = []
+
+        def third_write_fails(self, *args, **kwargs):
+            calls.append(self.name)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", third_write_fails)
+        out = tmp_path / "sub" / "out"
+        code, _, err = run(
+            capsys, "synth", "--out", str(out), "--classes", "2", "--instances", "2",
+            "--seed", "1", "--base-total", "40", "--step", "10",
+        )
+        assert code == 2
+        assert "disk full" in err
+        assert calls == ["0-0", "0-1", "1-0"]
+        assert list(tmp_path.iterdir()) == []

@@ -23,10 +23,7 @@ UP, DOWN = Direction.UPLOAD, Direction.DOWNLOAD
 
 
 def identity_defense(trace: Trace) -> DefendedTrace:
-    return DefendedTrace(
-        trace.times, trace.direction, np.zeros(len(trace), bool), trace.times,
-        seed=0, drawn_budget=0,
-    )
+    return DefendedTrace(trace.times, trace.direction, trace.times, drawn_budget=0)
 
 
 def make_trace(times, direction=Direction.DOWNLOAD):
@@ -39,7 +36,7 @@ def with_dummies(defended: DefendedTrace, dummy_times, direction=Direction.DOWNL
         (defended.send_time, defended.direction, defended.source_time),
         (dummy_times, direction, np.full(len(dummy_times), np.nan)),
     )
-    return merge(parts, seed=0, drawn_budget=len(dummy_times))
+    return merge(parts, drawn_budget=len(dummy_times))
 
 
 class TestBandwidth:
@@ -67,9 +64,7 @@ class TestLatency:
         defended = DefendedTrace(
             send_time=[0.0, 30.8],
             direction=[DOWN, DOWN],
-            dummy=[False, False],
             source_time=[0.0, 28.0],
-            seed=0,
             drawn_budget=0,
         )
         assert trace_overhead(trace, defended).latency_overhead == pytest.approx(0.1, abs=1e-12)
@@ -102,9 +97,7 @@ class TestEstimatedLatency:
         defended = DefendedTrace(
             send_time=[0.4, 10.1, 29.0],
             direction=[UP, UP, DOWN],
-            dummy=[False, False, False],
             source_time=[0.0, 10.0, 28.0],
-            seed=0,
             drawn_budget=0,
         )
         assert trace_overhead(trace, defended).estimated_latency_overhead == pytest.approx(
@@ -180,9 +173,7 @@ def test_trace_overhead_fields():
     defended = DefendedTrace(
         send_time=[0.3, 1.5, 2.0],
         direction=[UP, DOWN, DOWN],
-        dummy=[False, False, True],
         source_time=[0.0, 1.0, np.nan],
-        seed=0,
         drawn_budget=1,
     )
     report = trace_overhead(trace, defended)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_trace
+
 from wfdefend import (
     DefendedTrace,
     Direction,
@@ -203,11 +205,9 @@ def test_parse_sorts_unsorted_input():
 
 
 def test_write_defended_format():
-    real = DefendedTrace([0.0], [Direction.UPLOAD], [False], [0.0], seed=0, drawn_budget=0)
+    real = DefendedTrace([0.0], [Direction.UPLOAD], [0.0], drawn_budget=0)
     assert write_defended_trace(real) == "0.000000\t1\tR\n"
-    dummy = DefendedTrace(
-        [1.0], [Direction.DOWNLOAD], [True], [np.nan], seed=0, drawn_budget=1
-    )
+    dummy = DefendedTrace([1.0], [Direction.DOWNLOAD], [np.nan], drawn_budget=1)
     assert write_defended_trace(dummy) == "1.000000\t-1\tD\n"
 
 
@@ -215,9 +215,7 @@ def test_roundtrip_real_subset_via_parse_trace():
     defended = DefendedTrace(
         send_time=[0.0, 0.25, 0.5],
         direction=[Direction.UPLOAD, Direction.DOWNLOAD, Direction.DOWNLOAD],
-        dummy=[False, True, False],
         source_time=[0.0, np.nan, 0.4],
-        seed=0,
         drawn_budget=1,
     )
     text = write_defended_trace(defended)
@@ -270,7 +268,7 @@ def test_writers_format_times_like_python(rows):
     rows.sort(key=lambda r: r[0])
     times, direction, dummy = (list(column) for column in zip(*rows))
     source = [np.nan if k else t for t, k in zip(times, dummy)]
-    defended = DefendedTrace(times, direction, dummy, source)
+    defended = DefendedTrace(times, direction, source)
     assert write_defended_trace(defended) == "".join(
         f"{t:.6f}\t{d}\t{'D' if k else 'R'}\n" for t, d, k in rows
     )
@@ -319,19 +317,23 @@ def test_attach_sources_rejects_mismatched_schedule():
 
 
 def test_defended_packet_invariants():
-    def one(dummy, source):
-        return DefendedTrace([0.0], [Direction.UPLOAD], [dummy], [source])
+    def one(source):
+        return DefendedTrace([0.0], [Direction.UPLOAD], [source])
 
-    with pytest.raises(ValueError, match="source_time"):
-        one(False, np.nan)  # no source
+    # A source time is finite (a real packet) or NaN (a dummy), nothing else.
+    for infinite in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="source_time must be finite, or NaN"):
+            one(infinite)
+    assert one(np.nan).dummy.tolist() == [True]
+    assert one(0.0).dummy.tolist() == [False]
     with pytest.raises(ValueError, match="before its source"):
-        one(False, 1.0)  # time travel
-    with pytest.raises(ValueError, match="dummy packet"):
-        one(True, 0.0)  # dummy source
+        one(1.0)  # time travel
     with pytest.raises(ValueError, match="sorted"):
-        DefendedTrace([1.0, 0.0], [1, 1], [True, True], [np.nan, np.nan])
+        DefendedTrace([1.0, 0.0], [1, 1], [np.nan, np.nan])
     with pytest.raises(ValueError, match="drawn_budget"):
-        DefendedTrace([], [], [], [], drawn_budget=-1)
+        DefendedTrace([], [], [], drawn_budget=-1)
+    with pytest.raises(TypeError, match="dummy"):
+        DefendedTrace([0.0], [1], [0.0], dummy=[False])  # derived, never passed
 
 
 def test_load_dataset(tmp_path):
@@ -432,19 +434,38 @@ def test_merge_rejects_a_part_out_of_order():
     # The merged times would sort, so only the per-part check sees this.
     backwards = ([0.5, 0.25], Direction.DOWNLOAD, [np.nan, np.nan])
     with pytest.raises(ValueError, match="each merged part must be sorted"):
-        merge((upload, backwards), seed=0, drawn_budget=0)
+        merge((upload, backwards), drawn_budget=0)
     with pytest.raises(ValueError, match="finite"):
-        merge((upload, ([np.inf], Direction.DOWNLOAD, [np.nan])), seed=0, drawn_budget=0)
+        merge((upload, ([np.inf], Direction.DOWNLOAD, [np.nan])), drawn_budget=0)
+
+
+def assert_dummy_is_nan_source(defended: DefendedTrace) -> None:
+    assert np.array_equal(defended.dummy, np.isnan(defended.source_time))
+    assert not defended.dummy.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        defended.dummy[:] = False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(PRESETS)))
+def test_dummy_mask_is_the_nan_source_of_every_defense(seed, name):
+    trace = random_trace(np.random.default_rng(seed), 300)
+    defended = PRESETS[name].apply(trace, seed)
+    assert_dummy_is_nan_source(defended)
+    schedule = parse_defended_schedule(write_defended_trace(defended))
+    attached = attach_sources(trace, schedule)
+    assert_dummy_is_nan_source(attached)
+    assert attached.dummy.tolist() == defended.dummy.tolist()
 
 
 def test_merge_orders_ties_by_part_then_position():
     down = ([0.0, 1.0], Direction.DOWNLOAD, [np.nan, 0.5])
     up = (np.array([0.0, 1.0]), np.array([1, 1]), np.array([0.0, np.nan]))
-    merged = merge((down, up), seed=3, drawn_budget=1)
+    merged = merge((down, up), drawn_budget=1)
     assert merged.send_time.tolist() == [0.0, 0.0, 1.0, 1.0]
     assert merged.direction.tolist() == [-1, 1, -1, 1]
     assert merged.dummy.tolist() == [True, False, False, True]
-    assert (merged.seed, merged.drawn_budget) == (3, 1)
+    assert merged.drawn_budget == 1
 
 
 def _first_slot_by_loop(t: float, gap: float) -> int:
