@@ -20,6 +20,7 @@ from .traces import (
     Direction,
     Trace,
     check_count,
+    check_positive,
     first_slot_at_or_after,
     merge,
 )
@@ -61,8 +62,8 @@ class TamarawParams:
     L: int
 
     def __post_init__(self):
-        if not (self.rho_out > 0 and self.rho_in > 0):
-            raise ValueError("rho_out and rho_in must be > 0")
+        check_positive("rho_out", self.rho_out)
+        check_positive("rho_in", self.rho_in)
         check_count("L", self.L, 1)
 
     def apply(self, trace: Trace, seed: int) -> DefendedTrace:

@@ -371,13 +371,9 @@ def _json_file(path: Optional[str], what: str, build):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _space(**intervals) -> SearchSpace:
-    return SearchSpace(**{name: tuple(bounds) for name, bounds in intervals.items()})
-
-
 def cmd_tune(args) -> int:
     weights = _json_file(args.weights, "weights", LossWeights)
-    space = _json_file(args.space, "space", _space)
+    space = _json_file(args.space, "space", SearchSpace)
 
     dataset = load_dataset(Path(args.input))
     log_path = Path(args.log)
@@ -394,9 +390,6 @@ def cmd_tune(args) -> int:
     }
     _check_fingerprint(log_path, fingerprint, resuming=bool(existing))
     start = len(existing)
-    if start > args.trials:
-        start = args.trials
-
     new_records = []
     if start < args.trials:
         with log_path.open("a", encoding="utf-8") as log:
@@ -411,9 +404,10 @@ def cmd_tune(args) -> int:
                 start_trial=start,
                 on_trial=lambda rec: log.write(trial_json(rec, args.seed) + "\n"),
             )
-    ranked = sorted(existing + list(new_records), key=lambda r: (r.loss, r.trial_index))
+    # A log that holds more trials than asked for ranks only the first ones.
+    ranked = sorted(existing[: args.trials] + new_records, key=lambda r: (r.loss, r.trial_index))
     print("trial,loss,accuracy,mean_bandwidth,mean_latency,R,D,T,N,U,C")
-    for r in ranked[: args.trials]:
+    for r in ranked:
         p = r.params
         print(
             f"{r.trial_index},{r.loss:.6f},{r.accuracy:.6f},{r.mean_bandwidth:.6f},"
@@ -431,7 +425,7 @@ def cmd_adjust(args) -> int:
         )
     try:
         adjusted = volume_adjustment(args.reference, args.target, params)
-    except ValueError as exc:  # a count not finite and positive, an N past the limit
+    except ValueError as exc:  # a bad count, an R that rounds to 0, an N past the limit
         raise UsageError(str(exc)) from None
     _print_params(adjusted)
     return EXIT_OK

@@ -30,6 +30,7 @@ from .traces import (
     Direction,
     Trace,
     check_count,
+    check_positive,
     first_slot_at_or_after,
     merge,
     one_direction,
@@ -67,24 +68,13 @@ class RegulatorParams:
     tail_grace: float = 0.0
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError(f"R must be > 0, got {self.R}")
-        if not 0 < self.D <= 1:
-            raise ValueError(f"D must be in (0, 1], got {self.D}")
-        if not self.T > 0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        for name in ("R", "T", "U", "C", "initial_upload_rate"):
+            check_positive(name, getattr(self, name))
+        if isinstance(self.D, bool) or not 0 < self.D <= 1:
+            raise ValueError(f"D must be in (0, 1], got {self.D!r}")
         check_count("N", self.N, 0)
-        if not self.U > 0:
-            raise ValueError(f"U must be > 0, got {self.U}")
-        if not self.C > 0:
-            raise ValueError(f"C must be > 0, got {self.C}")
-        if not self.initial_upload_rate > 0:
-            raise ValueError(
-                f"initial_upload_rate must be > 0, got {self.initial_upload_rate}"
-            )
         # An infinite grace would run the clock to the silent-slot limit.
-        if not 0 <= self.tail_grace < math.inf:
-            raise ValueError(f"tail_grace must be finite and >= 0, got {self.tail_grace}")
+        check_positive("tail_grace", self.tail_grace, or_zero=True)
 
     def apply(self, trace: Trace, seed: int) -> DefendedTrace:
         return apply_regulator(trace, self, seed)

@@ -113,8 +113,9 @@ def volume_adjustment(
 
     R and N scale by target/reference and are rounded to the nearest whole
     packet rate / packet count; all other parameters are left unchanged.
-    Counts that are not finite and positive, and a ratio so large that the
-    rescaled R or N is not finite, raise ValueError.
+    Counts that are not finite and positive, a ratio so large that the
+    rescaled R or N is not finite, and one so small that R rounds to 0
+    raise ValueError.
     """
     if not (0 < reference_mean_count < math.inf and 0 < target_mean_count < math.inf):
         raise ValueError(
@@ -127,6 +128,8 @@ def volume_adjustment(
         raise ValueError(
             f"the count ratio {ratio:g} rescales R to {R:g} and N to {N:g}, not finite"
         )
+    if round(R) == 0:
+        raise ValueError(f"the count ratio {ratio:g} rescales R to {R:g}, which rounds to 0")
     return replace(params, R=float(round(R)), N=int(round(N)))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import stable_seed
-from .traces import Dataset, Direction, Trace
+from .traces import Dataset, Direction, Trace, check_count, check_positive
 
 # Intra-surge inter-packet gap bounds, seconds.
 _GAP_LOW = 0.0005
@@ -36,12 +36,11 @@ class SynthProfile:
         object.__setattr__(self, "surge_times", tuple(self.surge_times))
         if not (len(self.surge_sizes) == len(self.surge_times) == self.surge_count):
             raise ValueError("surge_sizes and surge_times must match surge_count")
-        if any(size < 1 for size in self.surge_sizes):
-            raise ValueError("surge sizes must be >= 1")
+        for size in self.surge_sizes:
+            check_count("surge size", size, 1)
         if not 0 < self.upload_fraction < 1:
             raise ValueError("upload_fraction must be in (0, 1)")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
+        check_positive("jitter", self.jitter, or_zero=True)
 
 
 def generate(profile: SynthProfile, instances: int, seed: int) -> Dataset:

@@ -20,6 +20,8 @@ load_dataset walk a directory by it, skipping and naming the rest.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import partial
@@ -49,6 +51,15 @@ def check_count(name: str, value: object, low: int) -> None:
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     if value > MAX_SLOTS:
         raise ValueError(f"{name} must be at most {MAX_SLOTS} packets, got {value}")
+
+
+def check_positive(name: str, value: object, or_zero: bool = False) -> None:
+    """Reject a rate, threshold, time or weight that is not a finite number
+    (a bool is not one) above 0, or at or above 0 when `or_zero`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        (0 <= value if or_zero else 0 < value) and value < math.inf
+    ):
+        raise ValueError(f"{name} must be finite and {'>=' if or_zero else '>'} 0, got {value!r}")
 
 
 T = TypeVar("T")

@@ -19,7 +19,7 @@ from .metrics import aggregate_reports, trace_overhead
 from .presets import defend
 from .regulator import RegulatorParams
 from .seeding import stable_seed
-from .traces import MAX_SLOTS, Dataset
+from .traces import Dataset, check_positive
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,15 +29,16 @@ class LossWeights:
     w_latency: float = 1.0
 
     def __post_init__(self):
-        if min(self.w_accuracy, self.w_bandwidth, self.w_latency) < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name, weight in asdict(self).items():
+            check_positive(name, weight, or_zero=True)
         if self.w_accuracy == self.w_bandwidth == self.w_latency == 0:
             raise ValueError("at least one loss weight must be positive")
 
 
 @dataclass(frozen=True, slots=True)
 class SearchSpace:
-    """Closed sampling intervals per parameter; defaults bracket the presets."""
+    """Closed sampling intervals per parameter; defaults bracket the presets.
+    Each interval is held as a (lo, hi) tuple."""
 
     R: tuple[float, float] = (100.0, 600.0)
     D: tuple[float, float] = (0.7, 0.99)
@@ -47,16 +48,15 @@ class SearchSpace:
     C: tuple[float, float] = (0.5, 5.0)
 
     def __post_init__(self):
-        for name in ("R", "D", "T", "N", "U", "C"):
-            lo, hi = getattr(self, name)
+        intervals = {name: tuple(bounds) for name, bounds in asdict(self).items()}
+        for name, (lo, hi) in intervals.items():
             if lo > hi:
                 raise ValueError(f"empty interval for {name}: ({lo}, {hi})")
-        if self.R[0] <= 0 or self.T[0] <= 0 or self.U[0] <= 0 or self.C[0] <= 0:
-            raise ValueError("R, T, U, C intervals must be positive")
-        if not (0 < self.D[0] and self.D[1] <= 1):
-            raise ValueError("D interval must lie in (0, 1]")
-        if self.N[0] < 0 or self.N[1] > MAX_SLOTS:
-            raise ValueError(f"N interval must lie in [0, {MAX_SLOTS}]")
+            object.__setattr__(self, name, (lo, hi))
+        # Every RegulatorParams rule is an interval, so when the params of
+        # all low ends and of all high ends are valid, so is every draw.
+        for end in (0, 1):
+            RegulatorParams(**{name: bounds[end] for name, bounds in intervals.items()})
 
 
 @dataclass(frozen=True)

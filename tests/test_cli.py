@@ -647,6 +647,20 @@ class TestTune:
         assert code == 0, err
         assert log.read_bytes() == before  # trial count already met
 
+    def test_longer_log_ranks_only_the_trials_asked_for(self, capsys, tmp_path):
+        # A 4-trial log resumed with --trials 2 once ranked all four trials
+        # and printed the best two, which were trials 0 and 3.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=4)
+        base = ("tune", str(data), "--seed", "5", "--folds", "2", "--k", "1")
+        log, fresh = tmp_path / "trials.jsonl", tmp_path / "fresh.jsonl"
+        run(capsys, *base, "--log", str(log), "--trials", "4")
+        before = log.read_bytes()
+        code, stdout, err = run(capsys, *base, "--log", str(log), "--trials", "2")
+        assert code == 0, err
+        assert log.read_bytes() == before
+        assert (code, stdout, err) == run(capsys, *base, "--log", str(fresh), "--trials", "2")
+
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_k_below_one_is_usage_error(self, capsys, tmp_path, k):
         data = tmp_path / "data"
@@ -842,7 +856,7 @@ class TestTune:
         ("--space", b"[]", "not a JSON object"),
         ("--weights", b"", "Expecting value: line 1 column 1 (char 0)"),
         ("--weights", b'{"Q": 1}', "unexpected keyword argument 'Q'"),
-        ("--weights", b'{"w_accuracy": -1}', "loss weights must be non-negative"),
+        ("--weights", b'{"w_accuracy": -1}', "w_accuracy must be finite and >= 0, got -1"),
     ], ids=["space-malformed", "space-non-list", "space-unknown-key", "space-not-utf8",
             "space-not-object", "weights-malformed", "weights-unknown-key",
             "weights-negative"])
@@ -977,6 +991,49 @@ def test_count_below_its_minimum_is_usage_error_writing_nothing(capsys, tmp_path
     assert sorted(tmp_path.rglob("*")) == before
 
 
+TUNE = ["tune", "{data}", "--seed", "1", "--trials", "1", "--folds", "2", "--log", "{out}"]
+
+
+@pytest.mark.parametrize("argv, content, code, message", [
+    (TUNE + ["--space", "{file}"], '{"R": [1, Infinity]}', 2,
+     "{file}: R must be finite and > 0, got inf"),
+    (TUNE + ["--space", "{file}"], '{"T": [1, NaN]}', 2,
+     "{file}: T must be finite and > 0, got nan"),
+    (TUNE + ["--space", "{file}"], '{"N": [10.5, 20]}', 2,
+     "{file}: N must be a non-negative integer, got 10.5"),
+    (TUNE + ["--space", "{file}"], '{"N": [true, 5]}', 2,
+     "{file}: N must be a non-negative integer, got True"),
+    (TUNE + ["--weights", "{file}"], '{"w_latency": NaN}', 2,
+     "{file}: w_latency must be finite and >= 0, got nan"),
+    (["synth", "--out", "{out}", "--seed", "1", "--jitter", "inf"], None, 2,
+     "jitter must be finite and >= 0, got inf"),
+    (["synth", "--out", "{out}", "--seed", "1", "--jitter", "nan"], None, 2,
+     "jitter must be finite and >= 0, got nan"),
+    (["synth", "--out", "{out}", "--seed", "1", "--base-total", "100000000000"], None, 2,
+     "surge size must be at most 1000000 packets, got 60000000000"),
+    (["simulate", "{data}", "--out", "{out}", "--defense", "regulator-heavy", "--seed", "1",
+      "--R", "inf"], None, 1, "R must be finite and > 0, got inf"),
+], ids=["space-R-inf", "space-T-nan", "space-N-fraction", "space-N-bool", "weights-nan",
+        "synth-jitter-inf", "synth-jitter-nan", "synth-base-total", "simulate-R-inf"])
+def test_bad_parameter_is_one_line_error_writing_nothing(
+    capsys, tmp_path, argv, content, code, message
+):
+    # The space ends once raised OverflowError tracebacks after the log was
+    # begun, or were drawn from as 10 and 1; a NaN weight wrote "loss": NaN
+    # into the log; synth ended in tracebacks, one a 447 GiB MemoryError;
+    # --R inf failed on every trace at the slot clock, a data error.
+    data = tmp_path / "data"
+    write_synth_dataset(capsys, data)
+    path = tmp_path / "file.json"
+    if content is not None:
+        path.write_text(content)
+    before = sorted(tmp_path.rglob("*"))
+    fields = dict(data=data, out=tmp_path / "out", file=path)
+    result = run(capsys, *(a.format(**fields) for a in argv))
+    assert result == (code, "", f"wfdefend: error: {message.format(**fields)}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["stats", "{data}"],
@@ -1035,6 +1092,15 @@ class TestAdjust:
             "--reference", "0", "--target", "2431",
         )
         assert code == 1
+
+    def test_ratio_that_rounds_r_to_zero_is_usage_error_naming_it(self, capsys):
+        # This once read "R must be > 0, got 0.0", which hid the rescaling.
+        code, stdout, err = run(capsys, "adjust", "--preset", "regulator-heavy",
+                                "--reference", "1000", "--target", "1")
+        assert (code, stdout) == (1, "")
+        assert err == (
+            "wfdefend: error: the count ratio 0.001 rescales R to 0.277, which rounds to 0\n"
+        )
 
     def test_unknown_preset_is_usage_error(self, capsys):
         code, _, err = run(

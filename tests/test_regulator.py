@@ -57,6 +57,14 @@ class TestParams:
             dict(tail_grace=math.nan),
             dict(tail_grace=math.inf),
             dict(N=True),
+            # R=inf once passed, and every trace then failed at the slot clock.
+            dict(R=math.inf),
+            dict(R=True),
+            dict(T=math.nan),
+            dict(U=math.inf),
+            dict(C=math.inf),
+            dict(initial_upload_rate=math.nan),
+            dict(D=True),
         ],
     )
     def test_invalid_rejected(self, kwargs):

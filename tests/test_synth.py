@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wfdefend import (
@@ -7,6 +9,7 @@ from wfdefend import (
     separable_profiles,
 )
 from wfdefend.synth import SynthProfile, generate
+from wfdefend.traces import MAX_SLOTS
 
 
 def profile(**kwargs):
@@ -36,6 +39,20 @@ class TestProfileValidation:
     def test_zero_size(self):
         with pytest.raises(ValueError):
             profile(surge_sizes=(0, 60))
+
+    @pytest.mark.parametrize("size, message", [
+        (MAX_SLOTS + 1, f"surge size must be at most {MAX_SLOTS} packets"),
+        (2.5, "surge size must be a positive integer, got 2.5"),
+    ], ids=["past-the-limit", "fraction"])
+    def test_size_is_a_bounded_count(self, size, message):
+        # A size of 6e10 once asked numpy for 447 GiB.
+        with pytest.raises(ValueError, match=message):
+            profile(surge_sizes=(80, size))
+
+    @pytest.mark.parametrize("jitter", [math.inf, math.nan, -0.1])
+    def test_jitter_must_be_finite_and_non_negative(self, jitter):
+        with pytest.raises(ValueError, match=f"^jitter must be finite and >= 0, got {jitter}$"):
+            profile(jitter=jitter)
 
 
 class TestGenerate:

@@ -23,7 +23,7 @@ from wfdefend import (
 )
 from wfdefend.presets import PRESETS
 from wfdefend.synth import generate, separable_profiles
-from wfdefend.traces import first_slot_at_or_after, iter_dataset, merge
+from wfdefend.traces import check_positive, first_slot_at_or_after, iter_dataset, merge
 
 
 def test_parse_basic():
@@ -487,3 +487,22 @@ def test_first_slot_at_or_after_matches_the_loop(gap, k, step):
     expected = _first_slot_by_loop(t, gap)
     assert int(first_slot_at_or_after(t, gap)) == expected
     assert first_slot_at_or_after(np.array([t, t]), gap).tolist() == [expected, expected]
+
+
+@pytest.mark.parametrize("value", [1e-300, 0.5, 3, np.float64(2.0), 1e308])
+def test_check_positive_accepts_finite_numbers_above_zero(value):
+    check_positive("x", value)
+    check_positive("x", value, or_zero=True)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -1.0, float("inf"), float("nan"), True, "1", None])
+def test_check_positive_rejects_the_rest_naming_the_value(value):
+    with pytest.raises(ValueError, match=f"^x must be finite and > 0, got {value!r}$"):
+        check_positive("x", value)
+
+
+def test_check_positive_or_zero_also_accepts_zero():
+    check_positive("x", 0.0, or_zero=True)
+    for value in (-0.5, float("inf"), float("nan"), False):
+        with pytest.raises(ValueError, match=f"^x must be finite and >= 0, got {value!r}$"):
+            check_positive("x", value, or_zero=True)

@@ -1,3 +1,5 @@
+import math
+import re
 import weakref
 
 import pytest
@@ -39,6 +41,11 @@ class TestLoss:
             LossWeights(-1, 1, 1)
         with pytest.raises(ValueError):
             LossWeights(0, 0, 0)
+        # A NaN weight once wrote "loss": NaN into the trial log.
+        with pytest.raises(ValueError, match="^w_bandwidth must be finite and >= 0, got nan$"):
+            LossWeights(1, math.nan, 1)
+        with pytest.raises(ValueError, match="^w_accuracy must be finite and >= 0, got inf$"):
+            LossWeights(math.inf, 0, 0)
 
 
 class TestSearchSpace:
@@ -51,8 +58,27 @@ class TestSearchSpace:
             SearchSpace(D=(0.5, 1.5))
         with pytest.raises(ValueError):
             SearchSpace(N=(-5, 10))
-        with pytest.raises(ValueError, match="N interval must lie in"):
+        with pytest.raises(ValueError, match=f"N must be at most {MAX_SLOTS} packets"):
             SearchSpace(N=(0, MAX_SLOTS + 1))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(R=[1.0, math.inf]), "R must be finite and > 0, got inf"),
+        (dict(T=[1.0, math.nan]), "T must be finite and > 0, got nan"),
+        (dict(U=[True, 2.0]), "U must be finite and > 0, got True"),
+        (dict(D=[0.5, True]), "D must be in (0, 1], got True"),
+        (dict(N=[10.5, 20]), "N must be a non-negative integer, got 10.5"),
+        (dict(N=[True, 5]), "N must be a non-negative integer, got True"),
+        (dict(N=[500.0, 8000]), "N must be a non-negative integer, got 500.0"),
+    ], ids=["R-inf", "T-nan", "U-bool", "D-bool", "N-fraction", "N-bool", "N-float"])
+    def test_each_end_must_be_a_valid_regulator_value(self, kwargs, message):
+        # R=inf and T=nan once raised OverflowError at the first draw, and
+        # N=10.5 and N=True were drawn from as if they were 10 and 1.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SearchSpace(**kwargs)
+
+    def test_bounds_are_held_as_tuples(self):
+        space = SearchSpace(R=[50, 100], N=[0, 10])
+        assert (space.R, space.N, space.D) == ((50, 100), (0, 10), (0.7, 0.99))
 
 
 class TestRandomSearch:
