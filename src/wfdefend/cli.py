@@ -14,19 +14,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
+import importlib.util
 import logging
 import os
 import shutil
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
+from types import ModuleType
 from typing import Optional
 
-from .attack import check_folds, evaluate_closed_world, feature_matrix, feature_matrix_csv
-from .metrics import aggregate_reports, csv_table, kv_lines, trace_overhead
 from .presets import (
     OVERRIDE_FIELDS,
     REGULATOR_PRESETS,
@@ -36,18 +34,7 @@ from .presets import (
     resolve_defense,
 )
 from .regulator import RegulatorParams
-from .seeding import stable_seed
-from .stats import (
-    dataset_stats,
-    decay_table,
-    iqr_table,
-    per_second_table,
-    post_tenth_packet_profile,
-    volume_adjustment,
-)
-from .synth import generate_classes, separable_profiles
 from .traces import (
-    ParseError,
     attach_sources,
     iter_dataset,
     load_dataset,
@@ -56,14 +43,33 @@ from .traces import (
     write_defended_trace,
     write_trace,
 )
-from .tuner import (
-    LossWeights,
-    SearchSpace,
-    TrialRecord,
-    parse_trial_json,
-    random_search,
-    trial_json,
-)
+
+
+def _deferred(name: str) -> ModuleType:
+    """The module wfdefend.<name>, whose body runs when one of its
+    attributes is first read, so a subcommand pays only for the modules
+    it uses. Like an import, it is put in sys.modules at once: a tool that
+    patches a function in every loaded wfdefend module, as the bench's
+    traced replay does, finds it there and in the modules that use it."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        loader = importlib.util.LazyLoader(spec.loader)
+        spec.loader = loader
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+attack = _deferred("attack")
+metrics = _deferred("metrics")
+seeding = _deferred("seeding")
+stats = _deferred("stats")
+synth = _deferred("synth")
+tuner = _deferred("tuner")
 
 logger = logging.getLogger(__name__)
 
@@ -127,21 +133,44 @@ def _print_params(params) -> None:
         print(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
 
 
+def _output_path(value: str | Path, directory: bool = False) -> Path:
+    """`value` as the path of an output file, or of an output directory,
+    checked before any trace is read. Every output follows one rule: the
+    missing directories above it are created when it is written, so the
+    nearest existing one must be a directory, and `value` itself, if it
+    exists, must be of the kind the output is."""
+    path = Path(value)
+    nearest = path.absolute().parent
+    while not nearest.exists():
+        nearest = nearest.parent
+    if not nearest.is_dir():
+        raise ValueError(f"cannot write {path}: {nearest} is not a directory")
+    if path.exists() and path.is_dir() != directory:
+        raise ValueError(f"cannot write {path}: it is {'not ' if directory else ''}a directory")
+    return path
+
+
 def _write_whole(path: Path, text: str) -> None:
     """Write `text` to `path` through a temporary file beside it, renamed
-    over `path` once complete, so `path` never holds part of the text."""
-    fd, temp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
+    over `path` once complete, so `path` never holds part of the text.
+    Missing directories above `path` are created; an error names `path`."""
+    temp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, temp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
         with os.fdopen(fd, "w", encoding="utf-8") as out:
             out.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(temp, 0o666 & ~umask)  # the mode a plain write would give
         os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
-        raise
+        temp = None
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
 
 
 @contextlib.contextmanager
@@ -165,8 +194,8 @@ def _simulate_file(params: DefenseParams, seed: int, path: Path):
     """(defended text, overhead report) of one trace file; top-level so
     worker processes can run it."""
     trace = read_trace(path)
-    defended = defend(params, trace, stable_seed(seed, path.name), path.name)
-    return write_defended_trace(defended), trace_overhead(trace, defended)
+    defended = defend(params, trace, seeding.stable_seed(seed, path.name), path.name)
+    return write_defended_trace(defended), metrics.trace_overhead(trace, defended)
 
 
 def cmd_simulate(args) -> int:
@@ -175,32 +204,35 @@ def cmd_simulate(args) -> int:
     # The pool forks all its workers at its first task, so there are never
     # more than the CPUs this process may run on.
     workers = min(args.jobs, _usable_cpus())
+    out_dir = _output_path(args.out, directory=True)
+    report_path = _output_path(out_dir.parent / f"{out_dir.name}.overhead.csv")
 
     # Each result is written to the staging directory as it arrives, so
     # finished results are not held in memory, and reaches out_dir only once
     # every trace is defended.
-    out_dir = Path(args.out)
     step = functools.partial(_simulate_file, params, seed)
     reports, names = [], []
     with _staged_dir(out_dir) as staging, contextlib.ExitStack() as stack:
         mapper = map
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             mapper = functools.partial(pool.map, chunksize=8)
         for name, (text, report) in iter_dataset(args.input, step, mapper):
             (staging / name).write_text(text, encoding="utf-8")
             reports.append(report)
             names.append(name)
-    overhead = aggregate_reports(reports)
-    report_path = out_dir.parent / f"{out_dir.name}.overhead.csv"
-    _write_whole(report_path, csv_table(overhead, names))
-    for line in kv_lines(overhead):
+    overhead = metrics.aggregate_reports(reports)
+    _write_whole(report_path, metrics.csv_table(overhead, names))
+    for line in metrics.kv_lines(overhead):
         print(line)
     print(f"report={report_path}")
     return EXIT_OK
 
 
 def cmd_overhead(args) -> int:
+    out = _output_path(args.out) if args.out else None
     defended_dir = Path(args.defended)
     dataset = load_dataset(Path(args.original))
     reports = []
@@ -210,21 +242,23 @@ def cmd_overhead(args) -> int:
             raise ValueError(f"no defended trace for {name} in {defended_dir}")
         try:
             schedule = parse_defended_schedule(defended_path.read_text(encoding="utf-8"))
-            reports.append(trace_overhead(original, attach_sources(original, schedule)))
+            reports.append(metrics.trace_overhead(original, attach_sources(original, schedule)))
         except ValueError as exc:  # covers ParseError and UnicodeDecodeError
             raise ValueError(f"{defended_path}: {exc}") from None
-    overhead = aggregate_reports(reports)
-    for line in kv_lines(overhead):
+    overhead = metrics.aggregate_reports(reports)
+    for line in metrics.kv_lines(overhead):
         print(line)
-    if args.out:
-        _write_whole(Path(args.out), csv_table(overhead, dataset.filenames))
+    if out:
+        _write_whole(out, metrics.csv_table(overhead, dataset.filenames))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
+    suffixes = ("_per_second.csv", "_traces.csv", "_decay.csv")
+    outs = [_output_path(f"{args.out}{suffix}") for suffix in suffixes] if args.out else []
     dataset = load_dataset(Path(args.input))
-    summary = dataset_stats(dataset)
-    profile = post_tenth_packet_profile(dataset)
+    summary = stats.dataset_stats(dataset)
+    profile = stats.post_tenth_packet_profile(dataset)
     print(f"traces={summary.trace_count}")
     print(f"skipped_files={dataset.skipped}")
     print(f"median_time_iqr={summary.median_iqr:.6f}")
@@ -233,48 +267,47 @@ def cmd_stats(args) -> int:
     print(f"download_upload_ratio={summary.download_upload_ratio:.6f}")
     print(f"post_tenth_median_offset={profile.median_offset:.6f}")
     print(f"post_tenth_skipped_traces={profile.skipped}")
-    if args.out:
+    if outs:
         # Render every table before writing any; the per-second table goes
         # first, so its row limit is checked before the others are rendered.
-        tables = {
-            "_per_second.csv": per_second_table(dataset),
-            "_traces.csv": iqr_table(dataset, summary),
-            "_decay.csv": decay_table(profile),
-        }
-        prefix = Path(args.out)
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-        for suffix, text in tables.items():
-            _write_whole(Path(f"{prefix}{suffix}"), text)
+        tables = [
+            stats.per_second_table(dataset),
+            stats.iqr_table(dataset, summary),
+            stats.decay_table(profile),
+        ]
+        for path, text in zip(outs, tables):
+            _write_whole(path, text)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     params = _defense(args, args.defense)
     seed = _require_seed(args)
+    features_out = _output_path(args.features_out) if args.features_out else None
 
     dataset = load_dataset(Path(args.input))
-    check_folds(dataset, args.folds)  # before any trace is defended
+    attack.check_folds(dataset, args.folds)  # before any trace is defended
     observed = dataset.traces
     if params is not None:
         # A generator: each defended trace is dropped once its row is made.
         observed = (
-            defend(params, trace, stable_seed(seed, name), name)
+            defend(params, trace, seeding.stable_seed(seed, name), name)
             for trace, name in zip(dataset.traces, dataset.filenames)
         )
-    features = feature_matrix(observed)
-    result = evaluate_closed_world(
+    features = attack.feature_matrix(observed)
+    result = attack.evaluate_closed_world(
         dataset, features=features, k=args.k, folds=args.folds, seed=seed
     )
     print(f"accuracy={result.accuracy:.6f}")
     print(f"folds={result.fold_count}")
     for label in sorted(result.per_class_accuracy):
         print(f"class_{label}={result.per_class_accuracy[label]:.6f}")
-    if args.features_out:
-        _write_whole(Path(args.features_out), feature_matrix_csv(dataset, features))
+    if features_out:
+        _write_whole(features_out, attack.feature_matrix_csv(dataset, features))
     return EXIT_OK
 
 
-def _read_trial_log(log_path: Path, seed: int) -> list[TrialRecord]:
+def _read_trial_log(log_path: Path, seed: int) -> list[tuner.TrialRecord]:
     """Records of an existing trial log, ready for appending.
 
     A last line without its newline that does not parse is a torn write:
@@ -290,7 +323,7 @@ def _read_trial_log(log_path: Path, seed: int) -> list[TrialRecord]:
         if not line.strip():
             continue
         try:
-            record, master = parse_trial_json(line)
+            record, master = tuner.parse_trial_json(line)
         except (ValueError, KeyError, TypeError) as exc:
             if lineno < len(lines):
                 raise ValueError(
@@ -328,6 +361,8 @@ def _check_fingerprint(log_path: Path, fingerprint: dict, resuming: bool) -> Non
     first field that differs. A resumed log with no fingerprint, from before
     fingerprints were kept, is adopted with a warning.
     """
+    import json
+
     path = log_path.with_name(f"{log_path.name}.fingerprint.json")
     # What the file will hold, read back: tuples come back as lists.
     text = json.dumps(fingerprint, indent=1) + "\n"
@@ -348,6 +383,8 @@ def _check_fingerprint(log_path: Path, fingerprint: dict, resuming: bool) -> Non
 
 def _read_json_object(path: Path) -> dict:
     """The JSON object in the file at `path`; errors name the file."""
+    import json
+
     try:
         value = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # covers JSONDecodeError and UnicodeDecodeError
@@ -372,11 +409,11 @@ def _json_file(path: Optional[str], what: str, build):
 
 
 def cmd_tune(args) -> int:
-    weights = _json_file(args.weights, "weights", LossWeights)
-    space = _json_file(args.space, "space", SearchSpace)
+    log_path = _output_path(args.log)
+    weights = _json_file(args.weights, "weights", tuner.LossWeights)
+    space = _json_file(args.space, "space", tuner.SearchSpace)
 
     dataset = load_dataset(Path(args.input))
-    log_path = Path(args.log)
     existing = _read_trial_log(log_path, args.seed)
     fingerprint = {
         "space": asdict(space),
@@ -393,7 +430,7 @@ def cmd_tune(args) -> int:
     new_records = []
     if start < args.trials:
         with log_path.open("a", encoding="utf-8") as log:
-            new_records = random_search(
+            new_records = tuner.random_search(
                 dataset,
                 space,
                 weights,
@@ -402,7 +439,7 @@ def cmd_tune(args) -> int:
                 eval_k=args.k,
                 eval_folds=args.folds,
                 start_trial=start,
-                on_trial=lambda rec: log.write(trial_json(rec, args.seed) + "\n"),
+                on_trial=lambda rec: log.write(tuner.trial_json(rec, args.seed) + "\n"),
             )
     # A log that holds more trials than asked for ranks only the first ones.
     ranked = sorted(existing[: args.trials] + new_records, key=lambda r: (r.loss, r.trial_index))
@@ -424,7 +461,7 @@ def cmd_adjust(args) -> int:
             f"expected one of {sorted(REGULATOR_PRESETS)}"
         )
     try:
-        adjusted = volume_adjustment(args.reference, args.target, params)
+        adjusted = stats.volume_adjustment(args.reference, args.target, params)
     except ValueError as exc:  # a bad count, an R that rounds to 0, an N past the limit
         raise UsageError(str(exc)) from None
     _print_params(adjusted)
@@ -433,15 +470,15 @@ def cmd_adjust(args) -> int:
 
 def cmd_synth(args) -> int:
     _require_seed(args)
-    profiles = separable_profiles(
+    out_dir = _output_path(args.out, directory=True)
+    profiles = synth.separable_profiles(
         args.classes,
         base_total=args.base_total,
         step=args.step,
         upload_fraction=args.upload_fraction,
         jitter=args.jitter,
     )
-    dataset = generate_classes(profiles, args.instances, args.seed)
-    out_dir = Path(args.out)
+    dataset = synth.generate_classes(profiles, args.instances, args.seed)
     with _staged_dir(out_dir) as staging:
         # The traces come grouped by class, `instances` to a class.
         for index, trace in enumerate(dataset.traces):
@@ -555,7 +592,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"wfdefend: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, OSError, TypeError) as exc:  # covers ParseError, JSONDecodeError
         print(f"wfdefend: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     finally:

@@ -51,17 +51,31 @@ def _named(dataset: Dataset) -> zip[tuple[str, Trace]]:
     return zip(dataset.filenames or map(str, range(len(dataset))), dataset.traces)
 
 
+def _sorted_quantile(values: np.ndarray, q: float) -> float:
+    """The q-quantile, 0 <= q < 1, of sorted, non-empty `values`, bit for
+    bit what np.quantile returns: numpy's linear interpolation written out,
+    without its sort and its array set-up."""
+    if len(values) == 1:
+        return float(values[0])
+    index = (len(values) - 1) * q
+    i = math.floor(index)
+    g = index - i
+    a, b = float(values[i]), float(values[i + 1])
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
 def trace_stats(trace: Trace) -> TraceStats:
     """Per-trace statistics; quantiles use linear interpolation."""
     if not len(trace):
         raise ValueError("statistics are undefined for an empty trace")
-    q25, q75 = np.quantile(trace.times, [0.25, 0.75])
+    q25, q75 = _sorted_quantile(trace.times, 0.25), _sorted_quantile(trace.times, 0.75)
     uploads = trace.count(Direction.UPLOAD)
     return TraceStats(
         packet_count=len(trace),
         upload_count=uploads,
         duration=trace.duration,
-        time_iqr=float(q75 - q25),
+        time_iqr=q75 - q25,
         download_upload_ratio=(len(trace) - uploads) / uploads if uploads else math.inf,
     )
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import shutil
@@ -122,7 +123,8 @@ class TestSimulate:
 
         data = tmp_path / "data"
         write_synth_dataset(capsys, data)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # `simulate` imports the pool class from its module when it makes a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         outputs = {}
         for name, argv_jobs in (("serial", "1"), ("pooled", jobs)):
@@ -989,6 +991,73 @@ def test_count_below_its_minimum_is_usage_error_writing_nothing(capsys, tmp_path
     assert f"wfdefend: error: {message}\n" == err
     assert stdout == ""
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# Each command that writes an output path, with that path as {out}.
+OUTPUTS = {
+    "overhead": ["overhead", "{data}", "{defended}", "--out", "{out}"],
+    "stats": ["stats", "{data}", "--out", "{out}"],
+    "eval": ["eval", "{data}", "--seed", "1", "--folds", "2", "--features-out", "{out}"],
+    "tune": ["tune", "{data}", "--trials", "1", "--seed", "1", "--folds", "2", "--k", "1",
+             "--log", "{out}"],
+    "simulate": ["simulate", "{data}", "--out", "{out}", "--defense", "tamaraw"],
+    "synth": ["synth", "--out", "{out}", "--seed", "1", "--classes", "1", "--instances", "1"],
+}
+DIRECTORY_OUTPUTS = {"simulate", "synth"}
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+@pytest.mark.parametrize("problem", ["under-a-file", "wrong-kind"])
+def test_bad_output_path_fails_before_any_input_is_read(capsys, tmp_path, command, problem):
+    # Such a path used to fail only after the work was done and its result
+    # printed, naming a temporary file. The input paths here do not exist,
+    # so reading any of them would be another error.
+    out = tmp_path / "f" / "x" if problem == "under-a-file" else tmp_path / "x"
+    checked = Path(f"{out}_per_second.csv") if command == "stats" else out
+    if problem == "under-a-file":
+        (tmp_path / "f").write_text("")
+        reason = f"{tmp_path / 'f'} is not a directory"
+    elif command in DIRECTORY_OUTPUTS:
+        checked.write_text("")
+        reason = "it is not a directory"
+    else:
+        checked.mkdir()
+        reason = "it is a directory"
+    before = sorted(tmp_path.rglob("*"))
+    argv = (a.format(data=tmp_path / "data", defended=tmp_path / "defended", out=out)
+            for a in OUTPUTS[command])
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"wfdefend: error: cannot write {checked}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_missing_output_directories_are_created(capsys, tmp_path, command):
+    data = tmp_path / "data"
+    write_synth_dataset(capsys, data)
+    code, _, err = run(capsys, "simulate", str(data), "--out", str(tmp_path / "defended"),
+                       "--defense", "tamaraw")
+    assert code == 0, err
+    out = tmp_path / "a" / "b" / "x"
+    argv = (a.format(data=data, defended=tmp_path / "defended", out=out)
+            for a in OUTPUTS[command])
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    if command == "stats":
+        assert Path(f"{out}_traces.csv").is_file()
+    else:
+        assert out.is_dir() if command in DIRECTORY_OUTPUTS else out.is_file()
+
+
+def test_write_whole_error_names_the_destination(tmp_path):
+    target = tmp_path / "out.csv"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as caught:
+        cli._write_whole(target, "text")
+    assert str(caught.value) == f"[Errno 21] Is a directory: '{target}'"
+    assert list(tmp_path.iterdir()) == [target]  # no temporary file is left
 
 
 TUNE = ["tune", "{data}", "--seed", "1", "--trials", "1", "--folds", "2", "--log", "{out}"]

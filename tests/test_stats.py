@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfdefend import (
     Dataset,
@@ -41,6 +43,16 @@ class TestTraceStats:
         # Quantile oracle on 4 points: q25=0.75, q75=2.25.
         stats = trace_stats(downloads([0.0, 1.0, 2.0, 3.0]))
         assert stats.time_iqr == pytest.approx(1.5, abs=1e-12)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+        st.one_of(st.sampled_from([0.25, 0.75]), st.floats(0.0, 1.0, exclude_max=True)),
+    )
+    def test_sorted_quantile_is_np_quantile_bit_for_bit(self, values, q):
+        values = np.sort(np.array(values))
+        expected = np.quantile(values, q)
+        assert np.float64(stats_module._sorted_quantile(values, q)).tobytes() == expected.tobytes()
 
     def test_ratio(self):
         directions = [Direction.DOWNLOAD] * 60 + [Direction.UPLOAD] * 10
