@@ -9,7 +9,7 @@ queue of waiting real packets outgrows a threshold proportional to the
 current rate, the surge clock restarts and the rate jumps back up.
 
 The upload side never sees the page content: before the download surge it
-pads at a fixed rate, afterwards it emits one slot per 1/U download slots,
+pads at a fixed rate, afterwards it emits one slot per U download slots,
 and any real upload packet queued longer than the delay cap C is flushed
 out immediately.
 
@@ -49,7 +49,8 @@ class RegulatorParams:
     T: surge threshold; a queue above T*rate restarts the surge.
     N: maximum download padding budget, packets; the realized budget is
        drawn uniformly from {0, ..., N} per trace.
-    U: download-to-upload packet ratio (one upload slot per U download slots).
+    U: download-to-upload packet ratio (one upload slot per U download
+       slots), at least 1: a download slot fires at most one upload slot.
     C: delay cap, seconds; real upload packets are never queued longer.
     initial_upload_rate: upload slots/second before the surge begins.
     tail_grace: extra seconds the slot clock keeps running after both the
@@ -72,6 +73,8 @@ class RegulatorParams:
             check_positive(name, getattr(self, name))
         if isinstance(self.D, bool) or not 0 < self.D <= 1:
             raise ValueError(f"D must be in (0, 1], got {self.D!r}")
+        if self.U < 1:
+            raise ValueError(f"U must be at least 1 download slot per upload slot, got {self.U!r}")
         check_count("N", self.N, 0)
         # An infinite grace would run the clock to the silent-slot limit.
         check_positive("tail_grace", self.tail_grace, or_zero=True)
@@ -101,70 +104,104 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
     """
     rng = np.random.default_rng(seed)
     budget = int(rng.integers(0, params.N + 1))
-    down = trace.times_of(Direction.DOWNLOAD).tolist()
+    down_times = trace.times_of(Direction.DOWNLOAD)
+    total = len(down_times)
 
-    if len(down) < ACTIVATION_PACKETS:
-        passthrough = one_direction(Direction.DOWNLOAD, down, down)
+    if total < ACTIVATION_PACKETS:
+        passthrough = one_direction(Direction.DOWNLOAD, down_times, down_times)
         return DownloadSchedule(passthrough, (), math.inf, budget)
 
-    # Send and source time per emitted packet; a NaN source marks a dummy.
-    send = down[:ACTIVATION_PACKETS]
-    source = down[:ACTIVATION_PACKETS]
+    # An infinite arrival past the last ends the arrival scan without a bound test.
+    down = [*down_times.tolist(), math.inf]
+    R, D, T = params.R, params.D, params.T
     surge_start = down[ACTIVATION_PACKETS - 1]
     surge_time = surge_start
     slot = surge_start
-    total = len(down)
     next_unsent = ACTIVATION_PACKETS
     available = ACTIVATION_PACKETS
-    sent_dummies = 0
-    silent = 0
-    # The slot clock runs until tail_grace past the slot at which the real
-    # data and the padding budget are both spent, so padding can outlive
-    # the real data and vary the total trace volume.
-    end = math.inf
-    if next_unsent == total and budget == 0:
-        end = surge_start + params.tail_grace
+    # Every slot's time, and the index of each slot that finds the queue
+    # empty: the first `budget` of those carry a dummy, the rest pass
+    # silently. Every other slot carries the next real packet.
     slots: list[float] = []
+    append = slots.append
+    idle_at: list[int] = []
 
-    while slot < end:
-        rate = params.R * params.D ** (slot - surge_time)
+    # Phase 1, while real data remains: the queue decides each slot.
+    while next_unsent < total:
+        rate = R * D ** (slot - surge_time)
         if rate < 1.0:
             rate = 1.0
-        while available < total and down[available] <= slot:
+        while down[available] <= slot:
             available += 1
         waiting = available - next_unsent
         # A reset takes effect on the *next* slot; this slot's gap still
         # uses the rate computed above.
-        if waiting > params.T * rate:
+        if waiting > T * rate:
             surge_time = slot
         if waiting > 0:
-            send.append(slot)
-            source.append(down[next_unsent])
             next_unsent += 1
-            if next_unsent == total and sent_dummies == budget:
-                end = slot + params.tail_grace
-        elif sent_dummies < budget:
-            send.append(slot)
-            source.append(math.nan)
-            sent_dummies += 1
-            if sent_dummies == budget and next_unsent == total:
-                end = slot + params.tail_grace
-        else:  # Queue empty with the budget spent: the slot passes silently.
-            silent += 1
-            if silent > MAX_SLOTS:
-                raise ValueError(
-                    f"more than {MAX_SLOTS} silent download slots, the last at {slot} s"
-                )
-        slots.append(slot)
+        else:
+            idle_at.append(len(slots))
+            if len(idle_at) - budget > MAX_SLOTS:
+                raise _silent_limit(slot)
+        append(slot)
         next_slot = slot + 1.0 / rate
         if next_slot == slot:
-            raise ValueError(
-                f"slot gap 1/{rate:g} s is too small to advance the slot clock at {slot} s"
-            )
+            raise _stalled(rate, slot)
+        slot = next_slot
+    phase_one = len(slots)
+
+    # Phase 2: the rest of the budget, one dummy per slot. An empty queue
+    # never resets the surge, and a clock that stalls stays stalled at the
+    # slot where it stalled, so one test after the loop finds it.
+    for _ in range(budget - len(idle_at)):
+        rate = R * D ** (slot - surge_time)
+        if rate < 1.0:
+            rate = 1.0
+        append(slot)
+        slot = slot + 1.0 / rate
+    if len(slots) > phase_one and slot == slots[-1]:
+        raise _stalled(max(R * D ** (slot - surge_time), 1.0), slot)
+    emitted = len(slots)
+
+    # Phase 3: silent slots until tail_grace past the slot at which the real
+    # data and the padding budget were both spent, so padding can outlive
+    # the real data and vary the total trace volume.
+    end = (slots[-1] if slots else surge_start) + params.tail_grace
+    silent_at = idle_at[budget:]
+    silent = len(silent_at)
+    while slot < end:
+        silent += 1
+        if silent > MAX_SLOTS:
+            raise _silent_limit(slot)
+        rate = max(R * D ** (slot - surge_time), 1.0)
+        append(slot)
+        next_slot = slot + 1.0 / rate
+        if next_slot == slot:
+            raise _stalled(rate, slot)
         slot = next_slot
 
-    packets = one_direction(Direction.DOWNLOAD, send, source)
+    # Send and source time per emitted packet; a NaN source marks a dummy.
+    send = np.array(slots[:emitted])
+    source = np.full(emitted, math.nan)
+    real = np.ones(phase_one, bool)
+    real[idle_at] = False
+    source[:phase_one][real] = down_times[ACTIVATION_PACKETS:]
+    if silent_at:
+        send, source = np.delete(send, silent_at), np.delete(source, silent_at)
+    first = down_times[:ACTIVATION_PACKETS]
+    packets = one_direction(
+        Direction.DOWNLOAD, np.concatenate([first, send]), np.concatenate([first, source])
+    )
     return DownloadSchedule(packets, tuple(slots), surge_start, budget)
+
+
+def _stalled(rate: float, slot: float) -> ValueError:
+    return ValueError(f"slot gap 1/{rate:g} s is too small to advance the slot clock at {slot} s")
+
+
+def _silent_limit(slot: float) -> ValueError:
+    return ValueError(f"more than {MAX_SLOTS} silent download slots, the last at {slot} s")
 
 
 def simulate_upload(
@@ -199,30 +236,37 @@ def simulate_upload(
 
     prelude_gap = 1.0 / params.initial_upload_rate
     slots = (np.arange(first_slot_at_or_after(surge_start, prelude_gap)) * prelude_gap).tolist()
+    append_slot = slots.append
+    credit_per_slot = 1.0 / params.U
     upload_credit = 0.0
     for slot in download_slots:
-        upload_credit += 1.0 / params.U
+        upload_credit += credit_per_slot
         if upload_credit >= 1.0:
             upload_credit -= 1.0
-            slots.append(slot)
+            append_slot(slot)
 
-    flushes = [t + params.C for t in up]
+    cap = params.C
+    total = len(up)
+    # An infinite packet past the last ends both scans without a bound test.
+    flushes = [*(t + cap for t in up), math.inf]
+    up.append(math.inf)
     send: list[float] = []
     source: list[float] = []
+    append_send, append_source = send.append, source.append
     sent = 0
     for slot in slots:
-        while sent < len(up) and flushes[sent] < slot:
-            send.append(flushes[sent])
-            source.append(up[sent])
+        while flushes[sent] < slot:
+            append_send(flushes[sent])
+            append_source(up[sent])
             sent += 1
-        send.append(slot)
-        if sent < len(up) and up[sent] <= slot:
-            source.append(up[sent])
+        append_send(slot)
+        if up[sent] <= slot:
+            append_source(up[sent])
             sent += 1
         else:
-            source.append(math.nan)
-    send += flushes[sent:]
-    source += up[sent:]
+            append_source(math.nan)
+    send += flushes[sent:total]
+    source += up[sent:total]
     return one_direction(Direction.UPLOAD, send, source)
 
 

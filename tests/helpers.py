@@ -112,11 +112,3 @@ def float_bits(values) -> list[int]:
 
 def schedule_key(defended: DefendedTrace) -> list[tuple[float, int, str]]:
     return [(p.send_time, int(p.direction), p.kind.value) for p in defended]
-
-
-def assert_same_schedule(a: DefendedTrace, b: DefendedTrace, tol: float = 1e-9) -> None:
-    assert len(a) == len(b), f"packet counts differ: {len(a)} vs {len(b)}"
-    for pa, pb in zip(a, b):
-        assert abs(pa.send_time - pb.send_time) <= tol
-        assert pa.direction is pb.direction
-        assert pa.kind is pb.kind

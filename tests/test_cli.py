@@ -1082,15 +1082,21 @@ TUNE = ["tune", "{data}", "--seed", "1", "--trials", "1", "--folds", "2", "--log
      "surge size must be at most 1000000 packets, got 60000000000"),
     (["simulate", "{data}", "--out", "{out}", "--defense", "regulator-heavy", "--seed", "1",
       "--R", "inf"], None, 1, "R must be finite and > 0, got inf"),
+    (["simulate", "{data}", "--out", "{out}", "--defense", "regulator-heavy", "--seed", "1",
+      "--U", "0.5"], None, 1, "U must be at least 1 download slot per upload slot, got 0.5"),
+    (TUNE + ["--space", "{file}"], '{"U": [0.5, 8]}', 2,
+     "{file}: U must be at least 1 download slot per upload slot, got 0.5"),
 ], ids=["space-R-inf", "space-T-nan", "space-N-fraction", "space-N-bool", "weights-nan",
-        "synth-jitter-inf", "synth-jitter-nan", "synth-base-total", "simulate-R-inf"])
+        "synth-jitter-inf", "synth-jitter-nan", "synth-base-total", "simulate-R-inf",
+        "simulate-U-below-one", "space-U-below-one"])
 def test_bad_parameter_is_one_line_error_writing_nothing(
     capsys, tmp_path, argv, content, code, message
 ):
     # The space ends once raised OverflowError tracebacks after the log was
     # begun, or were drawn from as 10 and 1; a NaN weight wrote "loss": NaN
     # into the log; synth ended in tracebacks, one a 447 GiB MemoryError;
-    # --R inf failed on every trace at the slot clock, a data error.
+    # --R inf failed on every trace at the slot clock, a data error; --U 0.5
+    # wrote the bytes of --U 1.
     data = tmp_path / "data"
     write_synth_dataset(capsys, data)
     path = tmp_path / "file.json"

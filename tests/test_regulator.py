@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -65,6 +66,9 @@ class TestParams:
             dict(C=math.inf),
             dict(initial_upload_rate=math.nan),
             dict(D=True),
+            # A download slot fires at most one upload slot, so U=0.5 once ran as U=1.
+            dict(U=0.5),
+            dict(U=0.999),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -376,3 +380,107 @@ def test_tail_grace_runs_past_the_later_of_budget_and_real_data(
     assert schedule.slots[-1] == last_slot + 2.0  # the last slot before last_slot + 2.5
     defended = apply_regulator(trace, params, seed)
     assert schedule_key(defended) == schedule_key(reference)
+
+
+def download_matches_the_oracle(trace, params, seed):
+    """simulate_download's slots, send and source times equal the oracle's
+    trail and download half, bit for bit; returns the oracle's trail."""
+    schedule = simulate_download(trace, params, seed)
+    reference, trail = reference_defend(trace, params, seed)
+    down = reference.direction == Direction.DOWNLOAD
+    assert schedule.drawn_budget == reference.drawn_budget
+    assert float_bits(schedule.slots) == float_bits([slot.time for slot in trail])
+    assert float_bits(schedule.packets.send_time) == float_bits(reference.send_time[down])
+    assert float_bits(schedule.packets.source_time) == float_bits(reference.source_time[down])
+    return trail
+
+
+def short_trace(rng, duration):
+    """10 to 200 packets, about a fifth of them uploads, half the traces on
+    a 0.1 s grid so that bursts tie and the queue outgrows the threshold."""
+    n = int(rng.integers(10, 201))
+    times = np.sort(rng.uniform(0.0, duration, n))
+    if rng.random() < 0.5:
+        times = np.round(times, 1)
+    upload = rng.random(n) < 0.2
+    return Trace(times - times[0], np.where(upload, Direction.UPLOAD, Direction.DOWNLOAD))
+
+
+def tuned_params(rng, N, tail_grace):
+    """A draw from the tuner's default search space with the given N."""
+    return RegulatorParams(
+        R=float(rng.uniform(100.0, 600.0)), D=float(rng.uniform(0.7, 0.99)),
+        T=float(rng.uniform(1.0, 10.0)), N=N, U=float(rng.uniform(1.0, 8.0)),
+        C=float(rng.uniform(0.5, 5.0)), tail_grace=tail_grace,
+    )
+
+
+def test_download_in_the_tuners_regime_matches_the_oracle_bit_for_bit():
+    # Short traces with budgets up to 8,000: most slots are dummies after
+    # the last real packet, then silent slots run out the tail grace.
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        params = tuned_params(rng, int(rng.integers(0, 8001)), float(rng.choice([0.0, 0.5, 2.0])))
+        download_matches_the_oracle(short_trace(rng, 8.0), params, int(rng.integers(0, 2**63)))
+
+
+@pytest.mark.parametrize("tail_grace", [0.0, 0.5, 2.0])
+def test_budget_zero_with_exactly_ten_downloads_matches_the_oracle(tail_grace):
+    times = [0.0, 0.1, 0.1, 0.2, 0.5, 0.5, 0.7, 0.9, 1.2, 1.3, 1.4, 1.6]
+    D, U = Direction.DOWNLOAD, Direction.UPLOAD
+    trace = Trace(times, [D] * 9 + [U, D, U])
+    params = tuned_params(np.random.default_rng(7), 0, tail_grace)
+    trail = download_matches_the_oracle(trace, params, 0)
+    assert all(slot.emitted == "none" for slot in trail)
+    assert bool(trail) == (tail_grace > 0)
+
+
+def test_budget_spent_before_at_and_after_the_last_real_packet_matches_the_oracle():
+    # The slots that find the queue empty while real data remains do not
+    # depend on the budget, so with `idle` of them a budget of idle - 1 is
+    # spent before the last real packet, idle at it, idle + 1 after it.
+    rng = np.random.default_rng(61)
+    for _ in range(8):
+        trace = short_trace(rng, 2.0)
+        params = tuned_params(rng, 0, 0.0)
+        idle = sum(slot.emitted == "none" for slot in reference_defend(trace, params, 0)[1])
+        for budget in range(max(idle - 1, 0), idle + 2):
+            spent = replace(params, N=budget, tail_grace=float(rng.choice([0.0, 0.5, 2.0])))
+            download_matches_the_oracle(trace, spent, seed_with_budget(budget, budget))
+
+
+@pytest.mark.parametrize("times, budget, tail_grace", [
+    ([0.0] * 10 + [3.0], 0, 0.0),  # silent slots while real data remains
+    ([0.0] * 10, 0, 2.0),  # silent slots in the tail grace only
+    ([0.0] * 10 + [3.0], 0, 2.0),  # both: the count carries into the tail
+    ([0.0] * 10 + [3.0], 40, 2.0),  # dummies while real data remains do not count
+    ([0.0] * 10, 40, 2.0),  # nor do dummies after it
+])
+def test_silent_slot_limit_falls_on_the_oracles_slot(monkeypatch, times, budget, tail_grace):
+    trace = Trace(times, [Direction.DOWNLOAD] * len(times))
+    params = RegulatorParams(R=20.0, D=0.8, T=5.0, N=budget, U=2.0, C=1.0, tail_grace=tail_grace)
+    seed = seed_with_budget(budget, budget)
+    trail = download_matches_the_oracle(trace, params, seed)
+    silent = [slot.time for slot in trail if slot.emitted == "none"]
+    for limit in (0, 1, len(silent) // 2, len(silent) - 1):
+        monkeypatch.setattr("wfdefend.regulator.MAX_SLOTS", limit)
+        message = f"more than {limit} silent download slots, the last at {silent[limit]} s"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_download(trace, params, seed)
+    monkeypatch.setattr("wfdefend.regulator.MAX_SLOTS", len(silent))
+    assert len(simulate_download(trace, params, seed).slots) == len(trail)
+
+
+@pytest.mark.parametrize("downloads_at_one, budget, tail_grace", [
+    (12, 0, 0.0),  # the clock stalls with real packets queued
+    (10, 5, 0.0),  # with only dummies left
+    (10, 0, 1.0),  # with only the tail grace left
+])
+def test_stalled_clock_is_rejected_at_its_first_slot(downloads_at_one, budget, tail_grace):
+    # At R=1e20 the gap 1/R is lost in rounding at t=1 s.
+    params = RegulatorParams(R=1e20, D=0.94, T=3.55, N=budget, U=3.95, C=1.77,
+                             tail_grace=tail_grace)
+    message = "slot gap 1/1e+20 s is too small to advance the slot clock at 1.0 s"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_download(downloads(downloads_at_one, time=1.0), params,
+                          seed_with_budget(budget, budget))
