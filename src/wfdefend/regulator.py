@@ -19,6 +19,7 @@ Everything here is a pure function of (trace, params, seed).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -204,6 +205,32 @@ def _silent_limit(slot: float) -> ValueError:
     return ValueError(f"more than {MAX_SLOTS} silent download slots, the last at {slot} s")
 
 
+# The download slots that fire an upload slot depend only on the credit per
+# slot, 1/U, and the slot's index. By credit per slot: (slots walked, the
+# credit after them, the indices that fired). A process meets few values of
+# U (a preset, or one per tuner trial), so only the latest two are kept.
+_firings: dict[float, tuple[int, float, list[int]]] = {}
+_FIRINGS_KEPT = 2
+
+
+def _firing_slots(credit_per_slot: float, count: int) -> list[int]:
+    """The indices below `count` of the download slots that fire an upload
+    slot: each slot adds `credit_per_slot` to a credit that starts at 0, and
+    a slot fires when the credit reaches 1, which it then loses. The walk
+    is kept and extended, so every index comes from the same float
+    recurrence as a walk from slot 0."""
+    walked, credit, fired = _firings.pop(credit_per_slot, (0, 0.0, []))
+    for index in range(walked, count):
+        credit += credit_per_slot
+        if credit >= 1.0:
+            credit -= 1.0
+            fired.append(index)
+    _firings[credit_per_slot] = (max(walked, count), credit, fired)
+    if len(_firings) > _FIRINGS_KEPT:
+        del _firings[next(iter(_firings))]
+    return fired[:bisect_left(fired, count)]
+
+
 def simulate_upload(
     trace: Trace,
     params: RegulatorParams,
@@ -236,14 +263,7 @@ def simulate_upload(
 
     prelude_gap = 1.0 / params.initial_upload_rate
     slots = (np.arange(first_slot_at_or_after(surge_start, prelude_gap)) * prelude_gap).tolist()
-    append_slot = slots.append
-    credit_per_slot = 1.0 / params.U
-    upload_credit = 0.0
-    for slot in download_slots:
-        upload_credit += credit_per_slot
-        if upload_credit >= 1.0:
-            upload_credit -= 1.0
-            append_slot(slot)
+    slots += [download_slots[i] for i in _firing_slots(1.0 / params.U, len(download_slots))]
 
     cap = params.C
     total = len(up)

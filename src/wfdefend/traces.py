@@ -13,6 +13,16 @@ columns into read-only arrays and validate them once, vectorized.
 Iterating a trace yields per-packet row views (`Packet`, `DefendedPacket`)
 built on demand, for inspection and tests.
 
+Text is written and read in bulk, with the bytes and floats of the
+general paths. The writer looks each `%.6f` time up from its count of
+microseconds, `rint(t * 1e6)`: that rounds as `%.6f` does unless t * 10**6
+lies within the product's rounding error of a half, and those times are
+counted from `f"{t:.6f}"` itself (_microseconds). The reader takes the
+lines this program writes, `<1-3 digits>.<6 digits><TAB>±1[<TAB>R|D]`, as
+m / 1e6, m the integer of the digits: m is exact below 2**53, and one
+division is correctly rounded, so it is the float `float()` reads
+(_read_canonical). Other text takes the general paths.
+
 read_trace is the one rule for a usable trace file; iter_dataset and
 load_dataset walk a directory by it, skipping and naming the rest.
 """
@@ -24,7 +34,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
@@ -356,17 +366,130 @@ def _line_of(text: str, row: int) -> int:
 # read whole and rejected rather than cut to `R`.
 _DEFENDED_ROW = np.dtype([("time", np.float64), ("value", np.float64), ("kind", "U2")])
 
+# A canonical line is read as one 16-byte row that ends at the byte after
+# its direction's `1`, so the time has the same columns in every row: 3-5
+# whole digits (right-aligned), 6 the point, 7-12 the fraction, 13 the tab
+# and 14-15 `1` and a newline (a defended line's tab), or `-1`.
+_ROW_BYTES = 16
+_PAD = b"\n" * _ROW_BYTES  # read before the text, so every row starts inside it
+# Below this many bytes numpy's loadtxt reads a file faster than the about
+# 30 array operations of _read_canonical (they cross at 100-250 lines).
+_BULK_BYTES = 2048
+
+
+def _words(row: bytes) -> np.ndarray:
+    """A 16-byte row as two little-endian 64-bit words."""
+    return np.frombuffer(row, "<u8")
+
+
+@cache
+def _row_constants() -> tuple[np.ndarray, ...]:
+    """_read_canonical's constants, built on first use:
+    (keep, fill, fill_digits, tails, add, below, weights).
+
+    keep[i] keeps a row's first word from column 16 - i, where a line of i
+    bytes starts. The bytes before it come from `fill` instead: `0` in the
+    columns that a shorter whole part leaves empty, and NUL, which
+    canonical text never holds, elsewhere, so that a row of 0 or 4 whole
+    digits fails. XORing `fill_digits` into the first word, and
+    tails[defended][negative] into the second, turns each digit into its
+    value 0-9 and the direction's columns into 0. A byte b lies from `low`
+    to `high` when neither b + add, with add = 0x7F - high, nor below - b,
+    with below = 0x7F + low, has its high bit set; for ASCII bytes no sum
+    or difference carries into the next byte. `weights` holds each
+    column's power of ten in microseconds.
+    """
+    keep = [_words(bytes(_ROW_BYTES - i) + b"\xff" * i)[0] for i in range(_ROW_BYTES + 1)]
+    digits = _words(b"\0" * 3 + b"000" + b"\0" + b"000000" + b"\0" * 3)
+    fill = _words(b"\0" * 3 + b"00" + b"\0" * 11)[0]
+    tails = [
+        [_words(b"\0" * 14 + tail)[1] ^ digits[1] for tail in (b"1" + after, b"-1")]
+        for after in (b"\n", b"\t")
+    ]
+    digit = (0, 9)
+    allowed = (
+        [(0, 0x7F)] * 2 + [(0, 0)] + [digit] * 3 + [(ord("."),) * 2]
+        + [digit] * 6 + [(ord("\t"),) * 2] + [(0, 0)] * 2
+    )
+    add = _words(bytes(0x7F - high for _, high in allowed))
+    below = _words(bytes(0x7F + low for low, _ in allowed))
+    weights = np.zeros(_ROW_BYTES)
+    weights[[3, 4, 5, 7, 8, 9, 10, 11, 12]] = 10.0 ** np.arange(8, -1, -1)
+    return np.array(keep), fill, fill ^ digits[0], np.array(tails), add, below, weights
+
+
+_HIGH_BITS = np.uint64(0x8080808080808080)
+_REAL_END, _DUMMY_END = (int.from_bytes(f"1\t{kind}\n".encode(), "little") for kind in "RD")
+
+
+def _read_canonical(
+    text: str, defended: bool
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(times, direction, dummy) of text whose every line is canonical,
+    `<1-3 digits>.<6 digits><TAB>1` or `...<TAB>-1`, plus `<TAB>R` or
+    `<TAB>D` when `defended`, each ending in `\\n`; else None.
+
+    The text is one byte array. Each line's length is checked before any
+    byte is gathered relative to its newline, so every row lies in the line
+    or the 16 bytes before it. Each row is then checked one word, 8 bytes,
+    at a time (see _row_constants). A time is m / 1e6, where m is the
+    integer of its digits: every term and partial sum of the dot product
+    that builds m is an integer below 2**53, so m is exact in any order of
+    summation, and one IEEE division is correctly rounded. So the time is
+    the float nearest the decimal, the same float that `float()` reads.
+    """
+    if not text.isascii() or "\0" in text or not text.endswith("\n"):
+        return None
+    data = np.frombuffer(_PAD + text.encode("ascii"), np.uint8)
+    newlines = (data == ord("\n")).nonzero()[0]
+    ends = newlines[len(_PAD):]
+    if defended:
+        ends = ends - 2  # at the tab before the kind
+    lengths = ends - newlines[len(_PAD) - 1:-1]  # of each line up to `ends`
+    if lengths.min() < 11 or lengths.max() > 14:
+        return None
+    negative = data[ends - 2] == ord("-")
+    rows = np.ndarray((len(data) - _ROW_BYTES + 1,), f"V{_ROW_BYTES}", data, 0, (1,))
+    words = rows[ends - negative - (_ROW_BYTES - 1)].view("<u8").reshape(-1, 2)
+    keep, fill, fill_digits, tails, add, below, weights = _row_constants()
+    start, end = words[:, 0], words[:, 1]
+    start ^= fill
+    start &= keep[lengths - negative]
+    start ^= fill_digits
+    positive_tail, negative_tail = tails[int(defended)]
+    end ^= np.where(negative, negative_tail, positive_tail)
+    # One word at a time, so that numpy's inner loop runs over the rows.
+    for word, add_word, below_word in zip((start, end), add, below):
+        if (((word + add_word) | (below_word - word)) & _HIGH_BITS).any():
+            return None
+    if defended:
+        last = np.ndarray((len(data) - 3,), "<u4", data, 0, (1,))[ends - 1]
+        dummy = last == _DUMMY_END
+        if not (dummy | (last == _REAL_END)).all():
+            return None
+    else:
+        dummy = np.zeros(len(ends), np.bool_)
+    # einsum casts the bytes a buffer at a time; `@` would cast them whole first.
+    times = np.einsum("ij,j->i", words.view(np.uint8).reshape(-1, _ROW_BYTES), weights) / 1e6
+    return times, 1 - 2 * negative.view(np.int8), dummy
+
 
 def _parse_columns(text: str, defended: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (times, direction, dummy) of the non-blank lines, in file
     order; `dummy` is all False unless `defended`.
 
-    numpy's C reader splits fields as `str.split` does and reads numbers
-    with the routine behind `float()`, so the values are the same. Input it
-    refuses (`1_0`, non-ASCII digits, wrong field counts) or whose columns
-    fail a check is read again line by line, which accepts what `float()`
-    accepts and names the first bad line.
+    Canonical text of at least _BULK_BYTES, the shape the writers give, is
+    read by _read_canonical. Other text goes to numpy's C reader, which splits
+    fields as `str.split` does and reads numbers with the routine behind
+    `float()`, so the values are the same. Input it refuses (`1_0`,
+    non-ASCII digits, wrong field counts) or whose columns fail a check is
+    read again line by line, which accepts what `float()` accepts and names
+    the first bad line.
     """
+    if len(text) >= _BULK_BYTES:
+        columns = _read_canonical(text, defended)
+        if columns is not None:
+            return columns
     if not text or text.isspace():  # loadtxt warns on input with no data
         return np.empty(0), np.empty(0, np.int8), np.empty(0, np.bool_)
     lines = text.splitlines()
@@ -415,16 +538,73 @@ def parse_trace(text: str, label: Optional[str] = None) -> Trace:
     return Trace(times, direction[order], label=label)
 
 
-def _format_rows(times: np.ndarray, tails: Sequence[str], which: np.ndarray) -> str:
+# The writer's tables hold whole seconds 0-999, so counts below 10**9 microseconds.
+_TABLE_LIMIT_US = 10**9
+
+
+def _microseconds(times: np.ndarray) -> Optional[np.ndarray]:
+    """Each time's f"{t:.6f}" as an int64 count of microseconds, or None
+    when a time has its sign bit set (`-0.0` prints `-0.000000`) or rounds
+    to _TABLE_LIMIT_US or more (NaN and inf do).
+
+    `%.6f` rounds the exact value x = t * 10**6 to an integer, ties to even.
+    The product s = t * 1e6 is within half an ulp of x, at most s * 2**-53,
+    so rint(s) rounds x the same way unless x lies within that of a half:
+    where `|(|s - rint(s)| - 0.5)| <= s * 2**-51`, four times that bound
+    (s - rint(s) is exact), the count is read back from Python's own
+    f"{t:.6f}". Outside that guard, x and s lie strictly on the same side
+    of the same half, so they round to the same integer.
+    """
+    scaled = times * 1e6
+    counts = np.rint(scaled)
+    if np.signbit(times).any() or not (counts < _TABLE_LIMIT_US).all():
+        return None
+    near = np.abs(np.abs(scaled - counts) - 0.5) <= scaled * 2.0**-51
+    for i in np.flatnonzero(near).tolist():
+        counts[i] = int(f"{times[i]:.{TIME_DECIMALS}f}".replace(".", ""))
+    if not (counts[near] < _TABLE_LIMIT_US).all():
+        return None
+    return counts.astype(np.int64)
+
+
+@cache
+def _format_tables(tails: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three byte tables of _format_rows, NUL-padded, built on first use:
+    whole seconds and the point (`<u4` by whole seconds), four fraction
+    digits (`<u4` by their value), and the last two fraction digits with a
+    tail of at most 6 bytes (`<u8` by 100ths * len(tails) + tail index)."""
+    whole = b"".join(f"{w}.".encode().ljust(4, b"\0") for w in range(1000))
+    powers = np.array([1000, 100, 10, 1], np.uint16)
+    four = (np.arange(10_000, dtype=np.uint16)[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+    last = b"".join(
+        f"{f:02d}{tail}".encode().ljust(8, b"\0") for f in range(100) for tail in tails
+    )
+    return np.frombuffer(whole, "<u4"), four.view("<u4").ravel(), np.frombuffer(last, "<u8")
+
+
+def _format_rows(times: np.ndarray, tails: tuple[str, ...], which: np.ndarray) -> str:
     """One line per time: the time formatted like f"{t:.6f}", then tails[which[i]].
 
-    `%.6f` calls the same formatter as the f-string; one `%` over all rows
-    runs the loop in C.
+    Times from 0 up to 1000 s are built by table lookup from their counts
+    of microseconds (_microseconds): each row is 16 bytes of three table
+    entries, and one `bytes.translate` drops their NUL padding. Any other
+    column takes one `%` over all rows, which runs the loop in C with the
+    formatter behind the f-string.
     """
-    fields: list = [None] * (2 * len(times))
-    fields[::2] = times.tolist()
-    fields[1::2] = np.array(tails, dtype=object)[which].tolist()
-    return (f"%.{TIME_DECIMALS}f%s" * len(times)) % tuple(fields)
+    counts = _microseconds(times)
+    if counts is None:
+        fields: list = [None] * (2 * len(times))
+        fields[::2] = times.tolist()
+        fields[1::2] = np.array(tails, dtype=object)[which].tolist()
+        return (f"%.{TIME_DECIMALS}f%s" * len(times)) % tuple(fields)
+    whole_table, four_table, last_table = _format_tables(tails)
+    whole, fraction = np.divmod(counts, 10**TIME_DECIMALS)
+    four, last = np.divmod(fraction, 100)
+    rows = np.empty((len(counts), 4), "<u4")
+    rows[:, 0] = whole_table[whole]
+    rows[:, 1] = four_table[four]
+    rows.view("<u8")[:, 1] = last_table[last * len(tails) + which]
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_trace(trace: Trace) -> str:

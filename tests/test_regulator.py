@@ -27,7 +27,7 @@ from wfdefend import (
     apply_regulator,
     resolve_defense,
 )
-from wfdefend.regulator import simulate_download, simulate_upload
+from wfdefend.regulator import _firing_slots, simulate_download, simulate_upload
 from wfdefend.traces import MAX_SLOTS
 
 HEAVY = RegulatorParams(R=277.0, D=0.940, T=3.55, N=3550, U=3.95, C=1.77)
@@ -232,6 +232,20 @@ class TestUpload:
         params = RegulatorParams(R=2.0, D=1.0, T=1.0, N=0, U=4.0, C=5.0, initial_upload_rate=4.0)
         out = simulate_upload(Trace([], []), params, [], surge_start=1.0)
         assert [p.send_time for p in out] == [0.0, 0.25, 0.5, 0.75]
+
+    def test_firing_slots_are_one_walk_however_they_are_asked_for(self):
+        def walk(credit_per_slot, count):
+            credit, fired = 0.0, []
+            for index in range(count):
+                credit += credit_per_slot
+                if credit >= 1.0:
+                    credit -= 1.0
+                    fired.append(index)
+            return fired
+
+        for U in (1.0, 3.95, 4.02, 7.3):
+            for count in (0, 500, 37, 5000, 1200):
+                assert list(_firing_slots(1.0 / U, count)) == walk(1.0 / U, count)
 
     def test_slot_beats_flush_on_tie(self):
         # One upload available at 0 with C=1.0 and a slot exactly at 1.0:

@@ -108,11 +108,20 @@ _tokens = st.sampled_from(
     ["0", "1", "-1", "+2", "0.5", "1e-3", ".25", "7.", "-512", "inf", "nan", "x", "R", "D",
      "0.0", "-0", "1_0", "\u0661", "RD", "é", "R\x00", "-nan"]
 )
-_lines = st.lists(_tokens, max_size=4).flatmap(
+_token_lines = st.lists(_tokens, max_size=4).flatmap(
     lambda tokens: st.sampled_from(
         ["\t", " ", " \t ", "\x0c", "\x1f", "\xa0", "\u3000"]
     ).map(lambda sep: sep.join(tokens))
 )
+# Lines as the writers give them: 1-3 whole digits, either direction, and
+# no kind, a real or a dummy.
+_canonical_lines = st.builds(
+    lambda time, direction, kind: f"{time:.6f}\t{direction}{kind}",
+    st.floats(min_value=0.0, max_value=999.9999994),
+    st.sampled_from(["1", "-1"]),
+    st.sampled_from(["", "\tR", "\tD"]),
+)
+_lines = st.one_of(_token_lines, _canonical_lines)
 
 
 def _assert_parses_like_reference(text, defended):
@@ -140,9 +149,13 @@ def _assert_parses_like_reference(text, defended):
     st.lists(_lines, max_size=8),
     st.sampled_from(["\n", "\r\n", "\r", "\x1e"]),
     st.booleans(),
+    st.booleans(),
 )
-def test_parsers_match_line_by_line_reading(lines, newline, defended):
-    _assert_parses_like_reference(newline.join(lines), defended)
+def test_parsers_match_line_by_line_reading(lines, newline, final_newline, defended):
+    text = newline.join(lines) + (newline if final_newline else "")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traces, "_BULK_BYTES", 0)  # short text tries the canonical reader too
+        _assert_parses_like_reference(text, defended)
 
 
 def _counting_fallback(monkeypatch):
@@ -172,6 +185,62 @@ def test_fallback_reads_what_numpy_refuses_or_misreads(monkeypatch, text, defend
     calls = _counting_fallback(monkeypatch)
     _assert_parses_like_reference(text, defended)
     assert calls == [defended]
+
+
+def _counting_canonical(monkeypatch, floor=0):
+    """Whether each call of _read_canonical read its text, with `floor` for
+    _BULK_BYTES."""
+    taken = []
+    original = traces._read_canonical
+
+    def counting(text, defended):
+        columns = original(text, defended)
+        taken.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(traces, "_BULK_BYTES", floor)
+    monkeypatch.setattr(traces, "_read_canonical", counting)
+    return taken
+
+
+@pytest.mark.parametrize("text, defended", [
+    ("0.000000\t1\n", False),
+    ("7.250000\t-1\n12.500001\t1\n999.999999\t-1\n000.000001\t1\n", False),
+    ("0.000000\t1\tR\n", True),
+    ("7.250000\t-1\tD\n12.500001\t1\tR\n999.999999\t-1\tR\n3.000000\t1\tD\n", True),
+])
+def test_canonical_text_takes_the_canonical_reader(monkeypatch, text, defended):
+    taken = _counting_canonical(monkeypatch)
+    _assert_parses_like_reference(text, defended)
+    assert taken == [True]
+
+
+@pytest.mark.parametrize("text, defended", [
+    ("0.500000\t1\n1000.000000\t-1\n", False),  # 4 whole digits
+    ("0.500000\t1\tR\n1234.500000\t-1\tD\n", True),
+    (".500000\t1\n", False),  # none
+    ("0.500000\t1\n5.12345\t-1\n", False),  # 5 decimals
+    ("5.1234567\t-1\tR\n", True),  # 7
+    ("5.123456\t+1\n", False),
+    ("5.123456\t+1\tD\n", True),
+    ("5.123456\t1 \n", False),  # a trailing space
+    ("5.123456\t1\tR \n", True),
+    ("5.123456\t1\r\n6.000000\t-1\r\n", False),
+    ("5.123456\t1\tR\r\n", True),
+    ("5.123456\t1\n6.000000\t-1", False),  # no final newline
+    ("5.123456\t1\tR\n6.000000\t-1\tD", True),
+    ("5.123456\t1\n\n6.000000\t-1\n", False),  # a blank line
+    ("5.123456\t1\tR\n\n", True),
+    ("5.123456\t1\tR\x00\n", True),
+    ("5.123456\t1\tR\n", False),  # a kind where none belongs
+    ("5.123456\t1\n", True),  # no kind
+    ("1\n", False),  # short lines, which a gather without the length check misreads
+    ("1\n2\n", True),
+])
+def test_near_misses_take_the_general_readers(monkeypatch, text, defended):
+    taken = _counting_canonical(monkeypatch)
+    _assert_parses_like_reference(text, defended)
+    assert taken == [False]
 
 
 def test_canonical_files_never_reach_the_fallback(monkeypatch):
@@ -278,6 +347,61 @@ def test_writers_format_times_like_python(rows):
     )
 
 
+def _counting_tables(monkeypatch):
+    """The tails of each table lookup the writer makes."""
+    calls = []
+    original = traces._format_tables
+
+    def counting(tails):
+        calls.append(tails)
+        return original(tails)
+
+    monkeypatch.setattr(traces, "_format_tables", counting)
+    return calls
+
+
+def _python_rows(times, tails, which):
+    return "".join(f"{t:.6f}{tails[w]}" for t, w in zip(times.tolist(), which.tolist()))
+
+
+def test_table_writer_formats_like_python(monkeypatch):
+    calls = _counting_tables(monkeypatch)
+    rng = np.random.default_rng(0)
+    halves = (rng.integers(0, 10**9, 3000) + 0.5) / 1e6
+    ties = np.array([1, 3, 127, 127_999]) / 2.0**7  # exact halves of a microsecond
+    tails = ("\t1\tR\n", "\t-1\tD\n", "\t1\n")
+    for times in (
+        rng.uniform(0.0, 1000.0, 3000),
+        np.concatenate([halves, np.nextafter(halves, 0.0), np.nextafter(halves, np.inf)]),
+        np.concatenate([ties, ties / 2**10, [0.0, 5e-324, 1e-7, 4.9999999e-7, 999.999999]]),
+        np.array([999.999999, 999.9999994]),  # just under 1000
+    ):
+        which = rng.integers(0, len(tails), len(times))
+        calls.clear()
+        assert traces._format_rows(times, tails, which) == _python_rows(times, tails, which)
+        assert calls == [tails]
+    # A sign bit, or a time that rounds to 1,000 s or more, takes the `%` path.
+    for times in (
+        [-0.0, 1.0], [999.9999995, 0.5], [np.nextafter(999.9999995, np.inf)], [1000.0],
+        [1e12, 0.5], [2.5, -1.5],
+    ):
+        times = np.array(times)
+        which = np.zeros(len(times), np.intp)
+        calls.clear()
+        assert traces._format_rows(times, tails, which) == _python_rows(times, tails, which)
+        assert calls == []
+
+
+def test_table_writer_sweeps_every_microsecond_of_a_second():
+    # k / 1e6 and its neighbours lie far from a half microsecond, so each
+    # prints as k microseconds.
+    exact = np.arange(10**6) / 1e6
+    times = np.concatenate([exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0)])
+    which = np.zeros(len(times), np.intp)
+    second = ("0.%06d\n" * 10**6) % tuple(range(10**6))
+    assert traces._format_rows(times, ("\n",), which) == second * 3
+
+
 def test_writer_matches_python_formatting_at_paper_scale():
     (profile,) = separable_profiles(1, base_total=2000)
     (trace,) = generate(profile, instances=1, seed=3).traces
@@ -292,6 +416,26 @@ def test_writer_matches_python_formatting_at_paper_scale():
     assert parse_defended_schedule(write_defended_trace(defended))[2].tolist() == (
         defended.dummy.tolist()
     )
+
+
+def test_bulk_text_takes_the_canonical_reader_and_short_text_does_not(monkeypatch):
+    (profile,) = separable_profiles(1, base_total=2000)
+    (trace,) = generate(profile, instances=1, seed=3).traces
+    defended = PRESETS["regulator-heavy"].apply(trace, 7)
+    for text, kinds in ((write_trace(trace), False), (write_defended_trace(defended), True)):
+        assert len(text) >= traces._BULK_BYTES
+        columns = traces._read_canonical(text, kinds)
+        assert columns is not None
+    times, direction, dummy = columns
+    assert times.tolist() == [float(f"{t:.6f}") for t in defended.send_time.tolist()]
+    assert direction.tolist() == defended.direction.tolist()
+    assert dummy.tolist() == defended.dummy.tolist()
+    # Below the floor loadtxt is faster, so the canonical reader is not tried.
+    calls = _counting_canonical(monkeypatch, floor=traces._BULK_BYTES)
+    text = write_defended_trace(defended)
+    parse_defended_schedule(text[:traces._BULK_BYTES - 1].rsplit("\n", 1)[0] + "\n")
+    parse_defended_schedule(text)
+    assert calls == [True]
 
 
 def test_parse_defended_schedule_and_attach_sources():
