@@ -414,6 +414,7 @@ def cmd_tune(args) -> int:
     space = _json_file(args.space, "space", tuner.SearchSpace)
 
     dataset = load_dataset(Path(args.input))
+    attack.check_folds(dataset, args.folds)  # before the log is read or written
     existing = _read_trial_log(log_path, args.seed)
     fingerprint = {
         "space": asdict(space),

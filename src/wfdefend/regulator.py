@@ -32,7 +32,6 @@ from .traces import (
     Trace,
     check_count,
     check_positive,
-    first_slot_at_or_after,
     merge,
     one_direction,
 )
@@ -261,8 +260,11 @@ def simulate_upload(
             f"{MAX_SLOTS} slots"
         )
 
+    # The prelude's ticks k * gap before the surge.
     prelude_gap = 1.0 / params.initial_upload_rate
-    slots = (np.arange(first_slot_at_or_after(surge_start, prelude_gap)) * prelude_gap).tolist()
+    slots: list[float] = []
+    while (tick := len(slots) * prelude_gap) < surge_start:
+        slots.append(tick)
     slots += [download_slots[i] for i in _firing_slots(1.0 / params.U, len(download_slots))]
 
     cap = params.C

@@ -21,7 +21,9 @@ counted from `f"{t:.6f}"` itself (_microseconds). The reader takes the
 lines this program writes, `<1-3 digits>.<6 digits><TAB>±1[<TAB>R|D]`, as
 m / 1e6, m the integer of the digits: m is exact below 2**53, and one
 division is correctly rounded, so it is the float `float()` reads
-(_read_canonical). Other text takes the general paths.
+(_read_canonical). Defended text is this program's own format, so that
+reader takes it at any size, and recorded text from 2 KB; all other text
+takes the general paths.
 
 read_trace is the one rule for a usable trace file; iter_dataset and
 load_dataset walk a directory by it, skipping and naming the rest.
@@ -362,18 +364,15 @@ def _line_of(text: str, row: int) -> int:
     raise IndexError(row)
 
 
-# One defended line. Two characters, not one, so a token such as `RD` is
-# read whole and rejected rather than cut to `R`.
-_DEFENDED_ROW = np.dtype([("time", np.float64), ("value", np.float64), ("kind", "U2")])
-
 # A canonical line is read as one 16-byte row that ends at the byte after
 # its direction's `1`, so the time has the same columns in every row: 3-5
 # whole digits (right-aligned), 6 the point, 7-12 the fraction, 13 the tab
 # and 14-15 `1` and a newline (a defended line's tab), or `-1`.
 _ROW_BYTES = 16
 _PAD = b"\n" * _ROW_BYTES  # read before the text, so every row starts inside it
-# Below this many bytes numpy's loadtxt reads a file faster than the about
-# 30 array operations of _read_canonical (they cross at 100-250 lines).
+# Below this many bytes numpy's loadtxt reads a recorded file faster than
+# the about 30 array operations of _read_canonical (they cross at 100-250
+# lines). Defended text is read by _read_canonical at any size.
 _BULK_BYTES = 2048
 
 
@@ -478,42 +477,31 @@ def _parse_columns(text: str, defended: bool) -> tuple[np.ndarray, np.ndarray, n
     """Validated (times, direction, dummy) of the non-blank lines, in file
     order; `dummy` is all False unless `defended`.
 
-    Canonical text of at least _BULK_BYTES, the shape the writers give, is
-    read by _read_canonical. Other text goes to numpy's C reader, which splits
-    fields as `str.split` does and reads numbers with the routine behind
-    `float()`, so the values are the same. Input it refuses (`1_0`,
-    non-ASCII digits, wrong field counts) or whose columns fail a check is
-    read again line by line, which accepts what `float()` accepts and names
-    the first bad line.
+    Canonical text, the shape the writers give, is read by _read_canonical:
+    defended text at any size, recorded text from _BULK_BYTES. Other
+    defended text is read line by line. Other recorded text goes to numpy's
+    C reader, which splits fields as `str.split` does and reads numbers with
+    the routine behind `float()`, so the values are the same. Input it
+    refuses (`1_0`, non-ASCII digits, wrong field counts) or whose columns
+    fail a check is read again line by line, which accepts what `float()`
+    accepts and names the first bad line.
     """
-    if len(text) >= _BULK_BYTES:
+    if defended or len(text) >= _BULK_BYTES:
         columns = _read_canonical(text, defended)
         if columns is not None:
             return columns
     if not text or text.isspace():  # loadtxt warns on input with no data
         return np.empty(0), np.empty(0, np.int8), np.empty(0, np.bool_)
     lines = text.splitlines()
-    try:
-        if defended:
-            rows = np.loadtxt(lines, dtype=_DEFENDED_ROW, comments=None, ndmin=1)
-            times, values, kinds = rows["time"], rows["value"], rows["kind"]
-            dummy = kinds == PacketKind.DUMMY.value
-            # numpy drops trailing NULs from strings, so `R\0` would read as `R`.
-            known_kinds = "\0" not in text and (dummy | (kinds == PacketKind.REAL.value)).all()
-        else:
+    rows = None
+    if not defended:
+        try:
             rows = np.loadtxt(lines, comments=None, usecols=(0, 1), ndmin=2)
-            times, values = rows[:, 0], rows[:, 1]
-            dummy = np.zeros(len(rows), np.bool_)
-            known_kinds = True
-        valid = (
-            known_kinds
-            and np.isfinite(times).all()
-            and np.isfinite(values).all()
-            and (values != 0).all()
-        )
-    except ValueError:
-        valid = False
-    if not valid:
+        except ValueError:
+            pass
+    if rows is not None and np.isfinite(rows).all() and (rows[:, 1] != 0).all():
+        times, values, dummy = rows[:, 0], rows[:, 1], np.zeros(len(rows), np.bool_)
+    else:
         times, values, dummy = _read_lines(lines, defended)
     return times, np.where(values > 0, np.int8(1), np.int8(-1)), dummy
 
@@ -588,15 +576,13 @@ def _format_rows(times: np.ndarray, tails: tuple[str, ...], which: np.ndarray) -
     Times from 0 up to 1000 s are built by table lookup from their counts
     of microseconds (_microseconds): each row is 16 bytes of three table
     entries, and one `bytes.translate` drops their NUL padding. Any other
-    column takes one `%` over all rows, which runs the loop in C with the
-    formatter behind the f-string.
+    column is formatted one row at a time.
     """
     counts = _microseconds(times)
     if counts is None:
-        fields: list = [None] * (2 * len(times))
-        fields[::2] = times.tolist()
-        fields[1::2] = np.array(tails, dtype=object)[which].tolist()
-        return (f"%.{TIME_DECIMALS}f%s" * len(times)) % tuple(fields)
+        return "".join(
+            f"{t:.{TIME_DECIMALS}f}{tails[w]}" for t, w in zip(times.tolist(), which.tolist())
+        )
     whole_table, four_table, last_table = _format_tables(tails)
     whole, fraction = np.divmod(counts, 10**TIME_DECIMALS)
     four, last = np.divmod(fraction, 100)

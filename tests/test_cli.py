@@ -566,6 +566,29 @@ class TestEval:
         assert code == 2
         assert "fewer than" in err
 
+    @pytest.mark.parametrize("classes, message", [
+        (2, "class '0' has 3 instances, fewer than 5 folds"),
+        (1, "closed-world evaluation needs at least 2 classes"),
+    ])
+    def test_tune_fold_or_class_error_writes_nothing_and_defends_no_trace(
+        self, capsys, tmp_path, monkeypatch, classes, message
+    ):
+        def unexpected(*args):
+            raise AssertionError("a trace was defended")
+
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=classes, instances=3)
+        monkeypatch.setattr(regulator, "apply_regulator", unexpected)
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, err = run(
+            capsys, "tune", str(data), "--trials", "1", "--seed", "0", "--folds", "5",
+            "--log", str(tmp_path / "trials.jsonl"),
+        )
+        assert code == 2
+        assert message in err
+        assert stdout == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 def regulator_argv(command, data, tmp_path):
     """A run of `command` under regulator-heavy, ready for overrides."""

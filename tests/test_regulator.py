@@ -354,11 +354,25 @@ def upload_cases(draw):
     return trace, params, [k * GRID for k in slots], surge * GRID
 
 
+def prelude_tick_examples(test):
+    """Surge starts on a prelude tick, k * gap or k / rate, and one ulp to
+    either side, at three prelude rates, as examples of `test`."""
+    for rate in (4.0, 3.0, 0.37):
+        params = replace(HEAVY, U=1.0, initial_upload_rate=rate)
+        for k in (1, 2, 3, 7, 10):
+            for tick in {k * (1.0 / rate), k / rate}:
+                for surge in (math.nextafter(tick, 0.0), tick, math.nextafter(tick, math.inf)):
+                    trace = Trace([0.0, surge], [Direction.UPLOAD] * 2)
+                    test = example((trace, params, [surge, surge + 1.0], surge))(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(upload_cases())
 @example((Trace([], []), HEAVY, [], 0.0))
 @example((Trace([0.0, 0.0, 0.25], [Direction.UPLOAD] * 3), replace(HEAVY, U=1.0, C=1.0), [], 0.0))
 @example((Trace([0.0, 0.0], [Direction.UPLOAD] * 2), replace(HEAVY, U=1.0, C=1.0), [1.0], 1.0))
+@prelude_tick_examples
 def test_upload_matches_the_event_merge_bit_for_bit(case):
     trace, params, slots, surge_start = case
     out = simulate_upload(trace, params, slots, surge_start)

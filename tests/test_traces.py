@@ -232,6 +232,13 @@ def test_canonical_text_takes_the_canonical_reader(monkeypatch, text, defended):
     ("5.123456\t1\n\n6.000000\t-1\n", False),  # a blank line
     ("5.123456\t1\tR\n\n", True),
     ("5.123456\t1\tR\x00\n", True),
+    # Short defended text that is not canonical reads line by line.
+    ("1.5\t-1\tD\n", True),
+    ("1e-3\t1\tR\n", True),
+    ("\n0.5\t1\tR\n\n\n1.5\t-1\tD\n", True),
+    ("0.5\t1\tR\r\n1.5\t-1\tD\r\n", True),
+    ("0.5\t1\tR\n1.5\t-1\tR\x00\n", True),
+    ("0.5\t1\tR\n1.5\t-1\tX\n", True),
     ("5.123456\t1\tR\n", False),  # a kind where none belongs
     ("5.123456\t1\n", True),  # no kind
     ("1\n", False),  # short lines, which a gather without the length check misreads
@@ -380,13 +387,14 @@ def test_table_writer_formats_like_python(monkeypatch):
         calls.clear()
         assert traces._format_rows(times, tails, which) == _python_rows(times, tails, which)
         assert calls == [tails]
-    # A sign bit, or a time that rounds to 1,000 s or more, takes the `%` path.
+    # A sign bit, or a time that rounds to 1,000 s or more, is formatted one row at a time.
     for times in (
         [-0.0, 1.0], [999.9999995, 0.5], [np.nextafter(999.9999995, np.inf)], [1000.0],
         [1e12, 0.5], [2.5, -1.5],
+        [0.25, 1000.0, 3.5, -0.0, 12.000001, 1234.5678915, 999.999999, 1e15, 0.0],
     ):
         times = np.array(times)
-        which = np.zeros(len(times), np.intp)
+        which = np.arange(len(times)) % len(tails)
         calls.clear()
         assert traces._format_rows(times, tails, which) == _python_rows(times, tails, which)
         assert calls == []
@@ -430,12 +438,15 @@ def test_bulk_text_takes_the_canonical_reader_and_short_text_does_not(monkeypatc
     assert times.tolist() == [float(f"{t:.6f}") for t in defended.send_time.tolist()]
     assert direction.tolist() == defended.direction.tolist()
     assert dummy.tolist() == defended.dummy.tolist()
-    # Below the floor loadtxt is faster, so the canonical reader is not tried.
+    # Defended text takes the canonical reader at any size. Recorded text
+    # below the floor does not: loadtxt reads it faster.
     calls = _counting_canonical(monkeypatch, floor=traces._BULK_BYTES)
-    text = write_defended_trace(defended)
-    parse_defended_schedule(text[:traces._BULK_BYTES - 1].rsplit("\n", 1)[0] + "\n")
-    parse_defended_schedule(text)
-    assert calls == [True]
+    for text, parse in ((write_defended_trace(defended), parse_defended_schedule),
+                        (write_trace(trace), parse_trace)):
+        short = text[:traces._BULK_BYTES - 1].rsplit("\n", 1)[0] + "\n"
+        parse(short)
+        parse(text)
+    assert calls == [True, True, True]
 
 
 def test_parse_defended_schedule_and_attach_sources():
