@@ -28,7 +28,6 @@ Observable = Union[Trace, DefendedTrace]
 class EvalResult:
     accuracy: float
     per_class_accuracy: dict[str, float]
-    fold_count: int
 
 
 def extract_features(observed: Observable) -> np.ndarray:
@@ -254,7 +253,6 @@ def evaluate_closed_world(
     return EvalResult(
         accuracy=float(np.mean(fold_accuracies)),
         per_class_accuracy=per_class,
-        fold_count=folds,
     )
 
 

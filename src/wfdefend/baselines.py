@@ -94,7 +94,7 @@ def apply_front(trace: Trace, params: FrontParams, seed: int) -> DefendedTrace:
         (client_times, Direction.UPLOAD, np.full(len(client_times), np.nan)),
         (server_times, Direction.DOWNLOAD, np.full(len(server_times), np.nan)),
     )
-    return merge(parts, drawn_budget=len(server_times))
+    return merge(parts)
 
 
 def _tamaraw_direction(
@@ -132,5 +132,4 @@ def apply_tamaraw(trace: Trace, params: TamarawParams) -> DefendedTrace:
     up = _tamaraw_direction(
         trace.times_of(Direction.UPLOAD), Direction.UPLOAD, params.rho_out, params.L
     )
-    down_dummies = len(down[0]) - trace.count(Direction.DOWNLOAD)
-    return merge((down, up), drawn_budget=down_dummies)
+    return merge((down, up))

@@ -299,7 +299,7 @@ def cmd_eval(args) -> int:
         dataset, features=features, k=args.k, folds=args.folds, seed=seed
     )
     print(f"accuracy={result.accuracy:.6f}")
-    print(f"folds={result.fold_count}")
+    print(f"folds={args.folds}")
     for label in sorted(result.per_class_accuracy):
         print(f"class_{label}={result.per_class_accuracy[label]:.6f}")
     if features_out:
@@ -307,18 +307,21 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _read_trial_log(log_path: Path, seed: int) -> list[tuner.TrialRecord]:
-    """Records of an existing trial log, ready for appending.
+def _read_trial_log(log_path: Path, seed: int, fingerprint: dict) -> list[tuner.TrialRecord]:
+    """Records of an existing trial log, ready for appending, once the log
+    is found to belong to this run (`_check_fingerprint`).
 
     A last line without its newline that does not parse is a torn write:
     it is cut from the file with a warning and its trial runs again. A
-    malformed line anywhere else is a data error.
+    malformed line anywhere else is a data error. A refused log is left as
+    it was.
     """
-    if not log_path.is_file():
-        return []
-    raw = log_path.read_bytes()
-    lines = raw.decode("utf-8").split("\n")
-    records = []
+    raw = log_path.read_bytes() if log_path.is_file() else b""
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{log_path}: {exc}") from None
+    records, torn = [], None
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -329,17 +332,19 @@ def _read_trial_log(log_path: Path, seed: int) -> list[tuner.TrialRecord]:
                 raise ValueError(
                     f"{log_path} line {lineno}: malformed trial record: {exc}"
                 ) from None
-            logger.warning("dropping torn last line of %s: %s", log_path, exc)
-            os.truncate(log_path, raw.rfind(b"\n") + 1)
+            torn = exc
             break
         if master != seed:
             raise ValueError(f"trial log {log_path} was produced with seed {master}, not {seed}")
         records.append(record)
-    else:
-        if raw and not raw.endswith(b"\n"):
-            # A complete last record whose newline was lost.
-            with log_path.open("a", encoding="utf-8") as log:
-                log.write("\n")
+    _check_fingerprint(log_path, fingerprint, resuming=bool(records))
+    if torn is not None:
+        logger.warning("dropping torn last line of %s: %s", log_path, torn)
+        os.truncate(log_path, raw.rfind(b"\n") + 1)
+    elif raw and not raw.endswith(b"\n"):
+        # A complete last record whose newline was lost.
+        with log_path.open("a", encoding="utf-8") as log:
+            log.write("\n")
     return records
 
 
@@ -415,7 +420,6 @@ def cmd_tune(args) -> int:
 
     dataset = load_dataset(Path(args.input))
     attack.check_folds(dataset, args.folds)  # before the log is read or written
-    existing = _read_trial_log(log_path, args.seed)
     fingerprint = {
         "space": asdict(space),
         "weights": asdict(weights),
@@ -426,7 +430,7 @@ def cmd_tune(args) -> int:
             name: (Path(args.input) / name).stat().st_size for name in dataset.filenames
         },
     }
-    _check_fingerprint(log_path, fingerprint, resuming=bool(existing))
+    existing = _read_trial_log(log_path, args.seed, fingerprint)
     start = len(existing)
     new_records = []
     if start < args.trials:
@@ -481,9 +485,7 @@ def cmd_synth(args) -> int:
     )
     dataset = synth.generate_classes(profiles, args.instances, args.seed)
     with _staged_dir(out_dir) as staging:
-        # The traces come grouped by class, `instances` to a class.
-        for index, trace in enumerate(dataset.traces):
-            name = f"{trace.label}-{index % args.instances}"
+        for name, trace in zip(dataset.filenames, dataset.traces):
             (staging / name).write_text(write_trace(trace), encoding="utf-8")
     print(f"traces={len(dataset)}")
     print(f"out={out_dir}")

@@ -296,5 +296,4 @@ def apply_regulator(trace: Trace, params: RegulatorParams, seed: int) -> Defende
     """Defend a trace; a pure function of (trace, params, seed)."""
     download = simulate_download(trace, params, seed)
     upload = simulate_upload(trace, params, download.slots, download.surge_start)
-    halves = [(h.send_time, h.direction, h.source_time) for h in (download.packets, upload)]
-    return merge(halves, drawn_budget=download.drawn_budget)
+    return merge([(h.send_time, h.direction, h.source_time) for h in (download.packets, upload)])

@@ -46,11 +46,6 @@ class PostTenthProfile:
     skipped: int
 
 
-def _named(dataset: Dataset) -> zip[tuple[str, Trace]]:
-    """(file name, trace) pairs; the names are indexes when there are no files."""
-    return zip(dataset.filenames or map(str, range(len(dataset))), dataset.traces)
-
-
 def _sorted_quantile(values: np.ndarray, q: float) -> float:
     """The q-quantile, 0 <= q < 1, of sorted, non-empty `values`, bit for
     bit what np.quantile returns: numpy's linear interpolation written out,
@@ -85,7 +80,7 @@ def dataset_stats(dataset: Dataset) -> DatasetStats:
     if not dataset.traces:
         raise ValueError("statistics are undefined for an empty dataset")
     per_trace = []
-    for name, trace in _named(dataset):
+    for name, trace in zip(dataset.filenames, dataset.traces):
         if not len(trace):
             raise ValueError(f"{name}: statistics are undefined for an empty trace")
         per_trace.append(trace_stats(trace))
@@ -159,7 +154,7 @@ def iqr_table(dataset: Dataset, summary: DatasetStats) -> str:
     rows = (
         f"{name},{s.packet_count},{s.duration:.6f},{s.time_iqr:.6f},"
         f"{s.download_upload_ratio:.6f}\n"
-        for (name, _), s in zip(_named(dataset), summary.per_trace, strict=True)
+        for name, s in zip(dataset.filenames, summary.per_trace, strict=True)
     )
     return "name,packet_count,duration,time_iqr,download_upload_ratio\n" + "".join(rows)
 
@@ -173,7 +168,7 @@ def decay_table(profile: PostTenthProfile) -> str:
 def per_second_table(dataset: Dataset) -> str:
     """Upload vs download packet counts per one-second bin, per trace, as CSV;
     a row for every second up to the last packet, at most MAX_SLOTS per trace."""
-    named = [(name, trace) for name, trace in _named(dataset) if len(trace)]
+    named = [(name, trace) for name, trace in zip(dataset.filenames, dataset.traces) if len(trace)]
     for name, trace in named:
         if trace.times[-1] >= MAX_SLOTS:
             raise ValueError(f"{name}: more than {MAX_SLOTS} seconds of per-second rows")

@@ -58,7 +58,7 @@ def generate(profile: SynthProfile, instances: int, seed: int) -> Dataset:
     direction = np.concatenate([
         np.where(is_upload, Direction.UPLOAD, Direction.DOWNLOAD) for _, is_upload in surges
     ])
-    traces = []
+    traces, names = [], []
     for instance in range(instances):
         rng = np.random.default_rng(
             stable_seed(seed, "synth-inst", profile.class_id, instance)
@@ -72,17 +72,20 @@ def generate(profile: SynthProfile, instances: int, seed: int) -> Dataset:
         traces.append(
             Trace(times - times[0], direction[order], label=profile.class_id)
         )
-    return Dataset(tuple(traces), name=f"synth:{profile.class_id}")
+        names.append(f"{profile.class_id}-{instance}")
+    return Dataset(tuple(traces), name=f"synth:{profile.class_id}", filenames=tuple(names))
 
 
 def generate_classes(
     profiles: list[SynthProfile], instances: int, seed: int
 ) -> Dataset:
     """One dataset holding `instances` traces per profile, grouped by class."""
-    traces = []
+    traces, names = [], []
     for profile in profiles:
-        traces.extend(generate(profile, instances, seed).traces)
-    return Dataset(tuple(traces), name="synth")
+        dataset = generate(profile, instances, seed)
+        traces.extend(dataset.traces)
+        names.extend(dataset.filenames)
+    return Dataset(tuple(traces), name="synth", filenames=tuple(names))
 
 
 def separable_profiles(

@@ -193,20 +193,18 @@ class Trace:
 
 @dataclass(frozen=True, eq=False)
 class DefendedTrace:
-    """Defended packet schedule and the download padding budget drawn for it.
+    """Defended packet schedule.
 
     Real packets carry the availability time of the original packet they
     deliver (`source_time`) and are never sent before it; a NaN source time
-    is what marks a dummy, and `dummy` is that mask, derived once.
-    `drawn_budget` is the realized download padding budget. At equal send
-    times the download side is listed before the upload side, and
+    is what marks a dummy, and `dummy` is that mask, derived once. At equal
+    send times the download side is listed before the upload side, and
     earlier-queued packets first.
     """
 
     send_time: np.ndarray
     direction: np.ndarray
     source_time: np.ndarray
-    drawn_budget: int = 0
     dummy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -223,8 +221,6 @@ class DefendedTrace:
                 f"real packet sent at {float(send[i])} before its source "
                 f"time {float(source[i])}"
             )
-        if self.drawn_budget < 0:
-            raise ValueError("drawn_budget must be non-negative")
         _check_sorted(send, "defended packets must be sorted by send_time")
         dummy = np.isnan(source)
         dummy.flags.writeable = False
@@ -251,8 +247,7 @@ class DefendedTrace:
         if not isinstance(other, DefendedTrace):
             return NotImplemented
         return (
-            self.drawn_budget == other.drawn_budget
-            and np.array_equal(self.send_time, other.send_time)
+            np.array_equal(self.send_time, other.send_time)
             and np.array_equal(self.direction, other.direction)
             and np.array_equal(self.source_time, other.source_time, equal_nan=True)
         )
@@ -267,7 +262,7 @@ def one_direction(direction: Direction, send_time, source_time) -> DefendedTrace
     return DefendedTrace(send_time, np.full(len(send_time), direction, np.int8), source_time)
 
 
-def merge(parts: Sequence[tuple], drawn_budget: int) -> DefendedTrace:
+def merge(parts: Sequence[tuple]) -> DefendedTrace:
     """One DefendedTrace of `parts`, each (send_time, direction, source_time)
     sorted by send time, with one Direction or a column of them; a NaN source
     marks a dummy. At equal send times a stable sort keeps the parts' order."""
@@ -281,8 +276,7 @@ def merge(parts: Sequence[tuple], drawn_budget: int) -> DefendedTrace:
     send = np.concatenate(sends)
     order = np.argsort(send, kind="stable")
     return DefendedTrace(
-        send[order], np.concatenate(directions)[order], np.concatenate(sources)[order],
-        drawn_budget=drawn_budget,
+        send[order], np.concatenate(directions)[order], np.concatenate(sources)[order]
     )
 
 
@@ -298,7 +292,8 @@ def first_slot_at_or_after(t, gap: float):
 
 @dataclass(frozen=True)
 class Dataset:
-    """A set of labeled traces, usually one directory of trace files."""
+    """A set of labeled traces, usually one directory of trace files; traces
+    given without file names are named by their index."""
 
     traces: tuple[Trace, ...]
     name: str
@@ -307,10 +302,10 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "traces", tuple(self.traces))
-        if self.filenames is not None:
-            object.__setattr__(self, "filenames", tuple(self.filenames))
-            if len(self.filenames) != len(self.traces):
-                raise ValueError("filenames must align with traces")
+        names = map(str, range(len(self.traces))) if self.filenames is None else self.filenames
+        object.__setattr__(self, "filenames", tuple(names))
+        if len(self.filenames) != len(self.traces):
+            raise ValueError("filenames must align with traces")
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -659,8 +654,7 @@ def attach_sources(
         raise ValueError(min(problems)[1])
     if missing:
         raise ValueError(missing[0])
-    dummy_downloads = int(np.count_nonzero(dummy & (direction == Direction.DOWNLOAD)))
-    return DefendedTrace(send, direction, source, drawn_budget=dummy_downloads)
+    return DefendedTrace(send, direction, source)
 
 
 def label_from_filename(name: str) -> str:

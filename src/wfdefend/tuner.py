@@ -104,9 +104,8 @@ def run_trial(
 ) -> TrialRecord:
     # Each defended trace is reduced to its overhead report and feature row
     # as it is made, so a trial never holds the whole defended dataset.
-    names = dataset.filenames or [f"trace {i}" for i in range(len(dataset))]
     reports, features = [], []
-    for i, (trace, name) in enumerate(zip(dataset.traces, names)):
+    for i, (trace, name) in enumerate(zip(dataset.traces, dataset.filenames)):
         defended = defend(params, trace, stable_seed(trial_seed, "trace", i), name)
         reports.append(trace_overhead(trace, defended))
         features.append(extract_features(defended))

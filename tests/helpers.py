@@ -13,6 +13,7 @@ from wfdefend import (
     RegulatorParams,
     Trace,
 )
+from wfdefend.regulator import ACTIVATION_PACKETS, simulate_download
 
 
 def random_trace(rng: np.random.Generator, max_packets: int = 500) -> Trace:
@@ -75,7 +76,7 @@ def surge_slots(params: RegulatorParams, budget: int) -> list[float]:
     return list(schedule.slots)
 
 
-def defended_from_rows(rows, drawn_budget: int = 0) -> DefendedTrace:
+def defended_from_rows(rows) -> DefendedTrace:
     """DefendedTrace from (send_time, direction, kind, source_time) rows;
     a DUMMY row gets the NaN source time that marks a dummy."""
     rows = list(rows)
@@ -83,7 +84,6 @@ def defended_from_rows(rows, drawn_budget: int = 0) -> DefendedTrace:
         send_time=[r[0] for r in rows],
         direction=[r[1] for r in rows],
         source_time=[np.nan if r[2] is PacketKind.DUMMY else r[3] for r in rows],
-        drawn_budget=drawn_budget,
     )
 
 
@@ -103,6 +103,20 @@ def assert_conservation_and_fifo(original: Trace, defended: DefendedTrace) -> No
     for p in defended:
         if p.kind is PacketKind.REAL:
             assert p.send_time >= p.source_time
+
+
+def assert_draw_spent(
+    trace: Trace, params: RegulatorParams, seed: int, defended: DefendedTrace
+) -> None:
+    """The regulator's drawn download budget is at most N and, once the
+    schedule starts, is sent whole as download dummies; a trace that never
+    starts the schedule gets no dummies."""
+    budget = simulate_download(trace, params, seed).drawn_budget
+    assert budget <= params.N
+    if trace.count(Direction.DOWNLOAD) >= ACTIVATION_PACKETS:
+        assert defended.dummy_count(Direction.DOWNLOAD) == budget
+    else:
+        assert defended.dummy_count() == 0
 
 
 def float_bits(values) -> list[int]:

@@ -60,7 +60,7 @@ def reference_defend(
             _row(t, Direction.UPLOAD, PacketKind.REAL, t) for t in upload_times
         ]
         merged = sorted(down_out + up_out, key=lambda p: p[0])
-        return defended_from_rows(merged, drawn_budget=budget), []
+        return defended_from_rows(merged), []
 
     down_out = [
         _row(t, Direction.DOWNLOAD, PacketKind.REAL, t)
@@ -113,7 +113,7 @@ def reference_defend(
 
     up_out = _reference_upload(upload_times, params, slot_times, download_times[9])
     merged = sorted(down_out + up_out, key=lambda p: p[0])
-    return defended_from_rows(merged, drawn_budget=budget), trail
+    return defended_from_rows(merged), trail
 
 
 def _reference_upload(

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import wfdefend
-from wfdefend import cli, regulator, stats
+from wfdefend import cli, regulator, stats, synth
 from wfdefend.cli import main
+from wfdefend.traces import write_trace
 
 
 def run(capsys, *argv):
@@ -722,10 +723,19 @@ class TestTune:
         data = tmp_path / "data"
         write_synth_dataset(capsys, data, classes=2, instances=4)
         log = tmp_path / "trials.jsonl"
+        fingerprint = tmp_path / "trials.jsonl.fingerprint.json"
         base = ("tune", str(data), "--seed", "5", "--folds", "2", "--k", "1")
         run(capsys, *base, "--log", str(log), "--trials", "2")
         first, second = log.read_text().splitlines()
         log.write_text(first + "\n" + second[:keep])
+
+        # A resume refused for another --k once repaired the tail first.
+        before = log.read_bytes(), fingerprint.read_bytes()
+        code, stdout, err = run(capsys, *base, "--log", str(log), "--trials", "3", "--k", "3")
+        assert code == 2
+        assert stdout == ""
+        assert f"trial log {log} was produced with k=1, not 3" in err
+        assert (log.read_bytes(), fingerprint.read_bytes()) == before
 
         code, _, err = run(capsys, *base, "--log", str(log), "--trials", "3")
         assert code == 0, err
@@ -738,29 +748,41 @@ class TestTune:
         data = tmp_path / "data"
         write_synth_dataset(capsys, data, classes=2, instances=4)
         log = tmp_path / "trials.jsonl"
+        fingerprint = tmp_path / "trials.jsonl.fingerprint.json"
         base = ("tune", str(data), "--seed", "5", "--log", str(log),
                 "--folds", "2", "--k", "1")
         run(capsys, *base, "--trials", "2")
-        first, second = log.read_text().splitlines()
-        log.write_text(first[:60] + "\n" + second + "\n")
-        before = log.read_bytes()
-        code, _, err = run(capsys, *base, "--trials", "3")
-        assert code == 2
-        assert "line 1: malformed trial record" in err
-        assert log.read_bytes() == before
+        first, second = log.read_bytes().splitlines()
+        # A log that is not UTF-8 once raised a bare UnicodeDecodeError
+        # that did not name the log.
+        for damaged, message in [
+            (first[:60], f"{log} line 1: malformed trial record"),
+            (b"\xff" + first, f"{log}: 'utf-8' codec can't decode byte 0xff in position 0"),
+        ]:
+            log.write_bytes(damaged + b"\n" + second + b"\n")
+            before = log.read_bytes(), fingerprint.read_bytes()
+            code, stdout, err = run(capsys, *base, "--trials", "3")
+            assert code == 2
+            assert stdout == ""
+            assert err.startswith(f"wfdefend: error: {message}")
+            assert (log.read_bytes(), fingerprint.read_bytes()) == before
 
     def test_seed_mismatch_is_data_error(self, capsys, tmp_path):
         data = tmp_path / "data"
         write_synth_dataset(capsys, data, classes=2, instances=4)
         log = tmp_path / "trials.jsonl"
+        fingerprint = tmp_path / "trials.jsonl.fingerprint.json"
         run(capsys, "tune", str(data), "--trials", "1", "--seed", "5",
             "--log", str(log), "--folds", "2", "--k", "1")
-        code, _, err = run(
+        before = log.read_bytes(), fingerprint.read_bytes()
+        code, stdout, err = run(
             capsys, "tune", str(data), "--trials", "2", "--seed", "6",
             "--log", str(log), "--folds", "2", "--k", "1",
         )
         assert code == 2
-        assert "seed" in err
+        assert stdout == ""
+        assert f"trial log {log} was produced with seed 5, not 6" in err
+        assert (log.read_bytes(), fingerprint.read_bytes()) == before
 
     def test_fingerprint_records_the_run(self, capsys, tmp_path):
         data = tmp_path / "data"
@@ -791,7 +813,6 @@ class TestTune:
         base = ["tune", str(data), "--seed", "5", "--log", str(log), "--folds", "2"]
         code, _, err = run(capsys, *base, "--trials", "1", "--k", "1")
         assert code == 0, err
-        before = log.read_bytes()
         k = "1"
         if change == "k":
             k = "2"
@@ -802,11 +823,13 @@ class TestTune:
         else:
             with (data / "1-3").open("a") as trace:
                 trace.write("99.0\t-1\n")
+        fingerprint = tmp_path / "trials.jsonl.fingerprint.json"
+        before = log.read_bytes(), fingerprint.read_bytes()
         code, stdout, err = run(capsys, *base, "--trials", "2", "--k", k)
         assert code == 2
         assert stdout == ""
         assert f"trial log {log} was produced with {field}" in err
-        assert log.read_bytes() == before
+        assert (log.read_bytes(), fingerprint.read_bytes()) == before
 
     @pytest.mark.parametrize("content, reason", [
         (b"{", "Expecting property name"),
@@ -1230,6 +1253,15 @@ class TestSynth:
             write_synth_dataset(capsys, out, classes=2, instances=3, seed=4)
         assert tree_bytes(out1) == tree_bytes(out2)
         assert len(tree_bytes(out1)) == 6
+
+    def test_writes_the_generated_datasets_filenames(self, capsys, tmp_path):
+        write_synth_dataset(capsys, tmp_path / "s", classes=3, instances=4, seed=9)
+        profiles = synth.separable_profiles(3, base_total=40, step=10)
+        dataset = synth.generate_classes(profiles, 4, seed=9)
+        assert tree_bytes(tmp_path / "s") == {
+            name: write_trace(trace).encode()
+            for name, trace in zip(dataset.filenames, dataset.traces, strict=True)
+        }
 
     def test_requires_seed(self, capsys, tmp_path):
         code, _, err = run(capsys, "synth", "--out", str(tmp_path / "x"))

@@ -23,7 +23,7 @@ UP, DOWN = Direction.UPLOAD, Direction.DOWNLOAD
 
 
 def identity_defense(trace: Trace) -> DefendedTrace:
-    return DefendedTrace(trace.times, trace.direction, trace.times, drawn_budget=0)
+    return DefendedTrace(trace.times, trace.direction, trace.times)
 
 
 def make_trace(times, direction=Direction.DOWNLOAD):
@@ -36,7 +36,7 @@ def with_dummies(defended: DefendedTrace, dummy_times, direction=Direction.DOWNL
         (defended.send_time, defended.direction, defended.source_time),
         (dummy_times, direction, np.full(len(dummy_times), np.nan)),
     )
-    return merge(parts, drawn_budget=len(dummy_times))
+    return merge(parts)
 
 
 class TestBandwidth:
@@ -65,7 +65,6 @@ class TestLatency:
             send_time=[0.0, 30.8],
             direction=[DOWN, DOWN],
             source_time=[0.0, 28.0],
-            drawn_budget=0,
         )
         assert trace_overhead(trace, defended).latency_overhead == pytest.approx(0.1, abs=1e-12)
 
@@ -98,7 +97,6 @@ class TestEstimatedLatency:
             send_time=[0.4, 10.1, 29.0],
             direction=[UP, UP, DOWN],
             source_time=[0.0, 10.0, 28.0],
-            drawn_budget=0,
         )
         assert trace_overhead(trace, defended).estimated_latency_overhead == pytest.approx(
             (1.0 + 0.4) / 28.0, abs=1e-12
@@ -174,7 +172,6 @@ def test_trace_overhead_fields():
         send_time=[0.3, 1.5, 2.0],
         direction=[UP, DOWN, DOWN],
         source_time=[0.0, 1.0, np.nan],
-        drawn_budget=1,
     )
     report = trace_overhead(trace, defended)
     assert report.real_count == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import random_trace
 
 from wfdefend import (
+    Dataset,
     DefendedTrace,
     Direction,
     PacketKind,
@@ -281,9 +282,9 @@ def test_parse_sorts_unsorted_input():
 
 
 def test_write_defended_format():
-    real = DefendedTrace([0.0], [Direction.UPLOAD], [0.0], drawn_budget=0)
+    real = DefendedTrace([0.0], [Direction.UPLOAD], [0.0])
     assert write_defended_trace(real) == "0.000000\t1\tR\n"
-    dummy = DefendedTrace([1.0], [Direction.DOWNLOAD], [np.nan], drawn_budget=1)
+    dummy = DefendedTrace([1.0], [Direction.DOWNLOAD], [np.nan])
     assert write_defended_trace(dummy) == "1.000000\t-1\tD\n"
 
 
@@ -292,7 +293,6 @@ def test_roundtrip_real_subset_via_parse_trace():
         send_time=[0.0, 0.25, 0.5],
         direction=[Direction.UPLOAD, Direction.DOWNLOAD, Direction.DOWNLOAD],
         source_time=[0.0, np.nan, 0.4],
-        drawn_budget=1,
     )
     text = write_defended_trace(defended)
     stripped = "".join(
@@ -485,8 +485,6 @@ def test_defended_packet_invariants():
         one(1.0)  # time travel
     with pytest.raises(ValueError, match="sorted"):
         DefendedTrace([1.0, 0.0], [1, 1], [np.nan, np.nan])
-    with pytest.raises(ValueError, match="drawn_budget"):
-        DefendedTrace([], [], [], drawn_budget=-1)
     with pytest.raises(TypeError, match="dummy"):
         DefendedTrace([0.0], [1], [0.0], dummy=[False])  # derived, never passed
 
@@ -500,6 +498,13 @@ def test_load_dataset(tmp_path):
     assert [t.label for t in dataset.traces] == ["0", "0", "1"]
     assert dataset.filenames == ("0-0", "0-1", "1-0")
     assert dataset.skipped == 0
+
+
+def test_dataset_names_traces_without_files_by_index():
+    trace = Trace([0.0], [Direction.UPLOAD])
+    assert Dataset((trace, trace), name="x").filenames == ("0", "1")
+    with pytest.raises(ValueError, match="filenames must align"):
+        Dataset((trace, trace), name="x", filenames=("a",))
 
 
 def test_load_dataset_skips_malformed(tmp_path, caplog):
@@ -589,9 +594,9 @@ def test_merge_rejects_a_part_out_of_order():
     # The merged times would sort, so only the per-part check sees this.
     backwards = ([0.5, 0.25], Direction.DOWNLOAD, [np.nan, np.nan])
     with pytest.raises(ValueError, match="each merged part must be sorted"):
-        merge((upload, backwards), drawn_budget=0)
+        merge((upload, backwards))
     with pytest.raises(ValueError, match="finite"):
-        merge((upload, ([np.inf], Direction.DOWNLOAD, [np.nan])), drawn_budget=0)
+        merge((upload, ([np.inf], Direction.DOWNLOAD, [np.nan])))
 
 
 def assert_dummy_is_nan_source(defended: DefendedTrace) -> None:
@@ -616,11 +621,10 @@ def test_dummy_mask_is_the_nan_source_of_every_defense(seed, name):
 def test_merge_orders_ties_by_part_then_position():
     down = ([0.0, 1.0], Direction.DOWNLOAD, [np.nan, 0.5])
     up = (np.array([0.0, 1.0]), np.array([1, 1]), np.array([0.0, np.nan]))
-    merged = merge((down, up), drawn_budget=1)
+    merged = merge((down, up))
     assert merged.send_time.tolist() == [0.0, 0.0, 1.0, 1.0]
     assert merged.direction.tolist() == [-1, 1, -1, 1]
     assert merged.dummy.tolist() == [True, False, False, True]
-    assert merged.drawn_budget == 1
 
 
 def _first_slot_by_loop(t: float, gap: float) -> int:
