@@ -205,6 +205,8 @@ def cmd_simulate(args) -> int:
     # more than the CPUs this process may run on.
     workers = min(args.jobs, _usable_cpus())
     out_dir = _output_path(args.out, directory=True)
+    if out_dir.is_dir() and Path(args.input).is_dir() and out_dir.samefile(args.input):
+        raise UsageError(f"--out {args.out} is the input directory; its traces would be lost")
     report_path = _output_path(out_dir.parent / f"{out_dir.name}.overhead.csv")
 
     # Each result is written to the staging directory as it arrives, so
@@ -313,8 +315,9 @@ def _read_trial_log(log_path: Path, seed: int, fingerprint: dict) -> list[tuner.
 
     A last line without its newline that does not parse is a torn write:
     it is cut from the file with a warning and its trial runs again. A
-    malformed line anywhere else is a data error. A refused log is left as
-    it was.
+    malformed line anywhere else is a data error, and so is a record whose
+    trial is not its place in the log (trial i as the i-th record, from
+    0). A refused log is left as it was.
     """
     raw = log_path.read_bytes() if log_path.is_file() else b""
     try:
@@ -336,6 +339,11 @@ def _read_trial_log(log_path: Path, seed: int, fingerprint: dict) -> list[tuner.
             break
         if master != seed:
             raise ValueError(f"trial log {log_path} was produced with seed {master}, not {seed}")
+        if record.trial_index != len(records):
+            raise ValueError(
+                f"{log_path} line {lineno}: trial {record.trial_index} "
+                f"where trial {len(records)} belongs"
+            )
         records.append(record)
     _check_fingerprint(log_path, fingerprint, resuming=bool(records))
     if torn is not None:
@@ -430,26 +438,21 @@ def cmd_tune(args) -> int:
             name: (Path(args.input) / name).stat().st_size for name in dataset.filenames
         },
     }
-    existing = _read_trial_log(log_path, args.seed, fingerprint)
-    start = len(existing)
-    new_records = []
-    if start < args.trials:
-        with log_path.open("a", encoding="utf-8") as log:
-            new_records = tuner.random_search(
-                dataset,
-                space,
-                weights,
-                trials=args.trials,
-                seed=args.seed,
-                eval_k=args.k,
-                eval_folds=args.folds,
-                start_trial=start,
-                on_trial=lambda rec: log.write(tuner.trial_json(rec, args.seed) + "\n"),
-            )
     # A log that holds more trials than asked for ranks only the first ones.
-    ranked = sorted(existing[: args.trials] + new_records, key=lambda r: (r.loss, r.trial_index))
+    records = _read_trial_log(log_path, args.seed, fingerprint)[: args.trials]
+    if len(records) < args.trials:
+        # Line-buffered, so each trial reaches the log as it is scored: a
+        # run that is killed keeps every trial it finished.
+        with log_path.open("a", encoding="utf-8", buffering=1) as log:
+            trials = tuner.random_search(
+                dataset, space, weights, trials=args.trials, seed=args.seed,
+                eval_k=args.k, eval_folds=args.folds, start_trial=len(records),
+            )
+            for record in trials:
+                log.write(tuner.trial_json(record, args.seed) + "\n")
+                records.append(record)
     print("trial,loss,accuracy,mean_bandwidth,mean_latency,R,D,T,N,U,C")
-    for r in ranked:
+    for r in sorted(records, key=lambda r: (r.loss, r.trial_index)):
         p = r.params
         print(
             f"{r.trial_index},{r.loss:.6f},{r.accuracy:.6f},{r.mean_bandwidth:.6f},"

@@ -205,11 +205,10 @@ def _silent_limit(slot: float) -> ValueError:
 
 
 # The download slots that fire an upload slot depend only on the credit per
-# slot, 1/U, and the slot's index. By credit per slot: (slots walked, the
-# credit after them, the indices that fired). A process meets few values of
-# U (a preset, or one per tuner trial), so only the latest two are kept.
-_firings: dict[float, tuple[int, float, list[int]]] = {}
-_FIRINGS_KEPT = 2
+# slot, 1/U, and the slot's index. A process runs one U at a time (a preset,
+# or one tuner trial after another), so one walk is kept, restarted when 1/U
+# changes: (1/U, slots walked, the credit after them, the indices that fired).
+_firings: tuple[float, int, float, list[int]] = (0.0, 0, 0.0, [])
 
 
 def _firing_slots(credit_per_slot: float, count: int) -> list[int]:
@@ -218,15 +217,16 @@ def _firing_slots(credit_per_slot: float, count: int) -> list[int]:
     a slot fires when the credit reaches 1, which it then loses. The walk
     is kept and extended, so every index comes from the same float
     recurrence as a walk from slot 0."""
-    walked, credit, fired = _firings.pop(credit_per_slot, (0, 0.0, []))
+    global _firings
+    kept, walked, credit, fired = _firings
+    if kept != credit_per_slot:
+        walked, credit, fired = 0, 0.0, []
     for index in range(walked, count):
         credit += credit_per_slot
         if credit >= 1.0:
             credit -= 1.0
             fired.append(index)
-    _firings[credit_per_slot] = (max(walked, count), credit, fired)
-    if len(_firings) > _FIRINGS_KEPT:
-        del _firings[next(iter(_firings))]
+    _firings = (credit_per_slot, max(walked, count), credit, fired)
     return fired[:bisect_left(fired, count)]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -136,28 +136,20 @@ def random_search(
     eval_k: int = 5,
     eval_folds: int = 10,
     start_trial: int = 0,
-    on_trial: Optional[Callable[[TrialRecord], None]] = None,
-) -> list[TrialRecord]:
-    """Run trials [start_trial, trials) and return them sorted by loss.
-
-    `on_trial` fires after each trial in run order, which lets callers
-    append to a resumable log. Fully deterministic given the seed.
+) -> Iterator[TrialRecord]:
+    """Yield trials [start_trial, trials) in run order, each as soon as it
+    is scored, so a caller can log it before the next one runs. The best
+    trial is the least (loss, trial_index). Fully deterministic given the
+    seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= start_trial <= trials:
         raise ValueError("start_trial must lie in [0, trials]")
-    records = []
     for index in range(start_trial, trials):
         trial_seed = stable_seed(seed, "trial", index)
         params = sample_params(space, np.random.default_rng(trial_seed))
-        record = run_trial(
-            dataset, params, trial_seed, weights, index, eval_k, eval_folds
-        )
-        if on_trial is not None:
-            on_trial(record)
-        records.append(record)
-    return sorted(records, key=lambda r: (r.loss, r.trial_index))
+        yield run_trial(dataset, params, trial_seed, weights, index, eval_k, eval_folds)
 
 
 def trial_json(record: TrialRecord, master_seed: int) -> str:

@@ -85,6 +85,23 @@ class TestSimulate:
             assert code == 0, err
         assert tree_bytes(out1) == tree_bytes(out2)
 
+    @pytest.mark.parametrize("out", ["data", "data/", "link"])
+    def test_out_that_is_the_input_is_usage_error(self, capsys, tmp_path, out):
+        # `simulate data --out data` once replaced every recorded trace with
+        # its defended schedule and exited 0.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        (tmp_path / "link").symlink_to(data, target_is_directory=True)
+        before = tree_bytes(data), sorted(p.name for p in tmp_path.iterdir())
+        code, stdout, err = run(
+            capsys, "simulate", str(data), "--out", f"{tmp_path}/{out}",
+            "--defense", "front-2500", "--seed", "3",
+        )
+        assert code == 1
+        assert stdout == ""
+        assert f"--out {tmp_path}/{out} is the input directory" in err
+        assert (tree_bytes(data), sorted(p.name for p in tmp_path.iterdir())) == before
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, capsys, tmp_path, jobs):
         # Both once ran serially and exited 0.
@@ -753,19 +770,70 @@ class TestTune:
                 "--folds", "2", "--k", "1")
         run(capsys, *base, "--trials", "2")
         first, second = log.read_bytes().splitlines()
+        third = second.replace(b'"trial_index": 1', b'"trial_index": 2')
         # A log that is not UTF-8 once raised a bare UnicodeDecodeError
-        # that did not name the log.
-        for damaged, message in [
-            (first[:60], f"{log} line 1: malformed trial record"),
-            (b"\xff" + first, f"{log}: 'utf-8' codec can't decode byte 0xff in position 0"),
+        # that did not name the log. A repeated trial once made the run
+        # print it twice and never run trial 1; a gap made it repeat trial
+        # 2 and skip trial 1. A refusal comes before a torn tail is cut.
+        for content, message in [
+            (first[:60] + b"\n" + second + b"\n", f"{log} line 1: malformed trial record"),
+            (b"\xff" + first + b"\n" + second + b"\n",
+             f"{log}: 'utf-8' codec can't decode byte 0xff in position 0"),
+            (first + b"\n" + first + b"\n", f"{log} line 2: trial 0 where trial 1 belongs"),
+            (first + b"\n" + third + b"\n", f"{log} line 2: trial 2 where trial 1 belongs"),
+            (first + b"\n" + first + b"\n" + third[:60],
+             f"{log} line 2: trial 0 where trial 1 belongs"),
         ]:
-            log.write_bytes(damaged + b"\n" + second + b"\n")
+            log.write_bytes(content)
             before = log.read_bytes(), fingerprint.read_bytes()
             code, stdout, err = run(capsys, *base, "--trials", "3")
             assert code == 2
             assert stdout == ""
             assert err.startswith(f"wfdefend: error: {message}")
             assert (log.read_bytes(), fingerprint.read_bytes()) == before
+
+    def test_killed_run_keeps_every_trial_it_finished(self, capsys, tmp_path, monkeypatch):
+        # The log was block-buffered: a run that died during trial 3 of 6
+        # left it empty, and the next run repeated trials 0 to 2. The death
+        # comes in a child process, as os._exit would end this one.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=4)
+        log, fresh = tmp_path / "trials.jsonl", tmp_path / "fresh.jsonl"
+        base = ("tune", str(data), "--trials", "6", "--seed", "5", "--folds", "2", "--k", "1")
+        script = (
+            "import os, sys\n"
+            "from wfdefend import cli, tuner\n"
+            "scored = tuner.run_trial\n"
+            "def dying(dataset, params, trial_seed, weights, trial_index, *rest):\n"
+            "    if trial_index == 3:\n"
+            "        os._exit(9)\n"
+            "    return scored(dataset, params, trial_seed, weights, trial_index, *rest)\n"
+            "tuner.run_trial = dying\n"
+            "cli.main(sys.argv[1:])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(wfdefend.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", script, *base, "--log", str(log)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 9, result.stderr
+        assert [json.loads(line)["trial_index"] for line in log.read_text().splitlines()] == [
+            0, 1, 2
+        ]
+
+        ran = []
+        scored = cli.tuner.run_trial
+
+        def counted(dataset, params, trial_seed, weights, trial_index, *rest):
+            ran.append(trial_index)
+            return scored(dataset, params, trial_seed, weights, trial_index, *rest)
+
+        monkeypatch.setattr(cli.tuner, "run_trial", counted)
+        code, stdout, err = run(capsys, *base, "--log", str(log))
+        assert code == 0, err
+        assert ran == [3, 4, 5]
+        assert (code, stdout, err) == run(capsys, *base, "--log", str(fresh))
+        assert log.read_bytes() == fresh.read_bytes()
 
     def test_seed_mismatch_is_data_error(self, capsys, tmp_path):
         data = tmp_path / "data"

@@ -252,6 +252,9 @@ class TestUpload:
         for U in (1.0, 3.95, 4.02, 7.3):
             for count in (0, 500, 37, 5000, 1200):
                 assert list(_firing_slots(1.0 / U, count)) == walk(1.0 / U, count)
+        # U switched on every call restarts the one kept walk each time.
+        for U, count in [(3.95, 800), (7.3, 300), (3.95, 900), (1.0, 50), (7.3, 1200)]:
+            assert list(_firing_slots(1.0 / U, count)) == walk(1.0 / U, count)
 
     def test_slot_beats_flush_on_tie(self):
         # One upload available at 0 with C=1.0 and a slot exactly at 1.0:

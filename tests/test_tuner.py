@@ -84,9 +84,9 @@ class TestSearchSpace:
 class TestRandomSearch:
     def test_single_trial_internally_consistent(self, tiny_dataset):
         weights = LossWeights(1.0, 1.0, 1.0)
-        records = random_search(
+        records = list(random_search(
             tiny_dataset, SMALL_SPACE, weights, trials=1, seed=3, eval_folds=2, eval_k=1
-        )
+        ))
         assert len(records) == 1
         record = records[0]
         assert record.loss == loss(
@@ -96,28 +96,29 @@ class TestRandomSearch:
     def test_same_seed_identical(self, tiny_dataset):
         weights = LossWeights()
         kwargs = dict(trials=3, seed=8, eval_folds=2, eval_k=1)
-        first = random_search(tiny_dataset, SMALL_SPACE, weights, **kwargs)
-        second = random_search(tiny_dataset, SMALL_SPACE, weights, **kwargs)
+        first = list(random_search(tiny_dataset, SMALL_SPACE, weights, **kwargs))
+        second = list(random_search(tiny_dataset, SMALL_SPACE, weights, **kwargs))
         assert first == second
 
     def test_sorted_by_loss_and_bandwidth_objective(self, tiny_dataset):
         weights = LossWeights(0.0, 1.0, 0.0)
-        records = random_search(
+        records = list(random_search(
             tiny_dataset, SMALL_SPACE, weights, trials=4, seed=5, eval_folds=2, eval_k=1
-        )
-        losses = [r.loss for r in records]
-        assert losses == sorted(losses)
-        assert records[0].mean_bandwidth == min(r.mean_bandwidth for r in records)
+        ))
+        assert [r.trial_index for r in records] == [0, 1, 2, 3]
+        ranked = sorted(records, key=lambda r: (r.loss, r.trial_index))
+        assert [r.loss for r in ranked] == sorted(r.mean_bandwidth for r in records)
+        assert ranked[0].mean_bandwidth == min(r.mean_bandwidth for r in records)
 
     def test_more_trials_never_worse(self, tiny_dataset):
         weights = LossWeights()
-        short = random_search(
+        short = list(random_search(
             tiny_dataset, SMALL_SPACE, weights, trials=2, seed=4, eval_folds=2, eval_k=1
-        )
-        long = random_search(
+        ))
+        long = list(random_search(
             tiny_dataset, SMALL_SPACE, weights, trials=4, seed=4, eval_folds=2, eval_k=1
-        )
-        assert long[0].loss <= short[0].loss
+        ))
+        assert min(r.loss for r in long) <= min(r.loss for r in short)
         # The first two trials are reproduced identically inside the longer run.
         by_index = {r.trial_index: r for r in long}
         for record in short:
@@ -125,25 +126,30 @@ class TestRandomSearch:
 
     def test_start_trial_resume(self, tiny_dataset):
         weights = LossWeights()
-        full = random_search(
+        full = list(random_search(
             tiny_dataset, SMALL_SPACE, weights, trials=3, seed=4, eval_folds=2, eval_k=1
-        )
-        tail = random_search(
+        ))
+        tail = list(random_search(
             tiny_dataset, SMALL_SPACE, weights, trials=3, seed=4,
             eval_folds=2, eval_k=1, start_trial=2,
-        )
+        ))
         assert [r.trial_index for r in tail] == [2]
-        assert tail[0] == next(r for r in full if r.trial_index == 2)
+        assert tail[0] == full[2]
 
     def test_invalid_trials(self, tiny_dataset):
+        # The checks run when iteration starts.
         with pytest.raises(ValueError):
-            random_search(tiny_dataset, SMALL_SPACE, LossWeights(), trials=0, seed=1)
+            next(random_search(tiny_dataset, SMALL_SPACE, LossWeights(), trials=0, seed=1))
+        with pytest.raises(ValueError, match="start_trial"):
+            next(random_search(
+                tiny_dataset, SMALL_SPACE, LossWeights(), trials=2, seed=1, start_trial=3
+            ))
 
 
 def test_trial_json_roundtrip(tiny_dataset):
-    records = random_search(
+    records = list(random_search(
         tiny_dataset, SMALL_SPACE, LossWeights(), trials=1, seed=9, eval_folds=2, eval_k=1
-    )
+    ))
     line = trial_json(records[0], master_seed=9)
     parsed, master = parse_trial_json(line)
     assert master == 9
