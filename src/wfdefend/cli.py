@@ -205,9 +205,17 @@ def cmd_simulate(args) -> int:
     # more than the CPUs this process may run on.
     workers = min(args.jobs, _usable_cpus())
     out_dir = _output_path(args.out, directory=True)
-    if out_dir.is_dir() and Path(args.input).is_dir() and out_dir.samefile(args.input):
-        raise UsageError(f"--out {args.out} is the input directory; its traces would be lost")
     report_path = _output_path(out_dir.parent / f"{out_dir.name}.overhead.csv")
+    if Path(args.input).is_dir():
+        input_dir = Path(args.input).resolve()
+        if out_dir.resolve() == input_dir:
+            raise UsageError(f"--out {args.out} is the input directory; its traces would be lost")
+        for path in (out_dir, report_path):
+            if input_dir in path.resolve().parents:
+                raise UsageError(
+                    f"{path} lies inside the input directory {args.input}; "
+                    "every later command on it would read the output as input"
+                )
 
     # Each result is written to the staging directory as it arrives, so
     # finished results are not held in memory, and reaches out_dir only once

@@ -30,10 +30,10 @@ from .traces import (
     DefendedTrace,
     Direction,
     Trace,
+    _prebuilt,
     check_count,
     check_positive,
     merge,
-    one_direction,
 )
 
 # The download schedule only starts once this many download packets exist.
@@ -108,7 +108,7 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
     total = len(down_times)
 
     if total < ACTIVATION_PACKETS:
-        passthrough = one_direction(Direction.DOWNLOAD, down_times, down_times)
+        passthrough = _half(Direction.DOWNLOAD, down_times, down_times)
         return DownloadSchedule(passthrough, (), math.inf, budget)
 
     # An infinite arrival past the last ends the arrival scan without a bound test.
@@ -190,10 +190,21 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
     if silent_at:
         send, source = np.delete(send, silent_at), np.delete(source, silent_at)
     first = down_times[:ACTIVATION_PACKETS]
-    packets = one_direction(
+    packets = _half(
         Direction.DOWNLOAD, np.concatenate([first, send]), np.concatenate([first, source])
     )
     return DownloadSchedule(packets, tuple(slots), surge_start, budget)
+
+
+def _half(direction: Direction, send: np.ndarray, source: np.ndarray) -> DefendedTrace:
+    """One direction's packets as the slot loops build them: sends finite
+    and sorted, each real packet's source finite and at most its send, a
+    NaN source for a dummy. `merge` checks the whole trace, so the half is
+    not checked here."""
+    return _prebuilt(
+        DefendedTrace, send_time=send, direction=np.full(len(send), direction, np.int8),
+        source_time=source,
+    )
 
 
 def _stalled(rate: float, slot: float) -> ValueError:
@@ -251,9 +262,9 @@ def simulate_upload(
     If the download schedule never started (surge_start is +inf) the whole
     defense is inactive and upload packets pass through unmodified.
     """
-    up = trace.times_of(Direction.UPLOAD).tolist()
+    up_times = trace.times_of(Direction.UPLOAD)
     if math.isinf(surge_start):
-        return one_direction(Direction.UPLOAD, up, up)
+        return _half(Direction.UPLOAD, up_times, up_times)
     if surge_start * params.initial_upload_rate > MAX_SLOTS:
         raise ValueError(
             f"the upload prelude before the surge at {surge_start} s needs more than "
@@ -268,6 +279,7 @@ def simulate_upload(
     slots += [download_slots[i] for i in _firing_slots(1.0 / params.U, len(download_slots))]
 
     cap = params.C
+    up = up_times.tolist()
     total = len(up)
     # An infinite packet past the last ends both scans without a bound test.
     flushes = [*(t + cap for t in up), math.inf]
@@ -289,7 +301,7 @@ def simulate_upload(
             append_source(math.nan)
     send += flushes[sent:total]
     source += up[sent:total]
-    return one_direction(Direction.UPLOAD, send, source)
+    return _half(Direction.UPLOAD, np.array(send), np.array(source))
 
 
 def apply_regulator(trace: Trace, params: RegulatorParams, seed: int) -> DefendedTrace:

@@ -8,10 +8,16 @@ each packet real or dummy: `time<TAB>±1<TAB>{R,D}`.
 Traces are columnar. A Trace holds a float64 `times` array and an int8
 `direction` array (+1 upload, -1 download); a DefendedTrace holds
 `send_time`, `direction` and `source_time`, where a NaN source marks a
-dummy, and derives its bool `dummy` mask from that. Constructors copy the
-columns into read-only arrays and validate them once, vectorized.
-Iterating a trace yields per-packet row views (`Packet`, `DefendedPacket`)
-built on demand, for inspection and tests.
+dummy, and derives its bool `dummy` mask from that. Each trace is checked
+once, where it is made. The public constructors (Trace, DefendedTrace,
+one_direction, merge) copy what they are given into read-only arrays and
+check it, vectorized. Code here that has just built columns to those
+invariants makes its trace with _prebuilt, without a copy or a second
+check: parse_trace, the regulator's two halves (merge then checks the
+whole trace), and attach_sources, which checks the schedule it is given
+but not the sources it derives. Iterating a trace yields per-packet row
+views (`Packet`, `DefendedPacket`) built on demand, for inspection and
+tests.
 
 Text is written and read in bulk, with the bytes and floats of the
 general paths. The writer looks each `%.6f` time up from its count of
@@ -34,6 +40,8 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import os
+import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cache, partial
@@ -128,7 +136,7 @@ def _column(values, dtype, name: str, length: Optional[int] = None) -> np.ndarra
 
 def _direction_column(values, length: int) -> np.ndarray:
     direction = _column(values, np.int8, "direction", length)
-    if not np.all((direction == 1) | (direction == -1)):
+    if not ((direction == 1) | (direction == -1)).all():
         raise ValueError("direction must be +1 (upload) or -1 (download)")
     return direction
 
@@ -178,11 +186,13 @@ class Trace:
             and np.array_equal(self.direction, other.direction)
         )
 
+    # Each comparison takes int(direction): numpy compares an int8 array
+    # with a plain int about four times faster than with an IntEnum member.
     def times_of(self, direction: Direction) -> np.ndarray:
-        return self.times[self.direction == direction]
+        return self.times[self.direction == int(direction)]
 
     def count(self, direction: Direction) -> int:
-        return int(np.count_nonzero(self.direction == direction))
+        return int(np.count_nonzero(self.direction == int(direction)))
 
     @property
     def duration(self) -> float:
@@ -253,8 +263,24 @@ class DefendedTrace:
         )
 
     def dummy_count(self, direction: Optional[Direction] = None) -> int:
-        mask = self.dummy if direction is None else self.dummy & (self.direction == direction)
+        mask = self.dummy if direction is None else self.dummy & (self.direction == int(direction))
         return int(np.count_nonzero(mask))
+
+
+def _prebuilt(cls: type[T], **columns) -> T:
+    """A Trace or DefendedTrace of `columns` that its caller has just built
+    to every invariant the constructor checks, as owned, C-contiguous
+    arrays of the constructor's dtypes that nothing else writes to. They
+    are made read-only, neither copied nor checked again; a DefendedTrace
+    derives its `dummy` mask as the constructor does."""
+    if cls is DefendedTrace:
+        columns["dummy"] = np.isnan(columns["source_time"])
+    trace = object.__new__(cls)
+    for name, column in columns.items():
+        if isinstance(column, np.ndarray):
+            column.setflags(write=False)
+        object.__setattr__(trace, name, column)
+    return trace
 
 
 def one_direction(direction: Direction, send_time, source_time) -> DefendedTrace:
@@ -470,7 +496,8 @@ def _read_canonical(
 
 def _parse_columns(text: str, defended: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (times, direction, dummy) of the non-blank lines, in file
-    order; `dummy` is all False unless `defended`.
+    order, as new C-contiguous arrays: finite times, directions of ±1, and
+    `dummy` all False unless `defended`.
 
     Canonical text, the shape the writers give, is read by _read_canonical:
     defended text at any size, recorded text from _BULK_BYTES. Other
@@ -495,10 +522,12 @@ def _parse_columns(text: str, defended: bool) -> tuple[np.ndarray, np.ndarray, n
         except ValueError:
             pass
     if rows is not None and np.isfinite(rows).all() and (rows[:, 1] != 0).all():
-        times, values, dummy = rows[:, 0], rows[:, 1], np.zeros(len(rows), np.bool_)
+        # A copy, so the times do not keep the whole two-column array alive.
+        times, values, dummy = rows[:, 0].copy(), rows[:, 1], np.zeros(len(rows), np.bool_)
     else:
         times, values, dummy = _read_lines(lines, defended)
-    return times, np.where(values > 0, np.int8(1), np.int8(-1)), dummy
+    # Every value is finite and nonzero, so its sign is +1 or -1.
+    return times, np.sign(values).astype(np.int8), dummy
 
 
 def parse_trace(text: str, label: Optional[str] = None) -> Trace:
@@ -510,15 +539,17 @@ def parse_trace(text: str, label: Optional[str] = None) -> Trace:
     back directly. Non-finite times and directions are rejected.
     """
     times, direction, _ = _parse_columns(text, defended=False)
-    order = np.argsort(times, kind="stable")
-    times = times[order]
+    last = len(times) - 1
+    if (times[1:] < times[:-1]).any():
+        order = np.argsort(times, kind="stable")
+        times, direction, last = times[order], direction[order], int(order[-1])
     if len(times):
-        with np.errstate(over="ignore"):
-            times -= times[0]
-        if not np.isfinite(times[-1]):
-            line = _line_of(text, int(order[-1]))
-            raise ParseError(f"line {line}: time too far from the first packet's")
-    return Trace(times, direction[order], label=label)
+        # The times are sorted, so no difference overflows unless the last does.
+        if not math.isfinite(float(times[-1]) - float(times[0])):
+            raise ParseError(f"line {_line_of(text, last)}: time too far from the first packet's")
+        times -= times[0]
+    # The parsed columns hold every invariant of a Trace.
+    return _prebuilt(Trace, times=times, direction=direction, label=label)
 
 
 # The writer's tables hold whole seconds 0-999, so counts below 10**9 microseconds.
@@ -609,8 +640,10 @@ def parse_defended_schedule(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarr
     original trace to recover per-packet delays.
     """
     times, direction, dummy = _parse_columns(text, defended=True)
-    order = np.argsort(times, kind="stable")
-    return times[order], direction[order], dummy[order]
+    if (times[1:] < times[:-1]).any():
+        order = np.argsort(times, kind="stable")
+        return times[order], direction[order], dummy[order]
+    return times, direction, dummy
 
 
 def attach_sources(
@@ -628,8 +661,9 @@ def attach_sources(
     # (row, message) of the first mismatch per direction; the earliest row wins.
     problems: list[tuple[int, str]] = []
     missing: list[str] = []
+    real = ~dummy
     for d in (Direction.UPLOAD, Direction.DOWNLOAD):
-        rows = np.flatnonzero(~dummy & (direction == d))
+        rows = (real & (direction == int(d))).nonzero()[0]
         queue = original.times_of(d)
         matched = min(len(rows), len(queue))
         if len(rows) > len(queue):
@@ -639,7 +673,7 @@ def attach_sources(
                 "than the original trace",
             ))
         sent, available = send[rows[:matched]], queue[:matched]
-        early = np.flatnonzero(sent < available - 10.0 ** -TIME_DECIMALS)
+        early = (sent < available - 10.0 ** -TIME_DECIMALS).nonzero()[0]
         if len(early):
             i = int(early[0])
             problems.append((
@@ -654,7 +688,12 @@ def attach_sources(
         raise ValueError(min(problems)[1])
     if missing:
         raise ValueError(missing[0])
-    return DefendedTrace(send, direction, source)
+    # The schedule is checked as DefendedTrace checks it. Each source is an
+    # original time, finite and clamped to at most its send, so it is not.
+    send = _column(send, np.float64, "send_time")
+    direction = _direction_column(direction, len(send))
+    _check_sorted(send, "defended packets must be sorted by send_time")
+    return _prebuilt(DefendedTrace, send_time=send, direction=direction, source_time=source)
 
 
 def label_from_filename(name: str) -> str:
@@ -666,14 +705,29 @@ class UnusableTrace(ValueError):
     """A trace file that no command can use; the message says why."""
 
 
+# Characters that a file name, or the label taken from it, cannot carry
+# into a CSV field or a `key=value` line: comma, quote, equals sign, the
+# control characters, and the surrogates that stand for a name's bytes
+# that are not UTF-8, which no UTF-8 output can encode.
+_UNSAFE_NAME = re.compile(r'[,"=\x00-\x1f\x7f-\x9f\ud800-\udfff]')
+
+
 def read_trace(path: Path) -> Trace:
     """The trace in file `path`, labeled by its name, if it is usable.
 
-    This is the one rule for a usable trace: the file reads as UTF-8, it
-    parses, and its duration is positive, so it has at least 2 packets.
+    This is the one rule for a usable trace: the file's name is UTF-8 and
+    holds none of `,`, `"`, `=` or a control character, since every
+    command writes it or its label into a CSV or `key=value` output; the
+    file reads as UTF-8;
+    it parses; and its duration is positive, so it has at least 2 packets.
     That is all that features, overhead and statistics need. Anything else
     raises UnusableTrace with the reason.
     """
+    unsafe = _UNSAFE_NAME.search(path.name)
+    if unsafe:
+        raise UnusableTrace(
+            f"file name holds {unsafe.group()!r}, which the CSV and key=value outputs cannot carry"
+        )
     try:
         text = path.read_text(encoding="utf-8")
         trace = parse_trace(text, label=label_from_filename(path.name))
@@ -710,8 +764,9 @@ def iter_dataset(
     root = Path(root)
     if not root.is_dir():
         raise ValueError(f"not a directory: {root}")
-    # Every path has the same parent, so names sort as the paths would, faster.
-    paths = sorted((p for p in root.iterdir() if p.is_file()), key=lambda p: p.name)
+    # A directory entry knows its type without a stat, except for a link.
+    with os.scandir(root) as entries:
+        paths = [root / name for name in sorted(e.name for e in entries if e.is_file())]
     used = 0
     for path, (result, reason) in zip(paths, mapper(partial(_attempt, step), paths)):
         if reason is not None:

@@ -126,3 +126,18 @@ def float_bits(values) -> list[int]:
 
 def schedule_key(defended: DefendedTrace) -> list[tuple[float, int, str]]:
     return [(p.send_time, int(p.direction), p.kind.value) for p in defended]
+
+
+def assert_compact_columns(trace) -> None:
+    """Every array column of a Trace or DefendedTrace is read-only and
+    C-contiguous, and the buffer that it keeps alive is no larger than it
+    (a column view of a bigger parsed array would hold all of it)."""
+    for name, column in vars(trace).items():
+        if not isinstance(column, np.ndarray):
+            continue
+        assert not column.flags.writeable, name
+        assert column.flags.c_contiguous, name
+        owner = column
+        while isinstance(owner, np.ndarray) and owner.base is not None:
+            owner = owner.base
+        assert memoryview(owner).nbytes == column.nbytes, name

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_conservation_and_fifo, float_bits, random_trace
+from helpers import (
+    assert_compact_columns,
+    assert_conservation_and_fifo,
+    float_bits,
+    random_trace,
+)
 from oracle_tamaraw import oracle_tamaraw
 
 from wfdefend import (
@@ -18,21 +23,39 @@ from wfdefend import (
     TamarawParams,
     Trace,
     apply_front,
+    apply_regulator,
     apply_tamaraw,
+    attach_sources,
+    parse_defended_schedule,
+    write_defended_trace,
 )
 
+from wfdefend.presets import REGULATOR_PRESETS
 from wfdefend.traces import MAX_SLOTS
 
 FRONT = FrontParams(N_s=2500, N_c=2500, W_min=1.0, W_max=14.0)
 TAMARAW = TamarawParams(rho_out=0.04, rho_in=0.012, L=100)
+REGULATOR = REGULATOR_PRESETS["regulator-heavy"]
 RHOS = (0.012, 0.04, 1 / 3, 1e-3, 7.0)
 
 
+# The regulator leaves a trace with fewer than 10 download packets as it
+# is; 20 start its schedule.
+SHORT = Trace([0.0, 0.01, 0.3, 0.3], [1, -1, -1, 1])
+ACTIVE = Trace(np.arange(30) * 0.05, [1, -1, -1] * 10)
+
+
 @pytest.mark.parametrize(
-    "apply", [lambda t: apply_front(t, FRONT, 9), lambda t: apply_tamaraw(t, TAMARAW)],
-    ids=["front", "tamaraw"],
+    "apply, trace",
+    [
+        (lambda t: apply_front(t, FRONT, 9), SHORT),
+        (lambda t: apply_tamaraw(t, TAMARAW), SHORT),
+        (lambda t: apply_regulator(t, REGULATOR, 9), SHORT),
+        (lambda t: apply_regulator(t, REGULATOR, 9), ACTIVE),
+    ],
+    ids=["front", "tamaraw", "regulator-inactive", "regulator"],
 )
-def test_one_validated_defended_trace_per_trace(monkeypatch, apply):
+def test_one_validated_defended_trace_per_trace(monkeypatch, apply, trace):
     calls = []
     validate = DefendedTrace.__post_init__
 
@@ -41,9 +64,16 @@ def test_one_validated_defended_trace_per_trace(monkeypatch, apply):
         validate(self)
 
     monkeypatch.setattr(DefendedTrace, "__post_init__", counted)
-    trace = Trace([0.0, 0.01, 0.3, 0.3], [1, -1, -1, 1])
     defended = apply(trace)
     assert calls == [defended]
+    assert_compact_columns(defended)
+    # attach_sources checks the schedule it is given, and builds its trace
+    # without the constructor's second look at the sources it derives.
+    calls.clear()
+    attached = attach_sources(trace, parse_defended_schedule(write_defended_trace(defended)))
+    assert calls == []
+    assert_compact_columns(attached)
+    assert attached.dummy.tolist() == defended.dummy.tolist()
 
 
 class TestFront:

@@ -102,6 +102,38 @@ class TestSimulate:
         assert f"--out {tmp_path}/{out} is the input directory" in err
         assert (tree_bytes(data), sorted(p.name for p in tmp_path.iterdir())) == before
 
+    @pytest.mark.parametrize("out, refused", [
+        ("data/def", "data/def"),
+        ("data/a/b", "data/a/b"),
+        ("link/def", "link/def"),
+        # The output directory lies outside, but its report would not.
+        ("data/away", "data/away.overhead.csv"),
+    ])
+    def test_out_inside_the_input_is_usage_error(self, capsys, tmp_path, out, refused):
+        # `simulate data --out data/def` once wrote data/def/ and
+        # data/def.overhead.csv, which every later command on data then read.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        (tmp_path / "link").symlink_to(data, target_is_directory=True)
+        (tmp_path / "elsewhere").mkdir()
+        (data / "away").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+
+        def listing():
+            return sorted(
+                (str(p.relative_to(tmp_path)), p.read_bytes() if p.is_file() else None)
+                for p in tmp_path.rglob("*")
+            )
+
+        before = listing()
+        code, stdout, err = run(
+            capsys, "simulate", str(data), "--out", f"{tmp_path}/{out}",
+            "--defense", "front-2500", "--seed", "3",
+        )
+        assert code == 1
+        assert stdout == ""
+        assert f"{tmp_path}/{refused} lies inside the input directory {data}" in err
+        assert listing() == before
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, capsys, tmp_path, jobs):
         # Both once ran serially and exited 0.
@@ -1018,6 +1050,12 @@ UNUSABLE_FILES = {
     "bad-zero-duration": (b"0.5\t1\n0.5\t-1\n", "zero duration, 2 packet(s)"),
     "bad-text": (b"x y\n", "line 1: non-numeric time field 'x'"),
     "bad-not-utf8": (b"\xff\xfe\t-1\n", "'utf-8' codec can't decode byte 0xff"),
+    # Usable text under a name that a CSV row or `key=value` line cannot carry.
+    **{
+        name: (b"0.0\t1\n0.5\t-1\n", f"file name holds {char!r}, which the CSV and "
+               "key=value outputs cannot carry")
+        for name, char in (("0,1-0", ","), ('0"1-0', '"'), ("0=1-0", "="), ("0\t1-0", "\t"))
+    },
 }
 
 
@@ -1069,8 +1107,9 @@ def test_unusable_files_are_skipped_by_every_command(capsys, tmp_path, argv):
     assert mixed_files == clean_files
     if argv[0] == "stats":
         assert "skipped_files=0\n" in clean_stdout
-        assert "skipped_files=5\n" in mixed_stdout
-        mixed_stdout = mixed_stdout.replace("skipped_files=5\n", "skipped_files=0\n")
+        skipped = f"skipped_files={len(UNUSABLE_FILES)}\n"
+        assert skipped in mixed_stdout
+        mixed_stdout = mixed_stdout.replace(skipped, "skipped_files=0\n")
     assert mixed_stdout == clean_stdout
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_trace
+from helpers import assert_compact_columns, random_trace
 
 from wfdefend import (
     Dataset,
@@ -24,7 +24,14 @@ from wfdefend import (
 )
 from wfdefend.presets import PRESETS
 from wfdefend.synth import generate, separable_profiles
-from wfdefend.traces import check_positive, first_slot_at_or_after, iter_dataset, merge
+from wfdefend.traces import (
+    UnusableTrace,
+    check_positive,
+    first_slot_at_or_after,
+    iter_dataset,
+    merge,
+    read_trace,
+)
 
 
 def test_parse_basic():
@@ -140,6 +147,7 @@ def _assert_parses_like_reference(text, defended):
         assert dummy.tolist() == [r[2] for r in rows]
     else:
         trace = parse(text)
+        assert_compact_columns(trace)
         send, direction = trace.times, trace.direction
         assert send.tolist() == [r[0] - rows[0][0] for r in rows]
     assert direction.tolist() == [1 if r[1] else -1 for r in rows]
@@ -268,6 +276,33 @@ def test_blank_input_is_empty_without_warnings(text):
         send, direction, dummy = parse_defended_schedule(text)
     assert len(send) == len(direction) == len(dummy) == 0
     assert (send.dtype, direction.dtype, dummy.dtype) == (np.float64, np.int8, np.bool_)
+
+
+_PAPER_TEXT = write_trace(generate(separable_profiles(1, base_total=2000)[0], 1, seed=3).traces[0])
+
+
+@pytest.mark.parametrize("text", [
+    "0.0\t1\n0.5\t-1\n0.75\t-1\n",  # short: numpy's loadtxt
+    _PAPER_TEXT,  # from 2 KB: the canonical reader
+    "3.0\t-1\n1.0\t1\n2.0\t-1\n",  # unsorted
+    "0\t1\n1_0\t-1\n",  # line by line
+    "",
+], ids=["loadtxt", "canonical", "unsorted", "line-by-line", "empty"])
+def test_parse_and_read_trace_build_without_the_constructor(monkeypatch, tmp_path, text):
+    # The parser establishes every invariant of a Trace, so the constructor
+    # does not check them again.
+    path = tmp_path / "site-0"
+    path.write_text(text)
+
+    def constructor_called(self):
+        raise AssertionError("Trace.__post_init__ ran")
+
+    monkeypatch.setattr(Trace, "__post_init__", constructor_called)
+    _assert_parses_like_reference(text, defended=False)  # values and compact columns
+    trace = parse_trace(text, label="site")
+    assert trace.label == "site"
+    if len(trace) > 1:
+        assert read_trace(path) == trace
 
 
 def test_parse_empty_input_is_empty_trace():
@@ -471,6 +506,21 @@ def test_attach_sources_rejects_mismatched_schedule():
         )
 
 
+@pytest.mark.parametrize("send, direction, message", [
+    ([0.5, 0.0], [-1, 1], "defended packets must be sorted by send_time"),
+    ([0.0, np.inf], [1, -1], "packet times must be finite"),
+    ([0.0, np.nan], [1, -1], "packet times must be finite"),
+    ([0.0, 0.4, 0.5], [1, -1, 2], r"direction must be \+1"),
+])
+def test_attach_sources_checks_the_schedule_as_the_constructor_does(send, direction, message):
+    # Each schedule matches the original's two real packets; the last of
+    # three is a dummy.
+    original = parse_trace("0.0\t1\n0.4\t-1")
+    dummy = np.arange(len(send)) >= 2
+    with pytest.raises(ValueError, match=message):
+        attach_sources(original, (np.array(send), np.array(direction, np.int8), dummy))
+
+
 def test_defended_packet_invariants():
     def one(source):
         return DefendedTrace([0.0], [Direction.UPLOAD], [source])
@@ -558,6 +608,27 @@ def test_iter_dataset_skips_each_unusable_file_with_its_reason(tmp_path, caplog)
     ]
     for name, reason in skipped:
         assert f"skipping {tmp_path / name}: {reason}" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "name", ["a,b-0", 'c"d-0', "e=f-0", "g\th-0", "i\nj-0", "k\x7fl-0", "m\udcffn-0"]
+)
+def test_read_trace_refuses_a_name_the_outputs_cannot_carry(tmp_path, name):
+    # Such a name once went unquoted into CSV rows and `class_<label>=`
+    # lines; one that is not UTF-8 (the last) made `stats --out` and
+    # `simulate` fail to encode their CSV, `simulate` after writing its
+    # defended files.
+    path = tmp_path / name
+    bad = next(c for c in name if c in ',"=' or not c.isprintable())
+    reason = f"file name holds {bad!r}, which the CSV and key=value outputs cannot carry"
+    with pytest.raises(UnusableTrace) as error:
+        read_trace(path)  # refused before the file, which does not exist, is read
+    assert str(error.value) == reason
+    path.write_text("0.0\t1\n0.5\t-1\n")
+    (tmp_path / "a-0").write_text("0.0\t1\n0.5\t-1\n")
+    skipped = []
+    assert [n for n, _ in iter_dataset(tmp_path, skipped=skipped)] == ["a-0"]
+    assert skipped == [(name, reason)]
 
 
 def test_iter_dataset_with_nothing_usable_errors_after_the_walk(tmp_path, caplog):
