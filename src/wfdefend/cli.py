@@ -190,11 +190,17 @@ def _staged_dir(out_dir: Path):
         shutil.rmtree(staging, ignore_errors=True)
 
 
+def _trace_seed(params: DefenseParams, seed: int, name: str) -> int:
+    """The seed that defends trace `name`. A defense that draws nothing
+    ignores it, so no seed is hashed for it (and hashlib is not loaded)."""
+    return seeding.stable_seed(seed, name) if params.randomized else seed
+
+
 def _simulate_file(params: DefenseParams, seed: int, path: Path):
     """(defended text, overhead report) of one trace file; top-level so
     worker processes can run it."""
     trace = read_trace(path)
-    defended = defend(params, trace, seeding.stable_seed(seed, path.name), path.name)
+    defended = defend(params, trace, _trace_seed(params, seed, path.name), path.name)
     return write_defended_trace(defended), metrics.trace_overhead(trace, defended)
 
 
@@ -301,7 +307,7 @@ def cmd_eval(args) -> int:
     if params is not None:
         # A generator: each defended trace is dropped once its row is made.
         observed = (
-            defend(params, trace, seeding.stable_seed(seed, name), name)
+            defend(params, trace, _trace_seed(params, seed, name), name)
             for trace, name in zip(dataset.traces, dataset.filenames)
         )
     features = attack.feature_matrix(observed)

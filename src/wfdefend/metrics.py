@@ -49,8 +49,8 @@ def trace_overhead(original: Trace, defended: DefendedTrace) -> OverheadReport:
     if not real.any():
         raise ValueError("defended trace carries no real packets")
     delay = defended.send_time - defended.source_time
-    download = delay[real & (defended.direction == Direction.DOWNLOAD)]
-    upload = delay[real & (defended.direction == Direction.UPLOAD)]
+    download = delay[real & (defended.direction == int(Direction.DOWNLOAD))]
+    upload = delay[real & (defended.direction == int(Direction.UPLOAD))]
     last_download_delay = float(download[-1]) if len(download) else 0.0
     max_upload_delay = max(0.0, float(upload.max())) if len(upload) else 0.0
     dummies = defended.dummy_count()

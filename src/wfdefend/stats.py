@@ -60,6 +60,19 @@ def _sorted_quantile(values: np.ndarray, q: float) -> float:
     return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
+def _median(values) -> float:
+    """np.median of finite, non-empty `values`, bit for bit, without its
+    NaN check, which imports numpy.ma: the middle value of a partition, or
+    the mean of the middle two. numpy's mean adds them to +0.0, so the
+    `+ 0.0` turns a -0.0 median into 0.0 as numpy does."""
+    a = np.asarray(values, np.float64)
+    half = len(a) // 2
+    if len(a) % 2:
+        return float(np.partition(a, half)[half]) + 0.0
+    low, high = np.partition(a, [half - 1, half])[half - 1:half + 1].tolist()
+    return (low + high + 0.0) / 2
+
+
 def trace_stats(trace: Trace) -> TraceStats:
     """Per-trace statistics; quantiles use linear interpolation."""
     if not len(trace):
@@ -88,7 +101,7 @@ def dataset_stats(dataset: Dataset) -> DatasetStats:
     downloads = sum(s.packet_count - s.upload_count for s in per_trace)
     return DatasetStats(
         trace_count=len(dataset),
-        median_iqr=float(np.median([s.time_iqr for s in per_trace])),
+        median_iqr=_median([s.time_iqr for s in per_trace]),
         mean_packet_count=float(np.mean([s.packet_count for s in per_trace])),
         mean_duration=float(np.mean([s.duration for s in per_trace])),
         download_upload_ratio=downloads / uploads if uploads else math.inf,
@@ -110,7 +123,7 @@ def post_tenth_packet_profile(dataset: Dataset) -> PostTenthProfile:
         if len(down) >= ACTIVATION_PACKETS
     ]
     pooled = np.concatenate([np.empty(0), *offsets])
-    median = float(np.median(pooled)) if len(pooled) else math.nan
+    median = _median(pooled) if len(pooled) else math.nan
     return PostTenthProfile(pooled, median, skipped=len(downs) - len(offsets))
 
 
@@ -175,7 +188,7 @@ def per_second_table(dataset: Dataset) -> str:
     lines = ["name,second,upload_count,download_count\n"]
     for name, trace in named:
         second = trace.times.astype(np.int64)
-        upload = trace.direction == Direction.UPLOAD
+        upload = trace.direction == int(Direction.UPLOAD)
         bins = int(second[-1]) + 1
         up = np.bincount(second[upload], minlength=bins).tolist()
         down = np.bincount(second[~upload], minlength=bins).tolist()

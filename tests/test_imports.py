@@ -105,10 +105,9 @@ SUBCOMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_each_subcommand_runs_only_its_modules(root, command):
-    args, modules = SUBCOMMANDS[command]
-    argv = [command, *args.format(root=root).split()]
+def loaded_by(root, command: str) -> set[str]:
+    """The modules loaded after `command`, run in a fresh interpreter."""
+    argv = command.format(root=root).split()
     script = f"""
 import contextlib, io
 from wfdefend.cli import main
@@ -116,7 +115,13 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main({argv!r}) == 0
 print(loaded())
 """
-    loaded = set(fresh(script))
+    return set(fresh(script))
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_subcommand_runs_only_its_modules(root, command):
+    args, modules = SUBCOMMANDS[command]
+    loaded = loaded_by(root, f"{command} {args}")
     own = {"wfdefend", "wfdefend.cli", "wfdefend.traces", "wfdefend.presets",
            "wfdefend.regulator", "wfdefend.baselines"}
     assert {name for name in loaded if name.startswith("wfdefend")} == own | {
@@ -124,3 +129,15 @@ print(loaded())
     }
     # A single worker never needs the process pool.
     assert "multiprocessing" not in loaded
+
+
+def test_a_seedless_defense_hashes_no_seed(root):
+    # Tamaraw ignores its seed, so `simulate` derives none, and hashlib,
+    # whose OpenSSL load costs a few MB, stays unloaded.
+    loaded = loaded_by(root, "simulate {root}/data --out {root}/tamaraw --defense tamaraw")
+    assert not {"hashlib", "_hashlib", "wfdefend.seeding"} & loaded
+
+
+def test_stats_takes_its_medians_without_numpy_ma(root):
+    loaded = loaded_by(root, "stats {root}/data --out {root}/figures")
+    assert "numpy.ma" not in loaded

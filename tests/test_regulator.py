@@ -31,6 +31,7 @@ from wfdefend import (
 from wfdefend.regulator import (
     ACTIVATION_PACKETS,
     _firing_slots,
+    _floor_slots,
     simulate_download,
     simulate_upload,
 )
@@ -383,7 +384,12 @@ def prelude_tick_examples(test):
 @example((Trace([0.0, 0.0], [Direction.UPLOAD] * 2), replace(HEAVY, U=1.0, C=1.0), [1.0], 1.0))
 @prelude_tick_examples
 def test_upload_matches_the_event_merge_bit_for_bit(case):
-    trace, params, slots, surge_start = case
+    upload_matches_the_event_merge(*case)
+
+
+def upload_matches_the_event_merge(trace, params, slots, surge_start):
+    """simulate_upload's send and source times equal the event merge's,
+    bit for bit."""
     out = simulate_upload(trace, params, slots, surge_start)
     rows = _reference_upload(trace.times.tolist(), params, slots, surge_start)
     send = [r[0] for r in rows]
@@ -493,6 +499,11 @@ def test_budget_spent_before_at_and_after_the_last_real_packet_matches_the_oracl
     ([0.0] * 10 + [3.0], 0, 2.0),  # both: the count carries into the tail
     ([0.0] * 10 + [3.0], 40, 2.0),  # dummies while real data remains do not count
     ([0.0] * 10, 40, 2.0),  # nor do dummies after it
+    # The rate is at its floor from about 13.4 s, so these limits also fall
+    # on a floor run's first slot, inside it and on its last.
+    ([0.0] * 10 + [300.0], 0, 0.0),  # in the run of a gap
+    ([0.0] * 10 + [300.0], 40, 30.0),  # past the gap's dummies, and in the tail
+    ([0.0] * 10, 0, 30.0),  # in the run of the tail grace
 ])
 def test_silent_slot_limit_falls_on_the_oracles_slot(monkeypatch, times, budget, tail_grace):
     trace = Trace(times, [Direction.DOWNLOAD] * len(times))
@@ -500,7 +511,7 @@ def test_silent_slot_limit_falls_on_the_oracles_slot(monkeypatch, times, budget,
     seed = seed_with_budget(budget, budget)
     trail = download_matches_the_oracle(trace, params, seed)
     silent = [slot.time for slot in trail if slot.emitted == "none"]
-    for limit in (0, 1, len(silent) // 2, len(silent) - 1):
+    for limit in range(len(silent)):
         monkeypatch.setattr("wfdefend.regulator.MAX_SLOTS", limit)
         message = f"more than {limit} silent download slots, the last at {silent[limit]} s"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -522,3 +533,142 @@ def test_stalled_clock_is_rejected_at_its_first_slot(downloads_at_one, budget, t
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         simulate_download(downloads(downloads_at_one, time=1.0), params,
                           seed_with_budget(budget, budget))
+
+
+# Floor runs: once the rate R * D ** x rounds below 1, the regulator sums
+# its 1-packet/s slots instead of looping over them. Each case below must
+# take such a run (the `floor_runs` spy records them) and match the oracle
+# bit for bit.
+
+
+@pytest.fixture
+def floor_runs(monkeypatch):
+    """The (start, count) of every floor run the regulator sums."""
+    runs = []
+
+    def spy(start, count):
+        runs.append((start, count))
+        return _floor_slots(start, count)
+
+    monkeypatch.setattr("wfdefend.regulator._floor_slots", spy)
+    return runs
+
+
+def regulator_matches_the_oracle(trace, params, seed):
+    """Both halves, and the merged trace, equal the oracle's bit for bit;
+    returns the oracle's trail."""
+    trail = download_matches_the_oracle(trace, params, seed)
+    mine = apply_regulator(trace, params, seed)
+    reference, _ = reference_defend(trace, params, seed)
+    for column in ("send_time", "source_time", "direction"):
+        assert float_bits(getattr(mine, column)) == float_bits(getattr(reference, column)), column
+    return trail
+
+
+def mixed(downloads, uploads):
+    """A trace of downloads and uploads at the given times."""
+    packets = sorted([(t, Direction.DOWNLOAD) for t in downloads]
+                     + [(t, Direction.UPLOAD) for t in uploads])
+    return Trace([t for t, _ in packets], [d for _, d in packets])
+
+
+def test_floor_runs_add_one_second_in_order():
+    run = _floor_slots(0.1, 4)
+    assert float_bits(run) == float_bits([0.1, 0.1 + 1.0, 0.1 + 1.0 + 1.0, 0.1 + 1.0 + 1.0 + 1.0,
+                                          0.1 + 1.0 + 1.0 + 1.0 + 1.0])
+    assert _floor_slots(2.0**53, 2) == [2.0**53] * 3  # a stalled clock stays stalled
+
+
+def test_tuner_draws_with_fast_decay_match_the_oracle_bit_for_bit(floor_runs):
+    # D in [0.5, 0.8] reaches the floor within a few seconds of a surge, so
+    # budgets up to 8,000 spend most of their dummies there.
+    rng = np.random.default_rng(22)
+    for _ in range(30):
+        params = replace(
+            tuned_params(rng, int(rng.integers(0, 8001)), float(rng.choice([0.0, 2.0, 30.0]))),
+            D=float(rng.uniform(0.5, 0.8)),
+        )
+        regulator_matches_the_oracle(short_trace(rng, 8.0), params, int(rng.integers(0, 2**63)))
+    assert len(floor_runs) >= 20
+
+
+@pytest.mark.parametrize("tail_grace", [2.0, 30.0])
+@pytest.mark.parametrize("budget", [0, 40])
+def test_silent_tail_at_the_floor_matches_the_oracle(floor_runs, budget, tail_grace):
+    # At R=2 and D=0.5 the rate is at its floor from 1 s after the surge.
+    trace = mixed([0.0] * 10 + [0.5] * 6, [0.2, 0.9, 4.0])
+    params = RegulatorParams(R=2.0, D=0.5, T=100.0, N=budget, U=2.0, C=1.0,
+                             tail_grace=tail_grace)
+    trail = regulator_matches_the_oracle(trace, params, seed_with_budget(budget, budget))
+    assert trail[-1].rate == 1.0 and trail[-1].emitted == "none"
+    assert floor_runs
+
+
+@pytest.mark.parametrize("budget, tail_grace", [
+    (0, 0.0),  # every slot of the gap is silent
+    (100, 0.0),  # the first 100 carry dummies
+    (400, 30.0),  # all of them do, and the rest of the budget follows the gap
+])
+def test_a_long_gap_at_the_floor_matches_the_oracle(floor_runs, budget, tail_grace):
+    # A download 300 s after the tenth: at R=20 and D=0.8 the rate is at
+    # its floor from about 13.4 s, so the gap is one run of idle slots.
+    trace = mixed([0.0] * 10 + [300.0, 300.0, 301.5], [0.1, 150.0, 302.0])
+    params = RegulatorParams(R=20.0, D=0.8, T=5.0, N=budget, U=2.0, C=1.0,
+                             tail_grace=tail_grace)
+    trail = regulator_matches_the_oracle(trace, params, seed_with_budget(budget, budget))
+    assert sum(slot.emitted != "real" and slot.time < 300.0 for slot in trail) > 280
+    assert max(count for _, count in floor_runs) > 280
+
+
+@pytest.mark.parametrize("D, runs", [
+    (1.0, True),  # the rate is R = 0.5 at every slot
+    (1.0 - 2.0**-20, True),  # the slowest decay that takes runs
+    (1.0 - 2.0**-30, False),  # too slow a decay: the loop floors each slot
+])
+def test_the_floor_guards_edges_match_the_oracle(floor_runs, D, runs):
+    trace = mixed([0.0] * 10 + [40.0, 41.0], [0.3, 20.0])
+    params = RegulatorParams(R=0.5, D=D, T=5.0, N=50, U=1.5, C=1.0, tail_grace=30.0)
+    trail = regulator_matches_the_oracle(trace, params, seed_with_budget(50, 50))
+    assert all(slot.rate == 1.0 for slot in trail)
+    assert bool(floor_runs) == runs
+
+
+@pytest.mark.parametrize("up, slots, C", [
+    ([1.2, 2.0], [1.0 + 0.5 * k for k in range(20)], 1.0),  # the last goes out in a slot
+    ([1.1], [1.0, 2.0, 3.0, 4.0], 0.25),  # the last is flushed before a slot
+    ([0.0, 0.1], [1.0, 2.0, 3.0], 1.0),  # none after the surge: the prelude sends both
+    ([], [1.0, 2.0, 3.0], 1.0),  # no upload at all
+    ([0.5, 9.0], [1.0, 2.0, 3.0], 1.0),  # the last outlives every slot
+])
+def test_upload_dummy_tail_matches_the_event_merge(up, slots, C):
+    trace = Trace(up, [Direction.UPLOAD] * len(up))
+    params = replace(HEAVY, U=1.0, C=C)
+    upload_matches_the_event_merge(trace, params, slots, 1.0)
+
+
+@pytest.mark.parametrize("lead, gap, budget, tail_grace", [
+    (4, None, 0, 30.0),  # the tail grace's run stalls at its fifth slot
+    (0, None, 0, 30.0),  # at its first
+    (4, 60.0, 0, 0.0),  # the gap's run stalls
+    (4, None, 10, 0.0),  # the budget's run stalls; its dummies are not silent
+])
+def test_a_floor_run_that_stalls_raises_as_the_loop_does(monkeypatch, floor_runs, lead, gap,
+                                                         budget, tail_grace):
+    # From 2**53 s, adding the 1 s floor gap no longer moves the clock. Each
+    # slot is checked against the silent-slot limit before its gap, so a
+    # limit on the stalled slot wins over the stall.
+    start = 2.0**53 - lead
+    times = [start] * 10 + ([start + gap] if gap else [])
+    trace = Trace(times, [Direction.DOWNLOAD] * len(times))
+    params = RegulatorParams(R=0.5, D=1.0, T=5.0, N=budget, U=2.0, C=1.0, tail_grace=tail_grace)
+    seed = seed_with_budget(budget, budget)
+    stalled = f"slot gap 1/1 s is too small to advance the slot clock at {2.0**53} s"
+    for limit in range(7):
+        monkeypatch.setattr("wfdefend.regulator.MAX_SLOTS", limit)
+        if limit <= lead and not budget:
+            message = f"more than {limit} silent download slots, the last at {start + limit} s"
+        else:
+            message = stalled
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_download(trace, params, seed)
+    assert floor_runs

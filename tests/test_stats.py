@@ -54,6 +54,29 @@ class TestTraceStats:
         expected = np.quantile(values, q)
         assert np.float64(stats_module._sorted_quantile(values, q)).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("values", [
+        [3.5],
+        [-0.0],
+        [1.0, 7.0, 2.0],
+        [4.0, 1.0],
+        [-0.0, -0.0],
+        [0.0, -0.0, 5.0, -0.0],
+        [1e308, 1.7e308],  # the middle pair's sum overflows to inf
+        [1.7e308, -1e308, 1.7e308],
+        [-1.7e308, -1.7e308, 1e308, 1.7e308],
+    ])
+    def test_median_is_np_median_bit_for_bit(self, values):
+        with np.errstate(over="ignore"):
+            expected = np.median(values)
+        assert np.float64(stats_module._median(values)).tobytes() == expected.tobytes()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=40))
+    def test_median_of_any_finite_values_is_np_median_bit_for_bit(self, values):
+        with np.errstate(over="ignore"):
+            expected = np.median(values)
+        assert np.float64(stats_module._median(values)).tobytes() == expected.tobytes()
+
     def test_ratio(self):
         directions = [Direction.DOWNLOAD] * 60 + [Direction.UPLOAD] * 10
         stats = trace_stats(Trace(np.zeros(70), directions))
