@@ -39,10 +39,6 @@ from .traces import (
 # The download schedule only starts once this many download packets exist.
 ACTIVATION_PACKETS = 10
 
-# An idle gap at the rate floor shorter than this many seconds, that is
-# slots, costs less in the slot loop than as one array run.
-_LOOPED_IDLE_GAP = 16.0
-
 
 @dataclass(frozen=True, slots=True)
 class RegulatorParams:
@@ -118,14 +114,6 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
     # An infinite arrival past the last ends the arrival scan without a bound test.
     down = [*down_times.tolist(), math.inf]
     R, D, T = params.R, params.D, params.T
-    # Once the rate R * D ** x, x = slot - surge_time, rounds below 1, every
-    # later slot of a run without a surge reset is at the 1-packet/s floor
-    # too, and is 1.0 s after the last: x never falls, so with D = 1 the
-    # rate stays R, and with D <= 1 - 2**-20 each step of x by about a
-    # second lowers R * D ** x by a relative 2**-20 or more, far above the
-    # few-ulp error of the power and the product. Such slots are summed by
-    # `_floor_slots` instead of looped over.
-    floor_runs = D == 1.0 or D <= 1.0 - 2.0**-20
     surge_start = down[ACTIVATION_PACKETS - 1]
     surge_time = surge_start
     slot = surge_start
@@ -140,20 +128,12 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
 
     # Phase 1, while real data remains: the queue decides each slot.
     while next_unsent < total:
+        rate = R * D ** (slot - surge_time)
+        if rate < 1.0:
+            rate = 1.0
         while down[available] <= slot:
             available += 1
         waiting = available - next_unsent
-        rate = R * D ** (slot - surge_time)
-        if rate < 1.0:
-            if floor_runs and not waiting and down[available] - slot > _LOOPED_IDLE_GAP:
-                # The queue stays empty, and the surge unreset, until the
-                # next arrival: every slot before it is idle.
-                first = len(slots)
-                slot = _silent_floor_run(slots, slot, down[available],
-                                         budget + MAX_SLOTS - len(idle_at))
-                idle_at += range(first, len(slots))
-                continue
-            rate = 1.0
         # A reset takes effect on the *next* slot; this slot's gap still
         # uses the rate computed above.
         if waiting > T * rate:
@@ -174,6 +154,13 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
     # Phase 2: the rest of the budget, one dummy per slot. An empty queue
     # never resets the surge, and a clock that stalls stays stalled at the
     # slot where it stalled, so one test after the loop finds it.
+    # Once the rate R * D ** x, x = slot - surge_time, rounds below 1, every
+    # later dummy's slot is at the 1-packet/s floor too, 1.0 s after the
+    # last, and `_floor_slots` sums them: x never falls, so with D = 1 the
+    # rate stays R, and with D <= 1 - 2**-20 each step of x by about a
+    # second lowers R * D ** x by a relative 2**-20 or more, far above the
+    # few-ulp error of the power and the product.
+    floor_runs = D == 1.0 or D <= 1.0 - 2.0**-20
     for left in range(budget - len(idle_at), 0, -1):
         rate = R * D ** (slot - surge_time)
         if rate < 1.0:
@@ -196,17 +183,10 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
     silent_at = idle_at[budget:]
     silent = len(silent_at)
     while slot < end:
-        rate = R * D ** (slot - surge_time)
-        if rate < 1.0:
-            if floor_runs:
-                first = len(slots)
-                slot = _silent_floor_run(slots, slot, end, MAX_SLOTS - silent)
-                silent += len(slots) - first
-                continue
-            rate = 1.0
         silent += 1
         if silent > MAX_SLOTS:
             raise _silent_limit(slot)
+        rate = max(R * D ** (slot - surge_time), 1.0)
         append(slot)
         next_slot = slot + 1.0 / rate
         if next_slot == slot:
@@ -248,26 +228,6 @@ def _floor_slots(start: float, count: int) -> list[float]:
     steps.fill(1.0)
     steps[0] = start
     return np.add.accumulate(steps, out=steps).tolist()
-
-
-def _silent_floor_run(slots: list[float], slot: float, stop: float, room: int) -> float:
-    """Append to `slots` the silent floor slots from `slot`, which lies
-    below `stop`, up to `stop`, where `room` more silent slots fit under
-    the limit, and return
-    the next slot. A slot past the limit, or one whose next slot does not
-    advance the clock, raises as the slot loop does: the limit, checked
-    first at each slot, at slot index `room`; a stall at the first stalled
-    slot. A clock that stalls stays stalled, so every slot after it is
-    equal. Rounding may leave a few slots below `stop` to the caller's
-    next pass."""
-    run = _floor_slots(slot, min(room + 1, math.ceil(stop - slot) + 1))
-    count = bisect_left(run, stop, 0, len(run) - 1)
-    if run[count] == run[count - 1] and bisect_left(run, run[count]) < room:
-        raise _stalled(1.0, run[count])
-    if count > room:
-        raise _silent_limit(run[room])
-    slots += run[:count]
-    return run[count]
 
 
 def _stalled(rate: float, slot: float) -> ValueError:
