@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -52,9 +52,9 @@ class RegulatorParams:
     U: download-to-upload packet ratio (one upload slot per U download
        slots), at least 1: a download slot fires at most one upload slot.
     C: delay cap, seconds; real upload packets are never queued longer.
-    initial_upload_rate: upload slots/second before the surge begins.
-    tail_grace: extra seconds the slot clock keeps running after both the
-       real data and the padding budget are exhausted.
+    initial_upload_rate and tail_grace are constants that `asdict` lists
+    after the six: 4 upload slots/second before the surge begins, and 0 s
+    of download clock past the last real packet and dummy.
     """
 
     randomized: ClassVar[bool] = True
@@ -65,19 +65,17 @@ class RegulatorParams:
     N: int
     U: float
     C: float
-    initial_upload_rate: float = 4.0
-    tail_grace: float = 0.0
+    initial_upload_rate: float = field(default=4.0, init=False)
+    tail_grace: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        for name in ("R", "T", "U", "C", "initial_upload_rate"):
+        for name in ("R", "T", "U", "C"):
             check_positive(name, getattr(self, name))
         if isinstance(self.D, bool) or not 0 < self.D <= 1:
             raise ValueError(f"D must be in (0, 1], got {self.D!r}")
         if self.U < 1:
             raise ValueError(f"U must be at least 1 download slot per upload slot, got {self.U!r}")
         check_count("N", self.N, 0)
-        # An infinite grace would run the clock to the silent-slot limit.
-        check_positive("tail_grace", self.tail_grace, or_zero=True)
 
     def apply(self, trace: Trace, seed: int) -> DefendedTrace:
         return apply_regulator(trace, self, seed)
@@ -99,8 +97,10 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
     Traces with fewer than ACTIVATION_PACKETS download packets never start
     the schedule: their download packets pass through unmodified and
     surge_start is +inf. The padding budget is drawn from the seed either
-    way so it is always recorded. More than MAX_SLOTS silent slots, with no
-    real packet waiting and the budget spent, raise ValueError.
+    way so it is always recorded. The last slot is the one that sends the
+    last real packet or the last dummy, whichever comes later. More than
+    MAX_SLOTS silent slots, with no real packet waiting and the budget
+    spent, raise ValueError.
     """
     rng = np.random.default_rng(seed)
     budget = int(rng.integers(0, params.N + 1))
@@ -143,7 +143,9 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
         else:
             idle_at.append(len(slots))
             if len(idle_at) - budget > MAX_SLOTS:
-                raise _silent_limit(slot)
+                raise ValueError(
+                    f"more than {MAX_SLOTS} silent download slots, the last at {slot} s"
+                )
         append(slot)
         next_slot = slot + 1.0 / rate
         if next_slot == slot:
@@ -174,31 +176,14 @@ def simulate_download(trace: Trace, params: RegulatorParams, seed: int) -> Downl
         slot = slot + 1.0 / rate
     if len(slots) > phase_one and slot == slots[-1]:
         raise _stalled(max(R * D ** (slot - surge_time), 1.0), slot)
-    emitted = len(slots)
-
-    # Phase 3: silent slots until tail_grace past the slot at which the real
-    # data and the padding budget were both spent, so padding can outlive
-    # the real data and vary the total trace volume.
-    end = (slots[-1] if slots else surge_start) + params.tail_grace
-    silent_at = idle_at[budget:]
-    silent = len(silent_at)
-    while slot < end:
-        silent += 1
-        if silent > MAX_SLOTS:
-            raise _silent_limit(slot)
-        rate = max(R * D ** (slot - surge_time), 1.0)
-        append(slot)
-        next_slot = slot + 1.0 / rate
-        if next_slot == slot:
-            raise _stalled(rate, slot)
-        slot = next_slot
 
     # Send and source time per emitted packet; a NaN source marks a dummy.
-    send = np.array(slots[:emitted])
-    source = np.full(emitted, math.nan)
+    send = np.array(slots)
+    source = np.full(len(slots), math.nan)
     real = np.ones(phase_one, bool)
     real[idle_at] = False
     source[:phase_one][real] = down_times[ACTIVATION_PACKETS:]
+    silent_at = idle_at[budget:]
     if silent_at:
         send, source = np.delete(send, silent_at), np.delete(source, silent_at)
     first = down_times[:ACTIVATION_PACKETS]
@@ -232,10 +217,6 @@ def _floor_slots(start: float, count: int) -> list[float]:
 
 def _stalled(rate: float, slot: float) -> ValueError:
     return ValueError(f"slot gap 1/{rate:g} s is too small to advance the slot clock at {slot} s")
-
-
-def _silent_limit(slot: float) -> ValueError:
-    return ValueError(f"more than {MAX_SLOTS} silent download slots, the last at {slot} s")
 
 
 # The download slots that fire an upload slot depend only on the credit per
@@ -294,7 +275,8 @@ def simulate_upload(
             f"{MAX_SLOTS} slots"
         )
 
-    # The prelude's ticks k * gap before the surge.
+    # The prelude's ticks k * gap before the surge; the gap is 1/4 s, so
+    # every tick is exact.
     prelude_gap = 1.0 / params.initial_upload_rate
     slots: list[float] = []
     while (tick := len(slots) * prelude_gap) < surge_start:

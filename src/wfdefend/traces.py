@@ -10,8 +10,8 @@ Traces are columnar. A Trace holds a float64 `times` array and an int8
 `send_time`, `direction` and `source_time`, where a NaN source marks a
 dummy, and derives its bool `dummy` mask from that. Each trace is checked
 once, where it is made. The public constructors (Trace, DefendedTrace,
-one_direction, merge) copy what they are given into read-only arrays and
-check it, vectorized. Code here that has just built columns to those
+merge) copy what they are given into read-only arrays and check it,
+vectorized. Code here that has just built columns to those
 invariants makes its trace with _prebuilt, without a copy or a second
 check: parse_trace, the regulator's two halves (merge then checks the
 whole trace), and attach_sources, which checks the schedule it is given
@@ -115,12 +115,6 @@ class DefendedPacket(NamedTuple):
     direction: Direction
     kind: PacketKind
     source_time: Optional[float] = None
-
-    @property
-    def delay(self) -> float:
-        if self.source_time is None:
-            return 0.0
-        return self.send_time - self.source_time
 
 
 def _column(values, dtype, name: str, length: Optional[int] = None) -> np.ndarray:
@@ -281,11 +275,6 @@ def _prebuilt(cls: type[T], **columns) -> T:
             column.setflags(write=False)
         object.__setattr__(trace, name, column)
     return trace
-
-
-def one_direction(direction: Direction, send_time, source_time) -> DefendedTrace:
-    """One direction of a schedule; a NaN source time marks a dummy."""
-    return DefendedTrace(send_time, np.full(len(send_time), direction, np.int8), source_time)
 
 
 def merge(parts: Sequence[tuple]) -> DefendedTrace:

@@ -9,7 +9,8 @@ the trial count reruns nothing and never worsens the best loss found.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -168,11 +169,24 @@ def trial_json(record: TrialRecord, master_seed: int) -> str:
 
 
 def parse_trial_json(line: str) -> tuple[TrialRecord, int]:
+    """The record and master seed of one trial-log line; a ValueError,
+    KeyError or TypeError marks a malformed record. Its params may leave
+    out the constants of RegulatorParams, but not hold other values."""
     payload = json.loads(line)
+    params = {**payload["params"]}
+    for name, value in ((f.name, f.default) for f in fields(RegulatorParams) if not f.init):
+        if (held := params.pop(name, value)) != value:
+            raise ValueError(f"{name} is fixed at {value}, got {held!r}")
+    for name in ("trial_index", "seed", "master_seed"):
+        if type(payload[name]) is not int:
+            raise ValueError(f"{name} must be an integer, got {payload[name]!r}")
+    for name in ("accuracy", "mean_bandwidth", "mean_latency", "loss"):
+        if type(payload[name]) not in (int, float) or not math.isfinite(payload[name]):
+            raise ValueError(f"{name} must be a finite number, got {payload[name]!r}")
     record = TrialRecord(
         trial_index=payload["trial_index"],
         seed=payload["seed"],
-        params=RegulatorParams(**payload["params"]),
+        params=RegulatorParams(**params),
         accuracy=payload["accuracy"],
         mean_bandwidth=payload["mean_bandwidth"],
         mean_latency=payload["mean_latency"],

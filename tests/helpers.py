@@ -50,8 +50,6 @@ def random_params(rng: np.random.Generator, max_budget: int = 400) -> RegulatorP
         N=int(rng.integers(0, max_budget + 1)),
         U=float(rng.uniform(1.0, 8.0)),
         C=float(rng.uniform(0.5, 5.0)),
-        initial_upload_rate=float(rng.uniform(1.0, 8.0)),
-        tail_grace=float(rng.choice([0.0, 0.0, 0.0, 1.0])),
     )
 
 

@@ -803,12 +803,25 @@ class TestTune:
         run(capsys, *base, "--trials", "2")
         first, second = log.read_bytes().splitlines()
         third = second.replace(b'"trial_index": 1', b'"trial_index": 2')
+
+        def first_with(**fields):
+            return json.dumps({**json.loads(first), **fields}, sort_keys=True).encode()
+
+        params = json.loads(first)["params"]
         # A log that is not UTF-8 once raised a bare UnicodeDecodeError
         # that did not name the log. A repeated trial once made the run
         # print it twice and never run trial 1; a gap made it repeat trial
-        # 2 and skip trial 1. A refusal comes before a torn tail is cut.
+        # 2 and skip trial 1. A refusal comes before a torn tail is cut. A
+        # string or null score once failed only while the ranking printed,
+        # and a float index was printed as 0.0.
+        malformed = f"{log} line 1: malformed trial record"
         for content, message in [
-            (first[:60] + b"\n" + second + b"\n", f"{log} line 1: malformed trial record"),
+            (first[:60] + b"\n" + second + b"\n", malformed),
+            (first_with(loss="x") + b"\n" + second + b"\n", malformed),
+            (first_with(accuracy=None) + b"\n" + second + b"\n", malformed),
+            (first_with(trial_index=0.0) + b"\n" + second + b"\n", malformed),
+            (first_with(params={**params, "tail_grace": 5.0}) + b"\n" + second + b"\n",
+             malformed),
             (b"\xff" + first + b"\n" + second + b"\n",
              f"{log}: 'utf-8' codec can't decode byte 0xff in position 0"),
             (first + b"\n" + first + b"\n", f"{log} line 2: trial 0 where trial 1 belongs"),

@@ -17,7 +17,7 @@ from wfdefend import (
 )
 from wfdefend.metrics import aggregate_reports, csv_table, kv_lines
 from wfdefend.presets import PRESETS, defense_names
-from wfdefend.traces import merge, one_direction
+from wfdefend.traces import merge
 
 UP, DOWN = Direction.UPLOAD, Direction.DOWNLOAD
 
@@ -80,7 +80,7 @@ class TestLatency:
 
     def test_no_real_packets_errors(self):
         trace = make_trace([0.0, 1.0])
-        only_dummies = one_direction(DOWN, [0.5], [np.nan])
+        only_dummies = DefendedTrace([0.5], [DOWN], [np.nan])
         with pytest.raises(ValueError, match="no real packets"):
             trace_overhead(trace, only_dummies)
 

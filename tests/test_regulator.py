@@ -1,7 +1,7 @@
 import math
 import re
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -60,10 +60,6 @@ class TestParams:
             dict(N=-1),
             dict(U=0.0),
             dict(C=0.0),
-            dict(initial_upload_rate=0.0),
-            dict(tail_grace=-0.1),
-            dict(tail_grace=math.nan),
-            dict(tail_grace=math.inf),
             dict(N=True),
             # R=inf once passed, and every trace then failed at the slot clock.
             dict(R=math.inf),
@@ -71,7 +67,6 @@ class TestParams:
             dict(T=math.nan),
             dict(U=math.inf),
             dict(C=math.inf),
-            dict(initial_upload_rate=math.nan),
             dict(D=True),
             # A download slot fires at most one upload slot, so U=0.5 once ran as U=1.
             dict(U=0.5),
@@ -83,6 +78,20 @@ class TestParams:
         base.update(kwargs)
         with pytest.raises(ValueError):
             RegulatorParams(**base)
+
+    def test_constants_are_not_settable(self):
+        # Only the paper's six are parameters; `asdict` still lists the two
+        # constants after them, as `adjust` and the trial log print them.
+        base = dict(R=277.0, D=0.94, T=3.55, N=3550, U=3.95, C=1.77)
+        for name in ("initial_upload_rate", "tail_grace"):
+            with pytest.raises(TypeError, match=name):
+                RegulatorParams(**base, **{name: 1.0})
+            with pytest.raises(ValueError, match=name):
+                replace(HEAVY, **{name: 1.0})
+        assert list(asdict(HEAVY).items()) == [
+            ("R", 277.0), ("D", 0.94), ("T", 3.55), ("N", 3550), ("U", 3.95), ("C", 1.77),
+            ("initial_upload_rate", 4.0), ("tail_grace", 0.0),
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -198,15 +207,6 @@ class TestSlotLimit:
             apply_regulator(trace, HEAVY, 0)
         assert time.monotonic() - start < 5.0
 
-    def test_silent_slots_up_to_the_limit_run(self, monkeypatch):
-        # At 1 slot/s the slot at 0 s sends the last packet; the tail grace
-        # adds one silent slot per second.
-        monkeypatch.setattr("wfdefend.regulator.MAX_SLOTS", 1)
-        params = RegulatorParams(R=1.0, D=1.0, T=100.0, N=0, U=1.0, C=1.0, tail_grace=2.0)
-        assert simulate_download(downloads(11), params, 0).slots == (0.0, 1.0)
-        with pytest.raises(ValueError, match="more than 1 silent"):
-            simulate_download(downloads(11), replace(params, tail_grace=3.0), 0)
-
 
 class TestUpload:
     def test_fractional_decimation(self):
@@ -236,7 +236,7 @@ class TestUpload:
         assert upload_slots == slots
 
     def test_prelude_rate_before_surge(self):
-        params = RegulatorParams(R=2.0, D=1.0, T=1.0, N=0, U=4.0, C=5.0, initial_upload_rate=4.0)
+        params = RegulatorParams(R=2.0, D=1.0, T=1.0, N=0, U=4.0, C=5.0)
         out = simulate_upload(Trace([], []), params, [], surge_start=1.0)
         assert [p.send_time for p in out] == [0.0, 0.25, 0.5, 0.75]
 
@@ -289,7 +289,7 @@ class TestApply:
             assert_draw_spent(trace, params, seed, defended)
             for p in defended:
                 if p.kind is PacketKind.REAL and p.direction is Direction.UPLOAD:
-                    assert p.delay <= params.C + 1e-9
+                    assert p.send_time - p.source_time <= params.C + 1e-9
 
     def test_matches_reference_simulator(self):
         rng = np.random.default_rng(2024)
@@ -331,14 +331,6 @@ class TestApply:
         assert defended.dummy_count() == 0
         assert [p.send_time for p in defended] == [p.time for p in trace]
 
-    def test_tail_grace_extends_schedule(self):
-        params_grace = RegulatorParams(R=1.0, D=1.0, T=1000.0, N=3, U=1.0, C=1.77, tail_grace=2.0)
-        seed = seed_with_budget(3, 3)
-        schedule = simulate_download(downloads(10), params_grace, seed)
-        # Dummies stop at t=2 but the slot clock runs on until t=4.
-        assert schedule.slots[-1] == pytest.approx(3.0)
-        assert len([p for p in schedule.packets if p.kind is PacketKind.DUMMY]) == 3
-
 
 # Upload cases on a 0.25 s grid: slots, upload times, C and surge_start all
 # land on it, so flushes fall exactly on slots, several flushes fall between
@@ -358,22 +350,20 @@ def upload_cases(draw):
         R=2.0, D=1.0, T=1.0, N=0,
         U=draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
         C=draw(st.integers(1, 12)) * GRID,
-        initial_upload_rate=draw(st.sampled_from([4.0, 2.0, 1.0])),
     )
     trace = Trace([k * GRID for k in up], [Direction.UPLOAD] * len(up))
     return trace, params, [k * GRID for k in slots], surge * GRID
 
 
 def prelude_tick_examples(test):
-    """Surge starts on a prelude tick, k * gap or k / rate, and one ulp to
-    either side, at three prelude rates, as examples of `test`."""
-    for rate in (4.0, 3.0, 0.37):
-        params = replace(HEAVY, U=1.0, initial_upload_rate=rate)
-        for k in (1, 2, 3, 7, 10):
-            for tick in {k * (1.0 / rate), k / rate}:
-                for surge in (math.nextafter(tick, 0.0), tick, math.nextafter(tick, math.inf)):
-                    trace = Trace([0.0, surge], [Direction.UPLOAD] * 2)
-                    test = example((trace, params, [surge, surge + 1.0], surge))(test)
+    """Surge starts on a prelude tick, k / initial_upload_rate, and one ulp
+    to either side, as examples of `test`."""
+    params = replace(HEAVY, U=1.0)
+    for k in (1, 2, 3, 7, 10):
+        tick = k / params.initial_upload_rate
+        for surge in (math.nextafter(tick, 0.0), tick, math.nextafter(tick, math.inf)):
+            trace = Trace([0.0, surge], [Direction.UPLOAD] * 2)
+            test = example((trace, params, [surge, surge + 1.0], surge))(test)
     return test
 
 
@@ -401,30 +391,6 @@ def upload_matches_the_event_merge(trace, params, slots, surge_start):
     assert float_bits(out.source_time[~dummy]) == float_bits(np.array(source)[~dummy])
 
 
-@pytest.mark.parametrize("at_zero, at_four, budget, last_slot", [
-    (0, 0, 0, 0.0),  # both spent at activation: the clock runs tail_grace past it
-    (2, 0, 4, 5.0),  # real data sent at t=1, then the budget spent at t=5
-    (0, 2, 2, 5.0),  # the budget spent at t=1, then real data sent at t=5
-])
-def test_tail_grace_runs_past_the_later_of_budget_and_real_data(
-    at_zero, at_four, budget, last_slot
-):
-    # One slot a second from t=0, after ten downloads at t=0; then
-    # `at_zero` more downloads at t=0 and `at_four` at t=4.
-    times = [0.0] * (10 + at_zero) + [4.0] * at_four
-    count = len(times)
-    trace = Trace(times, [Direction.DOWNLOAD] * count)
-    params = RegulatorParams(R=1.0, D=1.0, T=1000.0, N=4, U=1.0, C=1.77, tail_grace=2.5)
-    seed = seed_with_budget(params.N, budget)
-    schedule = simulate_download(trace, params, seed)
-    reference, trail = reference_defend(trace, params, seed)
-    assert schedule.drawn_budget == budget
-    assert list(schedule.slots) == [slot.time for slot in trail]
-    assert schedule.slots[-1] == last_slot + 2.0  # the last slot before last_slot + 2.5
-    defended = apply_regulator(trace, params, seed)
-    assert schedule_key(defended) == schedule_key(reference)
-
-
 def download_matches_the_oracle(trace, params, seed):
     """simulate_download's slots, send and source times equal the oracle's
     trail and download half, bit for bit; returns the oracle's trail."""
@@ -450,33 +416,30 @@ def short_trace(rng, duration):
     return Trace(times - times[0], np.where(upload, Direction.UPLOAD, Direction.DOWNLOAD))
 
 
-def tuned_params(rng, N, tail_grace):
+def tuned_params(rng, N):
     """A draw from the tuner's default search space with the given N."""
     return RegulatorParams(
         R=float(rng.uniform(100.0, 600.0)), D=float(rng.uniform(0.7, 0.99)),
         T=float(rng.uniform(1.0, 10.0)), N=N, U=float(rng.uniform(1.0, 8.0)),
-        C=float(rng.uniform(0.5, 5.0)), tail_grace=tail_grace,
+        C=float(rng.uniform(0.5, 5.0)),
     )
 
 
 def test_download_in_the_tuners_regime_matches_the_oracle_bit_for_bit():
     # Short traces with budgets up to 8,000: most slots are dummies after
-    # the last real packet, then silent slots run out the tail grace.
+    # the last real packet.
     rng = np.random.default_rng(16)
     for _ in range(60):
-        params = tuned_params(rng, int(rng.integers(0, 8001)), float(rng.choice([0.0, 0.5, 2.0])))
+        params = tuned_params(rng, int(rng.integers(0, 8001)))
         download_matches_the_oracle(short_trace(rng, 8.0), params, int(rng.integers(0, 2**63)))
 
 
-@pytest.mark.parametrize("tail_grace", [0.0, 0.5, 2.0])
-def test_budget_zero_with_exactly_ten_downloads_matches_the_oracle(tail_grace):
+def test_budget_zero_with_exactly_ten_downloads_matches_the_oracle():
     times = [0.0, 0.1, 0.1, 0.2, 0.5, 0.5, 0.7, 0.9, 1.2, 1.3, 1.4, 1.6]
     D, U = Direction.DOWNLOAD, Direction.UPLOAD
     trace = Trace(times, [D] * 9 + [U, D, U])
-    params = tuned_params(np.random.default_rng(7), 0, tail_grace)
-    trail = download_matches_the_oracle(trace, params, 0)
-    assert all(slot.emitted == "none" for slot in trail)
-    assert bool(trail) == (tail_grace > 0)
+    params = tuned_params(np.random.default_rng(7), 0)
+    assert not download_matches_the_oracle(trace, params, 0)
 
 
 def test_budget_spent_before_at_and_after_the_last_real_packet_matches_the_oracle():
@@ -486,23 +449,20 @@ def test_budget_spent_before_at_and_after_the_last_real_packet_matches_the_oracl
     rng = np.random.default_rng(61)
     for _ in range(8):
         trace = short_trace(rng, 2.0)
-        params = tuned_params(rng, 0, 0.0)
+        params = tuned_params(rng, 0)
         idle = sum(slot.emitted == "none" for slot in reference_defend(trace, params, 0)[1])
         for budget in range(max(idle - 1, 0), idle + 2):
-            spent = replace(params, N=budget, tail_grace=float(rng.choice([0.0, 0.5, 2.0])))
+            spent = replace(params, N=budget)
             download_matches_the_oracle(trace, spent, seed_with_budget(budget, budget))
 
 
-@pytest.mark.parametrize("times, budget, tail_grace", [
-    ([0.0] * 10 + [3.0], 0, 0.0),  # silent slots while real data remains
-    ([0.0] * 10, 0, 2.0),  # silent slots in the tail grace only
-    ([0.0] * 10 + [3.0], 0, 2.0),  # both: the count carries into the tail
-    ([0.0] * 10 + [3.0], 40, 2.0),  # dummies while real data remains do not count
-    ([0.0] * 10, 40, 2.0),  # nor do dummies after it
+@pytest.mark.parametrize("times, budget", [
+    ([0.0] * 10 + [3.0], 0),  # silent slots while real data remains
+    ([0.0] * 10 + [3.0], 40),  # dummies while real data remains do not count
 ])
-def test_silent_slot_limit_falls_on_the_oracles_slot(monkeypatch, times, budget, tail_grace):
+def test_silent_slot_limit_falls_on_the_oracles_slot(monkeypatch, times, budget):
     trace = Trace(times, [Direction.DOWNLOAD] * len(times))
-    params = RegulatorParams(R=20.0, D=0.8, T=5.0, N=budget, U=2.0, C=1.0, tail_grace=tail_grace)
+    params = RegulatorParams(R=20.0, D=0.8, T=5.0, N=budget, U=2.0, C=1.0)
     seed = seed_with_budget(budget, budget)
     trail = download_matches_the_oracle(trace, params, seed)
     silent = [slot.time for slot in trail if slot.emitted == "none"]
@@ -515,15 +475,13 @@ def test_silent_slot_limit_falls_on_the_oracles_slot(monkeypatch, times, budget,
     assert len(simulate_download(trace, params, seed).slots) == len(trail)
 
 
-@pytest.mark.parametrize("downloads_at_one, budget, tail_grace", [
-    (12, 0, 0.0),  # the clock stalls with real packets queued
-    (10, 5, 0.0),  # with only dummies left
-    (10, 0, 1.0),  # with only the tail grace left
+@pytest.mark.parametrize("downloads_at_one, budget", [
+    (12, 0),  # the clock stalls with real packets queued
+    (10, 5),  # with only dummies left
 ])
-def test_stalled_clock_is_rejected_at_its_first_slot(downloads_at_one, budget, tail_grace):
+def test_stalled_clock_is_rejected_at_its_first_slot(downloads_at_one, budget):
     # At R=1e20 the gap 1/R is lost in rounding at t=1 s.
-    params = RegulatorParams(R=1e20, D=0.94, T=3.55, N=budget, U=3.95, C=1.77,
-                             tail_grace=tail_grace)
+    params = RegulatorParams(R=1e20, D=0.94, T=3.55, N=budget, U=3.95, C=1.77)
     message = "slot gap 1/1e+20 s is too small to advance the slot clock at 1.0 s"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         simulate_download(downloads(downloads_at_one, time=1.0), params,
@@ -579,25 +537,10 @@ def test_tuner_draws_with_fast_decay_match_the_oracle_bit_for_bit(floor_runs):
     # budgets up to 8,000 spend most of their dummies there.
     rng = np.random.default_rng(22)
     for _ in range(30):
-        params = replace(
-            tuned_params(rng, int(rng.integers(0, 8001)), float(rng.choice([0.0, 2.0, 30.0]))),
-            D=float(rng.uniform(0.5, 0.8)),
-        )
+        params = replace(tuned_params(rng, int(rng.integers(0, 8001))),
+                         D=float(rng.uniform(0.5, 0.8)))
         regulator_matches_the_oracle(short_trace(rng, 8.0), params, int(rng.integers(0, 2**63)))
     assert len(floor_runs) >= 20
-
-
-@pytest.mark.parametrize("tail_grace", [2.0, 30.0])
-def test_silent_tail_after_a_floor_run_matches_the_oracle(floor_runs, tail_grace):
-    # At R=2 and D=0.5 the rate is at its floor from 1 s after the surge:
-    # the budget's dummies are one run, and the silent tail loops on from
-    # the slot after it.
-    trace = mixed([0.0] * 10 + [0.5] * 6, [0.2, 0.9, 4.0])
-    params = RegulatorParams(R=2.0, D=0.5, T=100.0, N=40, U=2.0, C=1.0,
-                             tail_grace=tail_grace)
-    trail = regulator_matches_the_oracle(trace, params, seed_with_budget(40, 40))
-    assert trail[-1].rate == 1.0 and trail[-1].emitted == "none"
-    assert floor_runs
 
 
 @pytest.mark.parametrize("D, runs", [
@@ -607,7 +550,7 @@ def test_silent_tail_after_a_floor_run_matches_the_oracle(floor_runs, tail_grace
 ])
 def test_the_floor_guards_edges_match_the_oracle(floor_runs, D, runs):
     trace = mixed([0.0] * 10 + [40.0, 41.0], [0.3, 20.0])
-    params = RegulatorParams(R=0.5, D=D, T=5.0, N=50, U=1.5, C=1.0, tail_grace=30.0)
+    params = RegulatorParams(R=0.5, D=D, T=5.0, N=50, U=1.5, C=1.0)
     trail = regulator_matches_the_oracle(trace, params, seed_with_budget(50, 50))
     assert all(slot.rate == 1.0 for slot in trail)
     assert bool(floor_runs) == runs

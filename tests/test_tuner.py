@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import weakref
@@ -154,6 +155,10 @@ def test_trial_json_roundtrip(tiny_dataset):
     parsed, master = parse_trial_json(line)
     assert master == 9
     assert parsed == records[0]
+    # A record may leave out the two constants of RegulatorParams.
+    payload = json.loads(line)
+    del payload["params"]["initial_upload_rate"], payload["params"]["tail_grace"]
+    assert parse_trial_json(json.dumps(payload)) == (records[0], 9)
 
 
 def test_run_trial_streams_defended_traces(tiny_dataset, monkeypatch):
