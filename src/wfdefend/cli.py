@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 from types import ModuleType
-from typing import Optional
+from typing import Callable, Optional, TextIO
 
 from .presets import (
     OVERRIDE_FIELDS,
@@ -91,7 +91,8 @@ COUNT_MINIMUMS = {"k": 1, "jobs": 1, "folds": 2, "trials": 1, "classes": 1, "ins
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        # Every failure's prefix; the usage line above names the subcommand.
+        self.exit(EXIT_USAGE, f"wfdefend: error: {message}\n")
 
 
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
@@ -150,19 +151,27 @@ def _output_path(value: str | Path, directory: bool = False) -> Path:
     return path
 
 
-def _write_whole(path: Path, text: str) -> None:
-    """Write `text` to `path` through a temporary file beside it, renamed
-    over `path` once complete, so `path` never holds part of the text.
-    Missing directories above `path` are created; an error names `path`."""
+def _write_whole(path: Path, text: str | Callable[[TextIO], object]) -> None:
+    """Write `text` to `path` through a temporary file, renamed over `path`
+    once complete, so `path` never holds part of the text. `text` may
+    instead be a function that writes it to the open file, so that a long
+    text is never held whole. The temporary file is made in the nearest
+    existing directory above `path`, and the missing directories between
+    are created only once the text is complete, so an error, which names
+    `path`, leaves the file system as it was."""
     temp = None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
+        nearest = next(p for p in path.absolute().parents if p.is_dir())
+        fd, temp = tempfile.mkstemp(prefix=f".{path.name}.", dir=nearest)
         with os.fdopen(fd, "w", encoding="utf-8") as out:
-            out.write(text)
+            if isinstance(text, str):
+                out.write(text)
+            else:
+                text(out)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(temp, 0o666 & ~umask)  # the mode a plain write would give
+        path.parent.mkdir(parents=True, exist_ok=True)
         os.replace(temp, path)
         temp = None
     except OSError as exc:
@@ -284,15 +293,12 @@ def cmd_stats(args) -> int:
     print(f"post_tenth_median_offset={profile.median_offset:.6f}")
     print(f"post_tenth_skipped_traces={profile.skipped}")
     if outs:
-        # Render every table before writing any; the per-second table goes
-        # first, so its row limit is checked before the others are rendered.
-        tables = [
-            stats.per_second_table(dataset),
-            stats.iqr_table(dataset, summary),
-            stats.decay_table(profile),
-        ]
-        for path, text in zip(outs, tables):
-            _write_whole(path, text)
+        # The per-second table goes first: it checks every trace's row limit
+        # before it writes a row, so a trace past the limit writes no table.
+        per_second_path, traces_path, decay_path = outs
+        _write_whole(per_second_path, functools.partial(stats.per_second_table, dataset))
+        _write_whole(traces_path, stats.iqr_table(dataset, summary))
+        _write_whole(decay_path, stats.decay_table(profile))
     return EXIT_OK
 
 
@@ -385,8 +391,8 @@ def _check_fingerprint(log_path: Path, fingerprint: dict, resuming: bool) -> Non
 
     A fresh log gets the fingerprint written. A resumed log must have been
     written with the same fingerprint; a mismatch is a ValueError naming the
-    first field that differs. A resumed log with no fingerprint, from before
-    fingerprints were kept, is adopted with a warning.
+    first field that differs. A resumed log with no fingerprint cannot be
+    shown to fit this run, so it is a ValueError naming the missing file.
     """
     import json
 
@@ -394,7 +400,12 @@ def _check_fingerprint(log_path: Path, fingerprint: dict, resuming: bool) -> Non
     # What the file will hold, read back: tuples come back as lists.
     text = json.dumps(fingerprint, indent=1) + "\n"
     fingerprint = json.loads(text)
-    if resuming and path.is_file():
+    if resuming:
+        if not path.is_file():
+            raise ValueError(
+                f"trial log {log_path} has records but no fingerprint {path}; "
+                "it cannot be shown to fit this run"
+            )
         old, new = dict(_flatten(_read_json_object(path))), dict(_flatten(fingerprint))
         for key in [*old, *(key for key in new if key not in old)]:
             if old.get(key) != new.get(key):
@@ -403,8 +414,6 @@ def _check_fingerprint(log_path: Path, fingerprint: dict, resuming: bool) -> Non
                     f"not {new.get(key)} (see {path})"
                 )
         return
-    if resuming:
-        logger.warning("trial log %s has no fingerprint; adopting it as this run's", log_path)
     _write_whole(path, text)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TextIO
+
 import numpy as np
 
 from .regulator import ACTIVATION_PACKETS, RegulatorParams
@@ -178,19 +180,20 @@ def decay_table(profile: PostTenthProfile) -> str:
     return "offset_bin_start,count\n" + "".join(rows)
 
 
-def per_second_table(dataset: Dataset) -> str:
-    """Upload vs download packet counts per one-second bin, per trace, as CSV;
-    a row for every second up to the last packet, at most MAX_SLOTS per trace."""
+def per_second_table(dataset: Dataset, out: TextIO) -> None:
+    """Write upload vs download packet counts per one-second bin, per trace,
+    as CSV to `out`: a row for every second up to the last packet, at most
+    MAX_SLOTS per trace. Every trace's row count is checked before anything
+    is written, and the rows are rendered one trace at a time."""
     named = [(name, trace) for name, trace in zip(dataset.filenames, dataset.traces) if len(trace)]
     for name, trace in named:
         if trace.times[-1] >= MAX_SLOTS:
             raise ValueError(f"{name}: more than {MAX_SLOTS} seconds of per-second rows")
-    lines = ["name,second,upload_count,download_count\n"]
+    out.write("name,second,upload_count,download_count\n")
     for name, trace in named:
         second = trace.times.astype(np.int64)
         upload = trace.direction == int(Direction.UPLOAD)
         bins = int(second[-1]) + 1
         up = np.bincount(second[upload], minlength=bins).tolist()
         down = np.bincount(second[~upload], minlength=bins).tolist()
-        lines.extend(f"{name},{s},{u},{d}\n" for s, (u, d) in enumerate(zip(up, down)))
-    return "".join(lines)
+        out.write("".join(f"{name},{s},{u},{d}\n" for s, (u, d) in enumerate(zip(up, down))))

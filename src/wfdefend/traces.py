@@ -15,9 +15,9 @@ vectorized. Code here that has just built columns to those
 invariants makes its trace with _prebuilt, without a copy or a second
 check: parse_trace, the regulator's two halves (merge then checks the
 whole trace), and attach_sources, which checks the schedule it is given
-but not the sources it derives. Iterating a trace yields per-packet row
-views (`Packet`, `DefendedPacket`) built on demand, for inspection and
-tests.
+but not the sources it derives. Iterating a DefendedTrace yields
+per-packet row views (`DefendedPacket`) built on demand, which the
+benchmark's traced replay reads.
 
 Text is written and read in bulk, with the bytes and floats of the
 general paths. The writer looks each `%.6f` time up from its count of
@@ -101,13 +101,6 @@ class ParseError(ValueError):
     """Malformed trace file; the message names the offending line."""
 
 
-class Packet(NamedTuple):
-    """Row view of one packet of a Trace."""
-
-    time: float
-    direction: Direction
-
-
 class DefendedPacket(NamedTuple):
     """Row view of one packet of a DefendedTrace; dummies carry no source time."""
 
@@ -166,10 +159,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def __iter__(self) -> Iterator[Packet]:
-        for time, direction in zip(self.times.tolist(), self.direction.tolist()):
-            yield Packet(time, Direction(direction))
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
@@ -640,48 +629,40 @@ def attach_sources(
 ) -> DefendedTrace:
     """Rebuild a full DefendedTrace from an original trace and a parsed schedule.
 
-    Real packets are matched to original packets FIFO per direction, which
-    the simulators guarantee. Send times quantized on disk may undershoot
-    the source time by less than a microsecond; the source is clamped so
-    the no-time-travel invariant still holds.
+    The schedule is checked first, as DefendedTrace checks it. Then real
+    packets are matched to original packets FIFO per direction, uploads
+    first, which the simulators guarantee: a direction with another count
+    of real packets than the original, or with one sent more than a
+    microsecond before its source, is a ValueError. Send times quantized on
+    disk may undershoot the source time by less than a microsecond; the
+    source is clamped so the no-time-travel invariant still holds.
     """
     send, direction, dummy = schedule
+    send = _column(send, np.float64, "send_time")
+    direction = _direction_column(direction, len(send))
+    _check_sorted(send, "defended packets must be sorted by send_time")
     source = np.full(len(send), np.nan)
-    # (row, message) of the first mismatch per direction; the earliest row wins.
-    problems: list[tuple[int, str]] = []
-    missing: list[str] = []
     real = ~dummy
     for d in (Direction.UPLOAD, Direction.DOWNLOAD):
         rows = (real & (direction == int(d))).nonzero()[0]
         queue = original.times_of(d)
-        matched = min(len(rows), len(queue))
         if len(rows) > len(queue):
-            problems.append((
-                int(rows[len(queue)]),
+            raise ValueError(
                 f"defended schedule has more real {d.name.lower()} packets "
-                "than the original trace",
-            ))
-        sent, available = send[rows[:matched]], queue[:matched]
-        early = (sent < available - 10.0 ** -TIME_DECIMALS).nonzero()[0]
-        if len(early):
-            i = int(early[0])
-            problems.append((
-                int(rows[i]),
-                f"real packet sent at {float(sent[i])} well before source "
-                f"{float(available[i])}; schedule does not match the original trace",
-            ))
+                "than the original trace"
+            )
         if len(rows) < len(queue):
-            missing.append(f"defended schedule is missing real {d.name.lower()} packets")
-        source[rows[:matched]] = np.minimum(available, sent)
-    if problems:
-        raise ValueError(min(problems)[1])
-    if missing:
-        raise ValueError(missing[0])
-    # The schedule is checked as DefendedTrace checks it. Each source is an
-    # original time, finite and clamped to at most its send, so it is not.
-    send = _column(send, np.float64, "send_time")
-    direction = _direction_column(direction, len(send))
-    _check_sorted(send, "defended packets must be sorted by send_time")
+            raise ValueError(f"defended schedule is missing real {d.name.lower()} packets")
+        sent = send[rows]
+        early = sent < queue - 10.0 ** -TIME_DECIMALS
+        if early.any():
+            i = int(np.argmax(early))
+            raise ValueError(
+                f"real packet sent at {float(sent[i])} well before source "
+                f"{float(queue[i])}; schedule does not match the original trace"
+            )
+        # Each source is an original time, finite and at most its send.
+        source[rows] = np.minimum(queue, sent)
     return _prebuilt(DefendedTrace, send_time=send, direction=direction, source_time=source)
 
 

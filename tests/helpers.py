@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Iterator
 
 import numpy as np
 
@@ -14,6 +15,12 @@ from wfdefend import (
     Trace,
 )
 from wfdefend.regulator import ACTIVATION_PACKETS, simulate_download
+
+
+def rows(trace: Trace) -> Iterator[tuple[float, Direction]]:
+    """(time, Direction) of each packet of `trace`, read from its columns."""
+    for time, direction in zip(trace.times.tolist(), trace.direction.tolist()):
+        yield time, Direction(direction)
 
 
 def random_trace(rng: np.random.Generator, max_packets: int = 500) -> Trace:

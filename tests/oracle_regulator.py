@@ -48,8 +48,8 @@ def reference_defend(
     rng = np.random.default_rng(seed)
     budget = int(rng.integers(0, params.N + 1))
 
-    download_times = [p.time for p in trace if p.direction is Direction.DOWNLOAD]
-    upload_times = [p.time for p in trace if p.direction is Direction.UPLOAD]
+    download_times = [t for t, d in zip(trace.times.tolist(), trace.direction.tolist()) if d == Direction.DOWNLOAD]
+    upload_times = [t for t, d in zip(trace.times.tolist(), trace.direction.tolist()) if d == Direction.UPLOAD]
 
     if len(download_times) < 10:
         down_out = [

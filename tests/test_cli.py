@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -506,6 +507,28 @@ class TestStats:
         assert "error: 0-1: more than 1000000 seconds of per-second rows" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
+    def test_out_memory_does_not_grow_with_the_trace_count(self, capsys, tmp_path):
+        # Each file is two packets 50,000 s apart, so 50,001 per-second rows.
+        # The tables were once rendered whole before any was written, and
+        # four such files then peaked at 3.3 times the memory of one.
+        def peak(count):
+            data = tmp_path / f"data{count}"
+            data.mkdir()
+            for i in range(count):
+                (data / f"0-{i}").write_text("0.0\t1\n50000.0\t-1\n")
+            tracemalloc.start()
+            try:
+                code, _, err = run(capsys, "stats", str(data), "--out", str(tmp_path / f"fig{count}"))
+                used = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+            return used
+
+        one = peak(1)
+        assert peak(4) <= 1.5 * one
+        assert (tmp_path / "fig4_per_second.csv").read_text().count("\n") == 1 + 4 * 50_001
+
     def test_long_span_without_out_prints_summary(self, capsys, tmp_path):
         data = tmp_path / "data"
         data.mkdir()
@@ -963,22 +986,26 @@ class TestTune:
         assert reason in err
         assert len(log.read_text().splitlines()) == 1
 
-    def test_log_without_fingerprint_is_adopted(self, capsys, tmp_path):
+    def test_log_without_fingerprint_is_refused(self, capsys, tmp_path):
+        # Such a log was once adopted: trial 0, scored with --k 1, was ranked
+        # beside trial 1, scored with --k 3, under a fingerprint claiming 3.
         data = tmp_path / "data"
         write_synth_dataset(capsys, data, classes=2, instances=4)
-        base = ("tune", str(data), "--seed", "5", "--folds", "2", "--k", "1")
+        base = ("tune", str(data), "--seed", "5", "--folds", "2")
         log = tmp_path / "trials.jsonl"
         fingerprint = tmp_path / "trials.jsonl.fingerprint.json"
-        run(capsys, *base, "--log", str(log), "--trials", "1")
-        expected = fingerprint.read_bytes()
+        run(capsys, *base, "--k", "1", "--log", str(log), "--trials", "1")
         fingerprint.unlink()
-        code, _, err = run(capsys, *base, "--log", str(log), "--trials", "2")
-        assert code == 0, err
-        assert f"trial log {log} has no fingerprint" in err
-        assert fingerprint.read_bytes() == expected
-        fresh = tmp_path / "fresh.jsonl"
-        run(capsys, *base, "--log", str(fresh), "--trials", "2")
-        assert log.read_bytes() == fresh.read_bytes()
+        before = log.read_bytes()
+        code, stdout, err = run(capsys, *base, "--k", "3", "--log", str(log), "--trials", "2")
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            f"wfdefend: error: trial log {log} has records but no fingerprint "
+            f"{fingerprint}; it cannot be shown to fit this run\n"
+        )
+        assert log.read_bytes() == before
+        assert not fingerprint.exists()
 
     def test_slot_limit_is_data_error(self, capsys, tmp_path):
         data = tmp_path / "data"
@@ -1342,6 +1369,14 @@ class TestAdjust:
         assert err == (
             "wfdefend: error: the count ratio 0.001 rescales R to 0.277, which rounds to 0\n"
         )
+
+    def test_argument_error_has_the_one_error_prefix(self, capsys):
+        # A negative number in exponent form reads to argparse as an option.
+        # Its error once read `wfdefend adjust: error:`, unlike every other.
+        code, stdout, err = run(capsys, "adjust", "--preset", "regulator-heavy",
+                                "--reference", "-2e16", "--target", "1")
+        assert (code, stdout) == (1, "")
+        assert err.endswith("\nwfdefend: error: argument --reference: expected one argument\n")
 
     def test_unknown_preset_is_usage_error(self, capsys):
         code, _, err = run(

@@ -1,3 +1,4 @@
+import io
 import math
 import time
 
@@ -33,8 +34,9 @@ def downloads(times):
 
 def per_second_rows(trace, name="0-0"):
     """(upload, download) counts per second, from the per-second table."""
-    table = per_second_table(Dataset((trace,), name="x", filenames=(name,)))
-    rows = (row.split(",") for row in table.splitlines()[1:])
+    table = io.StringIO()
+    per_second_table(Dataset((trace,), name="x", filenames=(name,)), table)
+    rows = (row.split(",") for row in table.getvalue().splitlines()[1:])
     return [(int(up), int(down)) for _, _, up, down in rows]
 
 
@@ -206,7 +208,9 @@ def test_csv_tables_smoke():
     trace = downloads([0.0, 0.5, 1.5])
     dataset = Dataset((trace,), name="x", filenames=("0-0",))
     assert iqr_table(dataset, dataset_stats(dataset)).splitlines()[1].startswith("0-0,3,")
-    lines = per_second_table(dataset).splitlines()
+    table = io.StringIO()
+    per_second_table(dataset, table)
+    lines = table.getvalue().splitlines()
     assert lines[1] == "0-0,0,0,2"
     assert lines[2] == "0-0,1,0,1"
 

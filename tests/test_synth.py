@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from helpers import rows
+
 from wfdefend import (
     Direction,
     evaluate_closed_world,
@@ -81,7 +83,7 @@ class TestGenerate:
         dataset = generate(
             profile(jitter=0.0, surge_times=(0.0, 10.0)), instances=1, seed=0
         )
-        times = [p.time for p in dataset.traces[0]]
+        times = [time for time, _ in rows(dataset.traces[0])]
         first_surge_end = max(t for t in times if t < 5.0)
         in_gap = [t for t in times if first_surge_end < t < 10.0]
         assert in_gap == []

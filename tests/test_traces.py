@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_compact_columns, random_trace
+from helpers import assert_compact_columns, random_trace, rows
 
 from wfdefend import (
     Dataset,
@@ -36,7 +36,7 @@ from wfdefend.traces import (
 
 def test_parse_basic():
     trace = parse_trace("0.0\t1\n0.5\t-1")
-    assert [(p.time, p.direction) for p in trace] == [
+    assert list(rows(trace)) == [
         (0.0, Direction.UPLOAD),
         (0.5, Direction.DOWNLOAD),
     ]
@@ -44,7 +44,7 @@ def test_parse_basic():
 
 def test_parse_normalizes_and_ignores_magnitude():
     trace = parse_trace("2.0\t1\n2.5\t-512")
-    assert [(p.time, p.direction) for p in trace] == [
+    assert list(rows(trace)) == [
         (0.0, Direction.UPLOAD),
         (0.5, Direction.DOWNLOAD),
     ]
@@ -312,8 +312,8 @@ def test_parse_empty_input_is_empty_trace():
 
 def test_parse_sorts_unsorted_input():
     trace = parse_trace("3.0\t-1\n1.0\t1\n2.0\t-1")
-    assert [p.time for p in trace] == [0.0, 1.0, 2.0]
-    assert list(trace)[0].direction is Direction.UPLOAD
+    assert [time for time, _ in rows(trace)] == [0.0, 1.0, 2.0]
+    assert next(rows(trace))[1] is Direction.UPLOAD
 
 
 def test_write_defended_format():
@@ -334,7 +334,7 @@ def test_roundtrip_real_subset_via_parse_trace():
         line + "\n" for line in text.splitlines() if not line.endswith("D")
     )
     reparsed = parse_trace(stripped)
-    assert [(p.time, p.direction) for p in reparsed] == [
+    assert list(rows(reparsed)) == [
         (0.0, Direction.UPLOAD),
         (0.5, Direction.DOWNLOAD),
     ]
@@ -351,16 +351,16 @@ def test_roundtrip_real_subset_via_parse_trace():
         max_size=50,
     )
 )
-def test_write_parse_roundtrip_quantized(rows):
-    rows.sort(key=lambda r: r[0])
-    t0 = rows[0][0]
-    trace = Trace([t - t0 for t, _ in rows], [d for _, d in rows])
+def test_write_parse_roundtrip_quantized(packets):
+    packets.sort(key=lambda r: r[0])
+    t0 = packets[0][0]
+    trace = Trace([t - t0 for t, _ in packets], [d for _, d in packets])
     reparsed = parse_trace(write_trace(trace))
     assert len(reparsed) == len(trace)
-    for a, b in zip(trace, reparsed):
-        assert b.direction is a.direction
+    for (a_time, a_direction), (b_time, b_direction) in zip(rows(trace), rows(reparsed)):
+        assert b_direction is a_direction
         # Times quantized to 1e-6 on disk, then re-normalized on parse.
-        assert abs((a.time - trace.times[0]) - b.time) <= 1e-6 + 1e-9
+        assert abs((a_time - trace.times[0]) - b_time) <= 1e-6 + 1e-9
 
 
 @settings(max_examples=100, deadline=None)
@@ -495,15 +495,18 @@ def test_parse_defended_schedule_and_attach_sources():
 
 def test_attach_sources_rejects_mismatched_schedule():
     original = parse_trace("0.0\t1\n0.4\t-1")
-    with pytest.raises(ValueError, match="missing real"):
-        attach_sources(original, parse_defended_schedule("0.000000\t1\tR\n"))
-    with pytest.raises(ValueError, match="more real"):
-        attach_sources(
-            original,
-            parse_defended_schedule(
-                "0.000000\t1\tR\n0.400000\t-1\tR\n0.500000\t-1\tR\n"
-            ),
-        )
+    for text, message in (
+        ("0.000000\t1\tR\n", "missing real download"),
+        ("0.000000\t1\tR\n0.400000\t-1\tR\n0.500000\t-1\tR\n", "more real download"),
+        ("0.000000\t1\tR\n0.300000\t-1\tR\n", "sent at 0.3 well before source 0.4"),
+        # A fault in each direction: the uploads are checked first.
+        ("0.400000\t-1\tR\n0.500000\t-1\tR\n", "missing real upload"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            attach_sources(original, parse_defended_schedule(text))
+    # A shape fault and a count fault: the schedule's shape is checked first.
+    with pytest.raises(ValueError, match=r"direction must be \+1"):
+        attach_sources(original, (np.array([0.0]), np.array([2], np.int8), np.array([False])))
 
 
 @pytest.mark.parametrize("send, direction, message", [
