@@ -17,6 +17,7 @@ import functools
 import importlib.util
 import logging
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -89,6 +90,12 @@ COUNT_MINIMUMS = {"k": 1, "jobs": 1, "folds": 2, "trials": 1, "classes": 1, "ins
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes -1e5 or -inf for an option; here any argument that
+        # starts as a negative number is a value, refused for what it is.
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         # Every failure's prefix; the usage line above names the subcommand.
@@ -134,6 +141,14 @@ def _print_params(params) -> None:
         print(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
 
 
+def _nearest(path: Path) -> Path:
+    """The nearest existing path above `path`, where its output is staged."""
+    nearest = path.absolute().parent
+    while not nearest.exists():
+        nearest = nearest.parent
+    return nearest
+
+
 def _output_path(value: str | Path, directory: bool = False) -> Path:
     """`value` as the path of an output file, or of an output directory,
     checked before any trace is read. Every output follows one rule: the
@@ -141,9 +156,7 @@ def _output_path(value: str | Path, directory: bool = False) -> Path:
     nearest existing one must be a directory, and `value` itself, if it
     exists, must be of the kind the output is."""
     path = Path(value)
-    nearest = path.absolute().parent
-    while not nearest.exists():
-        nearest = nearest.parent
+    nearest = _nearest(path)
     if not nearest.is_dir():
         raise ValueError(f"cannot write {path}: {nearest} is not a directory")
     if path.exists() and path.is_dir() != directory:
@@ -151,52 +164,37 @@ def _output_path(value: str | Path, directory: bool = False) -> Path:
     return path
 
 
-def _write_whole(path: Path, text: str | Callable[[TextIO], object]) -> None:
-    """Write `text` to `path` through a temporary file, renamed over `path`
-    once complete, so `path` never holds part of the text. `text` may
-    instead be a function that writes it to the open file, so that a long
-    text is never held whole. The temporary file is made in the nearest
-    existing directory above `path`, and the missing directories between
-    are created only once the text is complete, so an error, which names
-    `path`, leaves the file system as it was."""
-    temp = None
+@contextlib.contextmanager
+def _staged(path: Path, directory: bool = False):
+    """A staging directory, made in the nearest existing directory above
+    `path`, for the file `path.name` or, when `path` is a directory output,
+    for its files. Only when the block ends without an error are the
+    missing directories created and the staged files moved into place, so
+    an error leaves the file system as it was. A file made there gets the
+    mode that a plain write gives."""
+    into = path if directory else path.parent
+    staging = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=_nearest(path)))
     try:
-        nearest = next(p for p in path.absolute().parents if p.is_dir())
-        fd, temp = tempfile.mkstemp(prefix=f".{path.name}.", dir=nearest)
-        with os.fdopen(fd, "w", encoding="utf-8") as out:
+        yield staging
+        into.mkdir(parents=True, exist_ok=True)
+        for staged in staging.iterdir():
+            os.replace(staged, into / staged.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _write_whole(path: Path, text: str | Callable[[TextIO], object]) -> None:
+    """Write `text` to `path` through `_staged`, so `path` never holds part
+    of it. `text` may instead be a function that writes it to the open
+    file, so that a long text is never held whole. An error names `path`."""
+    try:
+        with _staged(path) as staging, (staging / path.name).open("w", encoding="utf-8") as out:
             if isinstance(text, str):
                 out.write(text)
             else:
                 text(out)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(temp, 0o666 & ~umask)  # the mode a plain write would give
-        path.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(temp, path)
-        temp = None
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
-    finally:
-        if temp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(temp)
-
-
-@contextlib.contextmanager
-def _staged_dir(out_dir: Path):
-    """A staging directory for the files of `out_dir`, made in the nearest
-    existing directory above it. `out_dir` and its missing parents are
-    created, and the staged files moved in, only when the block ends
-    without an error; an error leaves the file system as it was."""
-    nearest = next(p for p in out_dir.absolute().parents if p.is_dir())
-    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=nearest))
-    try:
-        yield staging
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for path in staging.iterdir():
-            os.replace(path, out_dir / path.name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _trace_seed(params: DefenseParams, seed: int, name: str) -> int:
@@ -237,7 +235,7 @@ def cmd_simulate(args) -> int:
     # every trace is defended.
     step = functools.partial(_simulate_file, params, seed)
     reports, names = [], []
-    with _staged_dir(out_dir) as staging, contextlib.ExitStack() as stack:
+    with _staged(out_dir, directory=True) as staging, contextlib.ExitStack() as stack:
         mapper = map
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
@@ -510,7 +508,7 @@ def cmd_synth(args) -> int:
         jitter=args.jitter,
     )
     dataset = synth.generate_classes(profiles, args.instances, args.seed)
-    with _staged_dir(out_dir) as staging:
+    with _staged(out_dir, directory=True) as staging:
         for name, trace in zip(dataset.filenames, dataset.traces):
             (staging / name).write_text(write_trace(trace), encoding="utf-8")
     print(f"traces={len(dataset)}")

@@ -25,7 +25,6 @@ _GAP_HIGH = 0.002
 @dataclass(frozen=True)
 class SynthProfile:
     class_id: str
-    surge_count: int
     surge_sizes: tuple[int, ...]
     surge_times: tuple[float, ...]
     upload_fraction: float
@@ -34,8 +33,8 @@ class SynthProfile:
     def __post_init__(self):
         object.__setattr__(self, "surge_sizes", tuple(self.surge_sizes))
         object.__setattr__(self, "surge_times", tuple(self.surge_times))
-        if not (len(self.surge_sizes) == len(self.surge_times) == self.surge_count):
-            raise ValueError("surge_sizes and surge_times must match surge_count")
+        if len(self.surge_sizes) != len(self.surge_times):
+            raise ValueError("surge_sizes and surge_times must have one entry per surge")
         for size in self.surge_sizes:
             check_count("surge size", size, 1)
         if not 0 < self.upload_fraction < 1:
@@ -111,7 +110,6 @@ def separable_profiles(
         profiles.append(
             SynthProfile(
                 class_id=str(i),
-                surge_count=2,
                 surge_sizes=(first, max(1, total - first)),
                 surge_times=(0.0, 1.0 + 0.04 * i),
                 upload_fraction=upload_fraction,

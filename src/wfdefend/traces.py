@@ -333,7 +333,7 @@ def _read_lines(lines: list[str], defended: bool) -> tuple[np.ndarray, np.ndarra
             time = float(fields[0])
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric time field {fields[0]!r}") from None
-        if not np.isfinite(time):
+        if not math.isfinite(time):
             raise ParseError(f"line {lineno}: non-finite time {fields[0]!r}")
         try:
             value = float(fields[1])
@@ -341,7 +341,7 @@ def _read_lines(lines: list[str], defended: bool) -> tuple[np.ndarray, np.ndarra
             raise ParseError(
                 f"line {lineno}: non-numeric direction field {fields[1]!r}"
             ) from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ParseError(f"line {lineno}: non-finite direction {fields[1]!r}")
         if value == 0:
             raise ParseError(f"line {lineno}: zero direction")
@@ -349,7 +349,7 @@ def _read_lines(lines: list[str], defended: bool) -> tuple[np.ndarray, np.ndarra
             raise ParseError(f"line {lineno}: unknown packet kind {fields[2]!r}")
         times.append(time)
         values.append(value)
-        dummy.append(defended and fields[2] == PacketKind.DUMMY.value)
+        dummy.append(defended and fields[2] == "D")
     return np.array(times, np.float64), np.array(values, np.float64), np.array(dummy, np.bool_)
 
 

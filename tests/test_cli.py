@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -699,6 +700,17 @@ class TestOverrides:
         assert stdout == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "eval", "adjust"])
+    @pytest.mark.parametrize("value", ["-1e5", "-inf"], ids=["exponent", "infinity"])
+    def test_negative_override_is_refused_by_value(self, capsys, tmp_path, command, value):
+        # argparse once took these for options: `expected one argument`.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data)
+        code, stdout, err = run(capsys, *regulator_argv(command, data, tmp_path), "--R", value)
+        assert (code, stdout) == (1, "")
+        assert err == f"wfdefend: error: R must be finite and > 0, got {float(value)}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_adjusted_n_past_the_slot_limit_is_usage_error(self, capsys):
         code, stdout, err = run(capsys, "adjust", "--preset", "regulator-heavy",
                                 "--reference", "1", "--target", "1000")
@@ -1253,6 +1265,42 @@ def test_write_whole_error_names_the_destination(tmp_path):
     assert list(tmp_path.iterdir()) == [target]  # no temporary file is left
 
 
+def test_outputs_get_the_modes_of_a_plain_write(capsys, tmp_path):
+    # Under umask 027 a plain write makes files 0o640 and directories 0o750;
+    # a file made by `tempfile.mkstemp` would be 0o600.
+    umask = os.umask(0o027)
+    try:
+        write_synth_dataset(capsys, tmp_path / "synth" / "data", classes=2, instances=3)
+        data = tmp_path / "synth" / "data"
+        runs = [
+            ["stats", str(data), "--out", str(tmp_path / "stats" / "fig")],
+            ["simulate", str(data), "--out", str(tmp_path / "sim" / "def"),
+             "--defense", "regulator-light", "--seed", "1"],
+            ["overhead", str(data), str(tmp_path / "sim" / "def"),
+             "--out", str(tmp_path / "overhead" / "o.csv")],
+            ["eval", str(data), "--seed", "1", "--folds", "3",
+             "--features-out", str(tmp_path / "eval" / "f.csv")],
+            ["tune", str(data), "--trials", "1", "--seed", "0", "--folds", "3", "--k", "1",
+             "--log", str(tmp_path / "tune" / "t.jsonl")],
+        ]
+        for argv in runs:
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+    finally:
+        os.umask(umask)
+    made = sorted(tmp_path.rglob("*"))
+    files = [path.relative_to(tmp_path).as_posix() for path in made if path.is_file()]
+    assert files == [
+        "eval/f.csv", "overhead/o.csv",
+        *(f"sim/def/{c}-{i}" for c in "01" for i in "012"), "sim/def.overhead.csv",
+        *(f"stats/fig{suffix}" for suffix in ("_decay.csv", "_per_second.csv", "_traces.csv")),
+        *(f"synth/data/{c}-{i}" for c in "01" for i in "012"),
+        "tune/t.jsonl", "tune/t.jsonl.fingerprint.json",
+    ]
+    for path in made:
+        assert stat.S_IMODE(path.stat().st_mode) == (0o750 if path.is_dir() else 0o640), path
+
+
 TUNE = ["tune", "{data}", "--seed", "1", "--trials", "1", "--folds", "2", "--log", "{out}"]
 
 
@@ -1371,12 +1419,23 @@ class TestAdjust:
         )
 
     def test_argument_error_has_the_one_error_prefix(self, capsys):
-        # A negative number in exponent form reads to argparse as an option.
-        # Its error once read `wfdefend adjust: error:`, unlike every other.
+        # An option with no value is argparse's own error, which once read
+        # `wfdefend adjust: error:`, unlike every other.
         code, stdout, err = run(capsys, "adjust", "--preset", "regulator-heavy",
-                                "--reference", "-2e16", "--target", "1")
+                                "--target", "1", "--reference")
         assert (code, stdout) == (1, "")
         assert err.endswith("\nwfdefend: error: argument --reference: expected one argument\n")
+
+    @pytest.mark.parametrize("value", ["-2.39e+16", "-inf"], ids=["exponent", "infinity"])
+    def test_negative_number_after_an_option_is_its_value(self, capsys, value):
+        # argparse once took these for options: `expected one argument`.
+        code, stdout, err = run(capsys, "adjust", "--preset", "regulator-light",
+                                "--reference", value, "--target", "1")
+        assert (code, stdout) == (1, "")
+        assert err == (
+            "wfdefend: error: mean packet counts must be finite and positive, "
+            f"got {float(value)} and 1.0\n"
+        )
 
     def test_unknown_preset_is_usage_error(self, capsys):
         code, _, err = run(

@@ -8,7 +8,8 @@ in one child process, under limits on its address space and CPU seconds,
 so that an unbounded command fails the test instead of the machine. Each
 command must exit 0, 1 or 2; a failure prints exactly one
 `wfdefend: error:` line and no traceback; the input tree stays as it was;
-and each output is whole or absent.
+each output is whole or absent; and no output holds more lines than the
+slot limits allow.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wfdefend.presets import defense_names
+from wfdefend.traces import MAX_SLOTS, UnusableTrace, read_trace
 
 # The child's limits: far above what any command here needs (about 150 MB
 # and a few CPU seconds), far below what a runaway command would take.
@@ -89,51 +91,90 @@ def directories(draw):
     return files
 
 
+# The most lines that each output may hold, from the code's limits, with
+# M = MAX_SLOTS and p the packets of the input trace. A defended trace has
+# at most 2p + 4M: the regulator sends p real packets, at most N <= M
+# download dummies, at most M upload slots before the surge, and at most
+# one upload slot per download slot, of which there are at most p + 2M
+# (real, dummy and at most M silent past the budget); Tamaraw pads each
+# direction to at most (M + 1) + (L - 1) <= 2M slots, and FRONT adds
+# N_s + N_c <= 2M dummies. A synth trace is two surges of at most M
+# packets. A table has a header and at most one row per usable trace, or
+# M per usable trace for the per-second rows (each trace ends before
+# second M) and the decay bins (whole seconds below M, pooled).
+def _defended_lines(packets: int) -> int:
+    return 2 * packets + 4 * MAX_SLOTS
+
+
+SYNTH_LINES = 2 * MAX_SLOTS
+
+
+def _usable(data: Path) -> dict[str, int]:
+    """The packet count of each trace in `data` that the commands use."""
+    packets = {}
+    for path in data.iterdir():
+        try:
+            packets[path.name] = len(read_trace(path))
+        except UnusableTrace:
+            pass
+    return packets
+
+
 def _tree(root: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
 
 
 def _commands(data: Path, out: Path, reference: float, target: float, synth: tuple):
-    """(argv, output paths) of every command on `data`, writing under `out`."""
+    """(argv, outputs) of every command on `data`, writing under `out`; an
+    output is (path, the line limit of the file of each name)."""
     fuzz = ["--seed", "0", "--folds", "2", "--k", "1"]
     classes, instances, base_total, step = synth
+    packets = _usable(data)
+    row = lambda name: 1 + len(packets)
+    per_second = lambda name: 1 + MAX_SLOTS * len(packets)
+    defended = lambda name: _defended_lines(packets[name])
+    tables = out / "tables" / "fig"
     commands = [
         (["stats", str(data)], []),
-        (["stats", str(data), "--out", f"{out}/tables/fig"],
-         [out / "tables" / f"fig{s}" for s in ("_per_second.csv", "_traces.csv", "_decay.csv")]),
+        (["stats", str(data), "--out", str(tables)],
+         [(Path(f"{tables}_per_second.csv"), per_second), (Path(f"{tables}_traces.csv"), row),
+          (Path(f"{tables}_decay.csv"), per_second)]),
         (["eval", str(data), *fuzz], []),
         (["eval", str(data), *fuzz, "--defense", "tamaraw", "--features-out", f"{out}/f.csv"],
-         [out / "f.csv"]),
+         [(out / "f.csv", row)]),
         (["tune", str(data), "--trials", "1", *fuzz, "--log", f"{out}/trials.jsonl"], []),
         (["adjust", "--preset", "regulator-light", "--reference", str(reference),
           "--target", str(target)], []),
         (["synth", "--out", f"{out}/synth", "--seed", "0", f"--classes={classes}",
           f"--instances={instances}", f"--base-total={base_total}", f"--step={step}"],
-         [out / "synth"]),
+         [(out / "synth", lambda name: SYNTH_LINES)]),
     ]
     for preset in defense_names():
         commands.append((
             ["simulate", str(data), "--defense", preset, "--seed", "0", "--out", f"{out}/{preset}"],
-            [out / preset, out / f"{preset}.overhead.csv"],
+            [(out / preset, defended), (out / f"{preset}.overhead.csv", row)],
         ))
         commands.append((
             ["overhead", str(data), f"{out}/{preset}", "--out", f"{out}/{preset}.csv"],
-            [out / f"{preset}.csv"],
+            [(out / f"{preset}.csv", row)],
         ))
     return commands
 
 
-def _assert_whole(path: Path) -> None:
+def _assert_whole(path: Path, limit) -> None:
     """A CSV output ends in a newline and has its header's field count in
-    every row; a directory output holds only whole files."""
+    every row; a directory output holds only whole files; and no file holds
+    more than `limit(its name)` lines."""
     if path.is_dir():
         for child in path.iterdir():
             assert child.is_file() and not child.name.startswith("."), child
+            assert child.read_bytes().count(b"\n") <= limit(child.name), child
         return
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n"), path
     header, *rows = text.splitlines()
     assert all(row.count(",") == header.count(",") for row in rows), path
+    assert 1 + len(rows) <= limit(path.name), path
 
 
 @settings(
@@ -169,13 +210,15 @@ def test_every_command_exits_cleanly_and_leaves_whole_outputs(
         assert "Traceback" not in err, (argv, err)
         errors = [line for line in err.splitlines() if line.startswith("wfdefend: error:")]
         assert len(errors) == (code != 0), (argv, err)
-        for path in outputs:
+        for path, limit in outputs:
             if code == 0:
-                _assert_whole(path)
+                _assert_whole(path, limit)
             else:
                 assert not path.exists(), (argv, path)
         if argv[0] == "tune" and (out / "trials.jsonl").exists():
-            for line in (out / "trials.jsonl").read_text(encoding="utf-8").splitlines(True):
+            lines = (out / "trials.jsonl").read_text(encoding="utf-8").splitlines(True)
+            assert len(lines) <= 1, lines  # one line per trial
+            for line in lines:
                 assert line.endswith("\n") and json.loads(line), line
     assert _tree(data) == before
     # No temporary file or staging directory is left behind.

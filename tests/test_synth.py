@@ -17,7 +17,6 @@ from wfdefend.traces import MAX_SLOTS
 def profile(**kwargs):
     base = dict(
         class_id="c0",
-        surge_count=2,
         surge_sizes=(80, 60),
         surge_times=(0.0, 2.0),
         upload_fraction=0.2,
@@ -71,7 +70,7 @@ class TestGenerate:
 
     def test_upload_fraction_binomial(self):
         dataset = generate(
-            profile(surge_count=1, surge_sizes=(700,), surge_times=(0.0,),
+            profile(surge_sizes=(700,), surge_times=(0.0,),
                     upload_fraction=1 / 7),
             instances=1,
             seed=11,
