@@ -234,7 +234,7 @@ def cmd_simulate(args) -> int:
     # finished results are not held in memory, and reaches out_dir only once
     # every trace is defended.
     step = functools.partial(_simulate_file, params, seed)
-    reports, names = [], []
+    reports = {}
     with _staged(out_dir, directory=True) as staging, contextlib.ExitStack() as stack:
         mapper = map
         if workers > 1:
@@ -244,35 +244,35 @@ def cmd_simulate(args) -> int:
             mapper = functools.partial(pool.map, chunksize=8)
         for name, (text, report) in iter_dataset(args.input, step, mapper):
             (staging / name).write_text(text, encoding="utf-8")
-            reports.append(report)
-            names.append(name)
-    overhead = metrics.aggregate_reports(reports)
-    _write_whole(report_path, metrics.csv_table(overhead, names))
-    for line in metrics.kv_lines(overhead):
-        print(line)
+            reports[name] = report
+    _print_report(reports, report_path)
     print(f"report={report_path}")
     return EXIT_OK
+
+
+def _print_report(reports: dict, path: Optional[Path]) -> None:
+    """Write the CSV of `reports`, by trace name, to `path` if given; then print the aggregate."""
+    overhead = metrics.aggregate_reports(tuple(reports.values()))
+    if path:
+        _write_whole(path, metrics.csv_table(overhead, tuple(reports)))
+    for line in metrics.kv_lines(overhead):
+        print(line)
 
 
 def cmd_overhead(args) -> int:
     out = _output_path(args.out) if args.out else None
     defended_dir = Path(args.defended)
-    dataset = load_dataset(Path(args.original))
-    reports = []
-    for name, original in zip(dataset.filenames, dataset.traces):
+    reports = {}
+    for name, original in iter_dataset(args.original):  # one original at a time
         defended_path = defended_dir / name
         if not defended_path.is_file():
             raise ValueError(f"no defended trace for {name} in {defended_dir}")
         try:
             schedule = parse_defended_schedule(defended_path.read_text(encoding="utf-8"))
-            reports.append(metrics.trace_overhead(original, attach_sources(original, schedule)))
+            reports[name] = metrics.trace_overhead(original, attach_sources(original, schedule))
         except ValueError as exc:  # covers ParseError and UnicodeDecodeError
             raise ValueError(f"{defended_path}: {exc}") from None
-    overhead = metrics.aggregate_reports(reports)
-    for line in metrics.kv_lines(overhead):
-        print(line)
-    if out:
-        _write_whole(out, metrics.csv_table(overhead, dataset.filenames))
+    _print_report(reports, out)
     return EXIT_OK
 
 
@@ -291,8 +291,8 @@ def cmd_stats(args) -> int:
     print(f"post_tenth_median_offset={profile.median_offset:.6f}")
     print(f"post_tenth_skipped_traces={profile.skipped}")
     if outs:
-        # The per-second table goes first: it checks every trace's row limit
-        # before it writes a row, so a trace past the limit writes no table.
+        # The per-second table goes first, as the one table that can refuse a
+        # trace (past its row limit): it is staged, so a refusal leaves no table.
         per_second_path, traces_path, decay_path = outs
         _write_whole(per_second_path, functools.partial(stats.per_second_table, dataset))
         _write_whole(traces_path, stats.iqr_table(dataset, summary))

@@ -183,14 +183,14 @@ def decay_table(profile: PostTenthProfile) -> str:
 def per_second_table(dataset: Dataset, out: TextIO) -> None:
     """Write upload vs download packet counts per one-second bin, per trace,
     as CSV to `out`: a row for every second up to the last packet, at most
-    MAX_SLOTS per trace. Every trace's row count is checked before anything
-    is written, and the rows are rendered one trace at a time."""
+    MAX_SLOTS per trace. The rows are rendered one trace at a time, and each
+    trace's row count is checked where its rows begin, so the rows of the
+    traces before one past the limit have reached `out` when it raises."""
     named = [(name, trace) for name, trace in zip(dataset.filenames, dataset.traces) if len(trace)]
+    out.write("name,second,upload_count,download_count\n")
     for name, trace in named:
         if trace.times[-1] >= MAX_SLOTS:
             raise ValueError(f"{name}: more than {MAX_SLOTS} seconds of per-second rows")
-    out.write("name,second,upload_count,download_count\n")
-    for name, trace in named:
         second = trace.times.astype(np.int64)
         upload = trace.direction == int(Direction.UPLOAD)
         bins = int(second[-1]) + 1

@@ -190,9 +190,9 @@ class DefendedTrace:
 
     Real packets carry the availability time of the original packet they
     deliver (`source_time`) and are never sent before it; a NaN source time
-    is what marks a dummy, and `dummy` is that mask, derived once. At equal
-    send times the download side is listed before the upload side, and
-    earlier-queued packets first.
+    is what marks a dummy, and `dummy` is that mask, derived once. Packets
+    sent at one time keep the order they are given in: the regulator and
+    Tamaraw give the download side first, FRONT the trace's own order.
     """
 
     send_time: np.ndarray

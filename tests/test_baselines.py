@@ -30,7 +30,7 @@ from wfdefend import (
     write_defended_trace,
 )
 
-from wfdefend.presets import REGULATOR_PRESETS
+from wfdefend.presets import FRONT_PRESETS, REGULATOR_PRESETS
 from wfdefend.traces import MAX_SLOTS
 
 FRONT = FrontParams(N_s=2500, N_c=2500, W_min=1.0, W_max=14.0)
@@ -130,6 +130,19 @@ class TestFront:
             trace = random_trace(rng, 100)
             defended = apply_front(trace, FRONT, int(rng.integers(0, 2**32)))
             assert_conservation_and_fifo(trace, defended)
+
+    def test_ties_keep_the_trace_order(self):
+        # FRONT only adds dummies, so at equal send times its real packets
+        # keep the trace's order: the 0.5 s upload goes out before the 0.5 s
+        # download, where the regulator and Tamaraw list downloads first.
+        trace = Trace([0.0, 0.5, 0.5, 1.0], [1, 1, -1, -1])
+        defended = apply_front(trace, FRONT_PRESETS["front-1700"], seed=1)
+        real = ~defended.dummy
+        assert defended.send_time[real].tolist() == [0.0, 0.5, 0.5, 1.0]
+        assert defended.direction[real].tolist() == [1, 1, -1, -1]
+        # attach_sources keeps the order of the schedule it is given.
+        attached = attach_sources(trace, parse_defended_schedule(write_defended_trace(defended)))
+        assert attached.direction[~attached.dummy].tolist() == [1, 1, -1, -1]
 
     def test_dummies_may_extend_past_trace(self):
         # Short trace, long Rayleigh windows: padding is not truncated.

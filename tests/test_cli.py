@@ -424,6 +424,33 @@ class TestOverhead:
         assert err.startswith(f"wfdefend: error: {out / '1-2'}: ")
         assert reason in err
 
+    def test_memory_does_not_grow_with_the_trace_count(self, capsys, tmp_path):
+        # Originals of about 2,000 packets each. Every original was once
+        # read before the first defended file was matched, and 32 of them
+        # then peaked at 2.25 times the memory of 4.
+        def peak(instances):
+            data, defended = tmp_path / f"data{instances}", tmp_path / f"defended{instances}"
+            code, _, err = run(
+                capsys, "synth", "--out", str(data), "--classes", "2", "--instances",
+                str(instances), "--seed", "1", "--base-total", "2000", "--step", "10",
+            )
+            assert code == 0, err
+            code, _, err = run(
+                capsys, "simulate", str(data), "--out", str(defended), "--defense", "tamaraw"
+            )
+            assert code == 0, err
+            tracemalloc.start()
+            try:
+                code, stdout, err = run(capsys, "overhead", str(data), str(defended))
+                used = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+            assert f"traces={2 * instances}\n" in stdout
+            return used
+
+        assert peak(16) <= 1.5 * peak(2)
+
 
 class TestStats:
     def test_prints_summary_and_tables(self, capsys, tmp_path):

@@ -220,3 +220,17 @@ def test_per_second_row_limit_names_the_trace(monkeypatch):
     assert len(per_second_rows(downloads([0.0, 9.5]))) == 10
     with pytest.raises(ValueError, match="^1-2: more than 10 seconds of per-second rows"):
         per_second_rows(downloads([0.0, 10.0]), name="1-2")
+
+
+def test_per_second_row_limit_is_checked_where_the_trace_rows_begin(monkeypatch):
+    # The table is written in one pass, so the rows of the traces before
+    # the one past the limit are already out; `stats --out` stages the
+    # table, so the CLI still leaves none.
+    monkeypatch.setattr(stats_module, "MAX_SLOTS", 10)
+    dataset = Dataset(
+        (downloads([0.0, 1.5]), downloads([0.0, 10.0])), name="x", filenames=("0-0", "0-1")
+    )
+    table = io.StringIO()
+    with pytest.raises(ValueError, match="^0-1: more than 10 seconds of per-second rows"):
+        per_second_table(dataset, table)
+    assert table.getvalue() == "name,second,upload_count,download_count\n0-0,0,0,1\n0-0,1,0,1\n"
