@@ -154,31 +154,34 @@ def _output_path(value: str | Path, directory: bool = False) -> Path:
     checked before any trace is read. Every output follows one rule: the
     missing directories above it are created when it is written, so the
     nearest existing one must be a directory, and `value` itself, if it
-    exists, must be of the kind the output is."""
+    exists, must be of the kind the output is; one rename puts a directory
+    output in place, so it must be new or an empty directory, not a link."""
     path = Path(value)
     nearest = _nearest(path)
     if not nearest.is_dir():
         raise ValueError(f"cannot write {path}: {nearest} is not a directory")
+    if directory and (path.is_symlink() or path.name in ("", "..")):
+        raise ValueError(f"cannot write {path}: a directory output may not be a link, . or ..")
     if path.exists() and path.is_dir() != directory:
         raise ValueError(f"cannot write {path}: it is {'not ' if directory else ''}a directory")
+    if directory and path.exists() and any(path.iterdir()):
+        raise ValueError(f"cannot write {path}: it is a directory that is not empty")
     return path
 
 
 @contextlib.contextmanager
-def _staged(path: Path, directory: bool = False):
-    """A staging directory, made in the nearest existing directory above
-    `path`, for the file `path.name` or, when `path` is a directory output,
-    for its files. Only when the block ends without an error are the
-    missing directories created and the staged files moved into place, so
-    an error leaves the file system as it was. A file made there gets the
-    mode that a plain write gives."""
-    into = path if directory else path.parent
+def _staged(path: Path):
+    """Where to make the output `path`: `path.name` in a staging directory
+    made in the nearest existing directory above `path`. Only when the block
+    ends without an error are the missing directories created and the output
+    renamed onto `path` in one `os.replace`, so an error leaves the file
+    system as it was and `path` is never seen in part. An output made there
+    gets the mode that a plain write or `mkdir` gives."""
     staging = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=_nearest(path)))
     try:
-        yield staging
-        into.mkdir(parents=True, exist_ok=True)
-        for staged in staging.iterdir():
-            os.replace(staged, into / staged.name)
+        yield staging / path.name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        os.replace(staging / path.name, path)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
@@ -188,7 +191,7 @@ def _write_whole(path: Path, text: str | Callable[[TextIO], object]) -> None:
     of it. `text` may instead be a function that writes it to the open
     file, so that a long text is never held whole. An error names `path`."""
     try:
-        with _staged(path) as staging, (staging / path.name).open("w", encoding="utf-8") as out:
+        with _staged(path) as made, made.open("w", encoding="utf-8") as out:
             if isinstance(text, str):
                 out.write(text)
             else:
@@ -217,9 +220,9 @@ def cmd_simulate(args) -> int:
     # The pool forks all its workers at its first task, so there are never
     # more than the CPUs this process may run on.
     workers = min(args.jobs, _usable_cpus())
-    out_dir = _output_path(args.out, directory=True)
-    report_path = _output_path(out_dir.parent / f"{out_dir.name}.overhead.csv")
-    if Path(args.input).is_dir():
+    out_dir = Path(args.out)
+    report_path = out_dir.parent / f"{out_dir.name}.overhead.csv"
+    if Path(args.input).is_dir():  # first: the output check would refuse it as not empty
         input_dir = Path(args.input).resolve()
         if out_dir.resolve() == input_dir:
             raise UsageError(f"--out {args.out} is the input directory; its traces would be lost")
@@ -229,13 +232,15 @@ def cmd_simulate(args) -> int:
                     f"{path} lies inside the input directory {args.input}; "
                     "every later command on it would read the output as input"
                 )
+    _output_path(out_dir, directory=True)
+    _output_path(report_path)
 
-    # Each result is written to the staging directory as it arrives, so
-    # finished results are not held in memory, and reaches out_dir only once
-    # every trace is defended.
+    # Each result is written to the staged directory as it arrives, so none
+    # is held in memory; that directory becomes out_dir once all are written.
     step = functools.partial(_simulate_file, params, seed)
     reports = {}
-    with _staged(out_dir, directory=True) as staging, contextlib.ExitStack() as stack:
+    with _staged(out_dir) as made, contextlib.ExitStack() as stack:
+        made.mkdir()
         mapper = map
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
@@ -243,7 +248,7 @@ def cmd_simulate(args) -> int:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             mapper = functools.partial(pool.map, chunksize=8)
         for name, (text, report) in iter_dataset(args.input, step, mapper):
-            (staging / name).write_text(text, encoding="utf-8")
+            (made / name).write_text(text, encoding="utf-8")
             reports[name] = report
     _print_report(reports, report_path)
     print(f"report={report_path}")
@@ -501,16 +506,14 @@ def cmd_synth(args) -> int:
     _require_seed(args)
     out_dir = _output_path(args.out, directory=True)
     profiles = synth.separable_profiles(
-        args.classes,
-        base_total=args.base_total,
-        step=args.step,
-        upload_fraction=args.upload_fraction,
-        jitter=args.jitter,
+        args.classes, base_total=args.base_total, step=args.step,
+        upload_fraction=args.upload_fraction, jitter=args.jitter,
     )
     dataset = synth.generate_classes(profiles, args.instances, args.seed)
-    with _staged(out_dir, directory=True) as staging:
+    with _staged(out_dir) as made:
+        made.mkdir()
         for name, trace in zip(dataset.filenames, dataset.traces):
-            (staging / name).write_text(write_trace(trace), encoding="utf-8")
+            (made / name).write_text(write_trace(trace), encoding="utf-8")
     print(f"traces={len(dataset)}")
     print(f"out={out_dir}")
     return EXIT_OK

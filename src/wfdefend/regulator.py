@@ -236,6 +236,7 @@ def _firing_slots(credit_per_slot: float, count: int) -> list[int]:
     kept, walked, credit, fired = _firings
     if kept != credit_per_slot:
         walked, credit, fired = 0, 0.0, []
+    fired = fired.copy()  # threads share the published walk, so it is never written to
     for index in range(walked, count):
         credit += credit_per_slot
         if credit >= 1.0:

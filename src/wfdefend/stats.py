@@ -118,7 +118,7 @@ def post_tenth_packet_profile(dataset: Dataset) -> PostTenthProfile:
     every later download packet minus the time of the tenth, and reports
     the median offset.
     """
-    downs = [trace.times_of(Direction.DOWNLOAD) for trace in dataset.traces]
+    downs = (trace.times_of(Direction.DOWNLOAD) for trace in dataset.traces)
     offsets = [
         down[ACTIVATION_PACKETS:] - down[ACTIVATION_PACKETS - 1]
         for down in downs
@@ -126,7 +126,7 @@ def post_tenth_packet_profile(dataset: Dataset) -> PostTenthProfile:
     ]
     pooled = np.concatenate([np.empty(0), *offsets])
     median = _median(pooled) if len(pooled) else math.nan
-    return PostTenthProfile(pooled, median, skipped=len(downs) - len(offsets))
+    return PostTenthProfile(pooled, median, skipped=len(dataset.traces) - len(offsets))
 
 
 def volume_adjustment(

@@ -256,15 +256,14 @@ class TestSimulate:
         write_synth_dataset(capsys, data)
         (data / "9-9").write_text("0\t-1\n1e8\t-1\n")  # sorts last; past the slot limit
         out = tmp_path / "out"
-        out.mkdir()
-        (out / "0-0").write_text("earlier run\n")
+        out.mkdir()  # an existing output directory must be empty
         code, _, err = run(
             capsys, "simulate", str(data), "--out", str(out),
             "--defense", "tamaraw", "--jobs", jobs,
         )
         assert code == 2
         assert "error: 9-9: Tamaraw needs more than 1000000 download slots" in err
-        assert tree_bytes(out) == {"0-0": b"earlier run\n"}
+        assert list(out.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
 
     def test_out_and_its_missing_parents_are_created_only_on_success(self, capsys, tmp_path):
@@ -1281,6 +1280,48 @@ def test_missing_output_directories_are_created(capsys, tmp_path, command):
         assert Path(f"{out}_traces.csv").is_file()
     else:
         assert out.is_dir() if command in DIRECTORY_OUTPUTS else out.is_file()
+
+
+@pytest.mark.parametrize("command", sorted(DIRECTORY_OUTPUTS))
+def test_directory_output_that_is_not_empty_is_refused_and_left_as_it_was(capsys, tmp_path, command):
+    # A rerun into an earlier run's directory once merged the two runs: a
+    # synth of 2 classes over one of 3 kept the third class's files.
+    data = tmp_path / "data"
+    write_synth_dataset(capsys, data, classes=2, instances=2)
+    out = tmp_path / "out"
+    write_synth_dataset(capsys, out)
+    before = tree_bytes(out), sorted(p.name for p in tmp_path.iterdir())
+    argv = (a.format(data=data, out=out) for a in OUTPUTS[command])
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"wfdefend: error: cannot write {out}: it is a directory that is not empty\n"
+    assert (tree_bytes(out), sorted(p.name for p in tmp_path.iterdir())) == before
+
+
+@pytest.mark.parametrize("command", sorted(DIRECTORY_OUTPUTS))
+@pytest.mark.parametrize("out", ["link", "."])
+def test_directory_output_at_a_link_or_dot_is_refused_before_any_trace_is_read(
+    capsys, tmp_path, monkeypatch, command, out
+):
+    # A link to an empty directory was once followed and filled; one rename
+    # would replace the link itself. Renaming onto `.` cannot work either.
+    data = tmp_path / "data"
+    write_synth_dataset(capsys, data, classes=2, instances=2)
+    (data / "9-9").write_text("0\t-1\n1e8\t-1\n")  # read, it would be a data error
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (tmp_path / "link").symlink_to(empty, target_is_directory=True)
+    monkeypatch.chdir(empty if out == "." else tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    argv = (a.format(data=data, out=out) for a in OUTPUTS[command])
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err == (
+        f"wfdefend: error: cannot write {out}: a directory output may not be a link, . or ..\n"
+    )
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_write_whole_error_names_the_destination(tmp_path):

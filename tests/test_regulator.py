@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -27,6 +29,7 @@ from wfdefend import (
     RegulatorParams,
     Trace,
     apply_regulator,
+    regulator,
     resolve_defense,
 )
 from wfdefend.regulator import (
@@ -257,6 +260,24 @@ class TestUpload:
         # U switched on every call restarts the one kept walk each time.
         for U, count in [(3.95, 800), (7.3, 300), (3.95, 900), (1.0, 50), (7.3, 1200)]:
             assert list(_firing_slots(1.0 / U, count)) == walk(1.0 / U, count)
+
+    def test_firing_slots_are_the_same_from_threads_that_share_the_walk(self, monkeypatch):
+        # Threads that extended one warm walk once appended to the same list,
+        # so each got the others' indices among its own, out of order.
+        credit_per_slot, count = 1.0 / 3.95, 200_000
+        expected = list(_firing_slots(credit_per_slot, count))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                monkeypatch.setattr(regulator, "_firings", (0.0, 0, 0.0, []))
+                _firing_slots(credit_per_slot, 1_000)  # the warm walk
+                with ThreadPoolExecutor(4) as pool:
+                    results = list(pool.map(lambda _: _firing_slots(credit_per_slot, count),
+                                            range(4)))
+                assert all(result == expected for result in results)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_slot_beats_flush_on_tie(self):
         # One upload available at 0 with C=1.0 and a slot exactly at 1.0:
