@@ -136,11 +136,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _print_params(params) -> None:
-    for name, value in asdict(params).items():
-        print(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
-
-
 def _nearest(path: Path) -> Path:
     """The nearest existing path above `path`, where its output is staged."""
     nearest = path.absolute().parent
@@ -149,14 +144,23 @@ def _nearest(path: Path) -> Path:
     return nearest
 
 
-def _output_path(value: str | Path, directory: bool = False) -> Path:
+def _output_path(value: str | Path, *inputs: Optional[str], directory: bool = False) -> Path:
     """`value` as the path of an output file, or of an output directory,
-    checked before any trace is read. Every output follows one rule: the
-    missing directories above it are created when it is written, so the
-    nearest existing one must be a directory, and `value` itself, if it
-    exists, must be of the kind the output is; one rename puts a directory
-    output in place, so it must be new or an empty directory, not a link."""
+    checked before any trace is read. Every output follows one rule: it is
+    none of the paths `inputs` that the command reads, nor inside one, by
+    where links lead or by the entry its rename replaces (a usage error);
+    the missing directories above it are made when it is written, so the
+    nearest existing one must be a directory; `value`, if it exists, must
+    be of the kind the output is; and a directory output, put in place by
+    one rename, must be new or an empty directory, not a link."""
     path = Path(value)
+    entry = os.path.join(os.path.realpath(path.parent), path.name)
+    spots = (Path(os.path.realpath(path)), Path(os.path.normpath(entry)))
+    for source in filter(None, inputs):
+        read = Path(os.path.realpath(source))
+        if read in spots or any(read in spot.parents for spot in spots):
+            where = "is" if read in spots else "lies inside"
+            raise UsageError(f"cannot write {path}: it {where} the input {source}")
     nearest = _nearest(path)
     if not nearest.is_dir():
         raise ValueError(f"cannot write {path}: {nearest} is not a directory")
@@ -220,20 +224,8 @@ def cmd_simulate(args) -> int:
     # The pool forks all its workers at its first task, so there are never
     # more than the CPUs this process may run on.
     workers = min(args.jobs, _usable_cpus())
-    out_dir = Path(args.out)
-    report_path = out_dir.parent / f"{out_dir.name}.overhead.csv"
-    if Path(args.input).is_dir():  # first: the output check would refuse it as not empty
-        input_dir = Path(args.input).resolve()
-        if out_dir.resolve() == input_dir:
-            raise UsageError(f"--out {args.out} is the input directory; its traces would be lost")
-        for path in (out_dir, report_path):
-            if input_dir in path.resolve().parents:
-                raise UsageError(
-                    f"{path} lies inside the input directory {args.input}; "
-                    "every later command on it would read the output as input"
-                )
-    _output_path(out_dir, directory=True)
-    _output_path(report_path)
+    out_dir = _output_path(args.out, args.input, directory=True)
+    report_path = _output_path(out_dir.parent / f"{out_dir.name}.overhead.csv", args.input)
 
     # Each result is written to the staged directory as it arrives, so none
     # is held in memory; that directory becomes out_dir once all are written.
@@ -265,7 +257,7 @@ def _print_report(reports: dict, path: Optional[Path]) -> None:
 
 
 def cmd_overhead(args) -> int:
-    out = _output_path(args.out) if args.out else None
+    out = _output_path(args.out, args.original, args.defended) if args.out else None
     defended_dir = Path(args.defended)
     reports = {}
     for name, original in iter_dataset(args.original):  # one original at a time
@@ -283,7 +275,7 @@ def cmd_overhead(args) -> int:
 
 def cmd_stats(args) -> int:
     suffixes = ("_per_second.csv", "_traces.csv", "_decay.csv")
-    outs = [_output_path(f"{args.out}{suffix}") for suffix in suffixes] if args.out else []
+    outs = [_output_path(f"{args.out}{end}", args.input) for end in suffixes] if args.out else []
     dataset = load_dataset(Path(args.input))
     summary = stats.dataset_stats(dataset)
     profile = stats.post_tenth_packet_profile(dataset)
@@ -308,7 +300,7 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     params = _defense(args, args.defense)
     seed = _require_seed(args)
-    features_out = _output_path(args.features_out) if args.features_out else None
+    features_out = _output_path(args.features_out, args.input) if args.features_out else None
 
     dataset = load_dataset(Path(args.input))
     attack.check_folds(dataset, args.folds)  # before any trace is defended
@@ -388,6 +380,11 @@ def _flatten(tree: dict, prefix: str = ""):
             yield f"{prefix}{key}", value
 
 
+def _fingerprint_path(log_path: Path) -> Path:
+    """The file beside a trial log that ties it to the run that writes it."""
+    return log_path.with_name(f"{log_path.name}.fingerprint.json")
+
+
 def _check_fingerprint(log_path: Path, fingerprint: dict, resuming: bool) -> None:
     """Tie the trial log to the run that writes it, through the fingerprint
     file beside it (the log's own bytes hold only trial records).
@@ -399,7 +396,7 @@ def _check_fingerprint(log_path: Path, fingerprint: dict, resuming: bool) -> Non
     """
     import json
 
-    path = log_path.with_name(f"{log_path.name}.fingerprint.json")
+    path = _fingerprint_path(log_path)
     # What the file will hold, read back: tuples come back as lists.
     text = json.dumps(fingerprint, indent=1) + "\n"
     fingerprint = json.loads(text)
@@ -448,7 +445,9 @@ def _json_file(path: Optional[str], what: str, build):
 
 
 def cmd_tune(args) -> int:
-    log_path = _output_path(args.log)
+    inputs = (args.input, args.space, args.weights)
+    log_path = _output_path(args.log, *inputs)
+    _output_path(_fingerprint_path(log_path), *inputs)
     weights = _json_file(args.weights, "weights", tuner.LossWeights)
     space = _json_file(args.space, "space", tuner.SearchSpace)
 
@@ -498,7 +497,8 @@ def cmd_adjust(args) -> int:
         adjusted = stats.volume_adjustment(args.reference, args.target, params)
     except ValueError as exc:  # a bad count, an R that rounds to 0, an N past the limit
         raise UsageError(str(exc)) from None
-    _print_params(adjusted)
+    for name, value in asdict(adjusted).items():
+        print(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
     return EXIT_OK
 
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterator
+from pathlib import Path
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -21,6 +22,15 @@ def rows(trace: Trace) -> Iterator[tuple[float, Direction]]:
     """(time, Direction) of each packet of `trace`, read from its columns."""
     for time, direction in zip(trace.times.tolist(), trace.direction.tolist()):
         yield time, Direction(direction)
+
+
+def listing(root: Path) -> list[tuple[str, Optional[bytes]]]:
+    """Every path under `root`, relative to it, with the bytes of each file
+    (None for a directory), so that any write under `root` shows."""
+    return sorted(
+        (str(p.relative_to(root)), p.read_bytes() if p.is_file() else None)
+        for p in root.rglob("*")
+    )
 
 
 def random_trace(rng: np.random.Generator, max_packets: int = 500) -> Trace:

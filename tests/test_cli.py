@@ -16,6 +16,8 @@ from wfdefend import cli, regulator, stats, synth
 from wfdefend.cli import main
 from wfdefend.traces import write_trace
 
+from helpers import listing
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -101,15 +103,16 @@ class TestSimulate:
         )
         assert code == 1
         assert stdout == ""
-        assert f"--out {tmp_path}/{out} is the input directory" in err
+        assert f"cannot write {Path(tmp_path, out)}: it is the input {data}" in err
         assert (tree_bytes(data), sorted(p.name for p in tmp_path.iterdir())) == before
 
     @pytest.mark.parametrize("out, refused", [
         ("data/def", "data/def"),
         ("data/a/b", "data/a/b"),
         ("link/def", "link/def"),
-        # The output directory lies outside, but its report would not.
-        ("data/away", "data/away.overhead.csv"),
+        # A link in the input that leads out of it: the rename that puts the
+        # output in place would replace the link itself.
+        ("data/away", "data/away"),
     ])
     def test_out_inside_the_input_is_usage_error(self, capsys, tmp_path, out, refused):
         # `simulate data --out data/def` once wrote data/def/ and
@@ -119,22 +122,15 @@ class TestSimulate:
         (tmp_path / "link").symlink_to(data, target_is_directory=True)
         (tmp_path / "elsewhere").mkdir()
         (data / "away").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
-
-        def listing():
-            return sorted(
-                (str(p.relative_to(tmp_path)), p.read_bytes() if p.is_file() else None)
-                for p in tmp_path.rglob("*")
-            )
-
-        before = listing()
+        before = listing(tmp_path)
         code, stdout, err = run(
             capsys, "simulate", str(data), "--out", f"{tmp_path}/{out}",
             "--defense", "front-2500", "--seed", "3",
         )
         assert code == 1
         assert stdout == ""
-        assert f"{tmp_path}/{refused} lies inside the input directory {data}" in err
-        assert listing() == before
+        assert f"cannot write {tmp_path}/{refused}: it lies inside the input {data}" in err
+        assert listing(tmp_path) == before
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, capsys, tmp_path, jobs):
@@ -1322,6 +1318,79 @@ def test_directory_output_at_a_link_or_dot_is_refused_before_any_trace_is_read(
         f"wfdefend: error: cannot write {out}: a directory output may not be a link, . or ..\n"
     )
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# Each output named onto or inside a path that its command reads, with the
+# output that is refused and the input it is refused for. {data} holds the
+# traces, {defended} simulate's output of them, {link} leads to {data}, and
+# {data}/away.csv is a link out of {data} to a file beside it.
+EVAL = ["eval", "{data}", "--seed", "1", "--folds", "2", "--k", "1"]
+TUNE = ["tune", "{data}", "--trials", "1", "--seed", "1", "--folds", "2", "--k", "1"]
+OVERLAPS = {
+    "eval-onto-a-trace": (
+        [*EVAL, "--features-out", "{data}/0-0"], "{data}/0-0", "{data}"),
+    "eval-inside": (
+        [*EVAL, "--features-out", "{data}/f.csv"], "{data}/f.csv", "{data}"),
+    "overhead-inside-the-original": (
+        ["overhead", "{data}", "{defended}", "--out", "{data}/o.csv"], "{data}/o.csv", "{data}"),
+    "overhead-inside-the-defended": (
+        ["overhead", "{data}", "{defended}", "--out", "{defended}/o.csv"],
+        "{defended}/o.csv", "{defended}"),
+    "stats-prefix-inside": (
+        ["stats", "{data}", "--out", "{data}/fig"], "{data}/fig_per_second.csv", "{data}"),
+    "tune-log-inside": (
+        [*TUNE, "--log", "{data}/t.jsonl"], "{data}/t.jsonl", "{data}"),
+    "tune-log-is-the-space": (
+        [*TUNE, "--space", "{tmp}/space.json", "--log", "{tmp}/space.json"],
+        "{tmp}/space.json", "{tmp}/space.json"),
+    "tune-log-is-the-weights": (
+        [*TUNE, "--weights", "{tmp}/weights.json", "--log", "{tmp}/weights.json"],
+        "{tmp}/weights.json", "{tmp}/weights.json"),
+    "tune-fingerprint-is-the-space": (
+        [*TUNE, "--space", "{tmp}/t.jsonl.fingerprint.json", "--log", "{tmp}/t.jsonl"],
+        "{tmp}/t.jsonl.fingerprint.json", "{tmp}/t.jsonl.fingerprint.json"),
+    "eval-through-a-link": (
+        [*EVAL, "--features-out", "{link}/f.csv"], "{link}/f.csv", "{data}"),
+    "eval-onto-a-link-in-the-input": (
+        [*EVAL, "--features-out", "{data}/away.csv"], "{data}/away.csv", "{data}"),
+}
+
+
+@pytest.mark.parametrize("case", OVERLAPS)
+def test_output_onto_or_inside_an_input_is_refused_before_any_trace_is_read(
+    capsys, tmp_path, monkeypatch, case
+):
+    # Each of these once exited 0 having replaced or added a file in what
+    # the command read: `eval --features-out data/0-0` replaced trace 0-0
+    # with the feature CSV, and `tune --log space.json` made the search
+    # space a trial log.
+    data, defended = tmp_path / "data", tmp_path / "defended"
+    write_synth_dataset(capsys, data, classes=2, instances=2)
+    code, _, err = run(capsys, "simulate", str(data), "--out", str(defended),
+                       "--defense", "tamaraw")
+    assert code == 0, err
+    for name in ("space.json", "weights.json", "t.jsonl.fingerprint.json"):
+        (tmp_path / name).write_text("{}\n")
+    (tmp_path / "link").symlink_to(data, target_is_directory=True)
+    (tmp_path / "elsewhere.csv").write_text("kept\n")
+    (data / "away.csv").symlink_to(tmp_path / "elsewhere.csv")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace was read")
+
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    monkeypatch.setattr(cli, "iter_dataset", refuse)
+    names = {"data": data, "defended": defended, "link": tmp_path / "link", "tmp": tmp_path}
+    argv, refused, source = OVERLAPS[case]
+    argv = [a.format(**names) for a in argv]
+    refused, source = refused.format(**names), source.format(**names)
+    where = "is" if refused == source else "lies inside"
+    before = listing(tmp_path)
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"wfdefend: error: cannot write {refused}: it {where} the input {source}\n"
+    assert listing(tmp_path) == before
 
 
 def test_write_whole_error_names_the_destination(tmp_path):

@@ -9,11 +9,14 @@ so that an unbounded command fails the test instead of the machine. Each
 command must exit 0, 1 or 2; a failure prints exactly one
 `wfdefend: error:` line and no traceback; the input tree stays as it was;
 each output is whole or absent; and no output holds more lines than the
-slot limits allow.
+slot limits allow. Each example also runs one of `eval`, `overhead`,
+`stats` and `tune`, in turn, with its output named inside its input
+directory, which must be refused with exit 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -161,6 +164,18 @@ def _commands(data: Path, out: Path, reference: float, target: float, synth: tup
     return commands
 
 
+# The commands whose output is named inside their input directory, one per
+# example in turn, as (argv, the name of that output in the input). A cycle,
+# not a drawn value, so that ten examples run each command at least twice.
+INSIDE = itertools.cycle([
+    (["eval", "{data}", "--seed", "0", "--folds", "2", "--k", "1",
+      "--features-out", "{data}/f.csv"], "f.csv"),
+    (["overhead", "{data}", "{out}/tamaraw", "--out", "{data}/o.csv"], "o.csv"),
+    (["stats", "{data}", "--out", "{data}/fig"], "fig_per_second.csv"),
+    (["tune", "{data}", "--trials", "1", "--seed", "0", "--log", "{data}/t.jsonl"], "t.jsonl"),
+])
+
+
 def _assert_whole(path: Path, limit) -> None:
     """A CSV output ends in a newline and has its header's field count in
     every row; a directory output holds only whole files; and no file holds
@@ -198,6 +213,9 @@ def test_every_command_exits_cleanly_and_leaves_whole_outputs(
         (data / name).write_bytes(content)
     before = _tree(data)
     commands = _commands(data, out, reference, target, synth)
+    template, name = next(INSIDE)
+    inside = [arg.format(data=data, out=out) for arg in template]
+    commands.append((inside, [(data / name, None)]))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     child = subprocess.run(
         [sys.executable, "-c", CHILD, str(ADDRESS_SPACE), str(CPU_SECONDS)],
@@ -206,7 +224,7 @@ def test_every_command_exits_cleanly_and_leaves_whole_outputs(
     )
     assert child.returncode == 0, child.stderr
     for (argv, outputs), (code, err) in zip(commands, json.loads(child.stdout), strict=True):
-        assert code in (0, 1, 2), (argv, code, err)
+        assert code in ((1,) if argv is inside else (0, 1, 2)), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
         errors = [line for line in err.splitlines() if line.startswith("wfdefend: error:")]
         assert len(errors) == (code != 0), (argv, err)
