@@ -6,11 +6,16 @@ overheads, reproduces the traffic-pattern statistics that motivate surge
 shaping, scores defense efficacy with a closed-world nearest-neighbor
 classifier, and searches defense parameters under a weighted loss.
 
-`import wfdefend` loads none of the modules: each exported name imports
-its module on first use (PEP 562), so a caller pays only for what it uses.
+`import wfdefend` runs none of its modules: it registers each in sys.modules,
+and as a package attribute, unrun, and a module's body runs when one of its
+attributes is first read. Exported names are read off those modules on first
+use (PEP 562), so a caller pays only for what it uses.
 """
 
-import importlib
+import importlib.util
+import sys
+import threading
+import types
 
 _MODULE_EXPORTS = {
     "traces": (
@@ -41,11 +46,37 @@ _HOME = {name: module for module, names in _MODULE_EXPORTS.items() for name in n
 __all__ = list(_HOME)
 __version__ = "0.1.0"
 
+_RUNNING = threading.RLock()
+
+
+class _Unrun(types.ModuleType):
+    """A library module whose body has not run. Reading any attribute runs
+    it, once: other threads wait on the lock until the whole body has run,
+    and reads from the body's own thread pass, as in any import."""
+
+    def __getattribute__(self, attr):
+        spec = types.ModuleType.__getattribute__(self, "__spec__")
+        with _RUNNING:
+            if type(self) is _Unrun and not hasattr(spec, "running"):
+                spec.running = True
+                spec.loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, attr)
+
+
+# Every module but the entry points (cli, __main__), so a tool that patches
+# each loaded wfdefend module, as the bench's traced replay does, finds all.
+for _name in (*_MODULE_EXPORTS, "seeding"):
+    _module = importlib.util.module_from_spec(importlib.util.find_spec(f"{__name__}.{_name}"))
+    sys.modules[_module.__name__] = globals()[_name] = _module
+    _module.__class__ = _Unrun
+del _name, _module
+
 
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    value = getattr(globals()[_HOME[name]], name)
     globals()[name] = value  # later lookups skip this function
     return value
 

@@ -6,7 +6,8 @@ SIGPIPE, as the shell reports a process that SIGPIPE ended) when stdout
 is closed before the output is written, which ends the command quietly.
 Every randomized command requires an explicit --seed; there is no
 wall-clock default, so reruns with the same seed are byte-identical
-regardless of --jobs.
+regardless of --jobs. The package registers its modules unrun, so each
+subcommand runs the bodies of only the modules it uses.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import importlib.util
 import logging
 import os
 import re
@@ -23,9 +23,9 @@ import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from types import ModuleType
 from typing import Callable, Optional, TextIO
 
+from . import attack, metrics, seeding, stats, synth, tuner
 from .presets import (
     OVERRIDE_FIELDS,
     REGULATOR_PRESETS,
@@ -44,33 +44,6 @@ from .traces import (
     write_defended_trace,
     write_trace,
 )
-
-
-def _deferred(name: str) -> ModuleType:
-    """The module wfdefend.<name>, whose body runs when one of its
-    attributes is first read, so a subcommand pays only for the modules
-    it uses. Like an import, it is put in sys.modules at once: a tool that
-    patches a function in every loaded wfdefend module, as the bench's
-    traced replay does, finds it there and in the modules that use it."""
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        loader = importlib.util.LazyLoader(spec.loader)
-        spec.loader = loader
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-attack = _deferred("attack")
-metrics = _deferred("metrics")
-seeding = _deferred("seeding")
-stats = _deferred("stats")
-synth = _deferred("synth")
-tuner = _deferred("tuner")
 
 logger = logging.getLogger(__name__)
 
@@ -100,6 +73,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         # Every failure's prefix; the usage line above names the subcommand.
         self.exit(EXIT_USAGE, f"wfdefend: error: {message}\n")
+
+
+def _output(value: str) -> str:
+    """An output option's path: argparse refuses an empty one, naming the option."""
+    if not value:
+        raise argparse.ArgumentTypeError("an output path may not be empty")
+    return value
 
 
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
@@ -445,6 +425,8 @@ def _json_file(path: Optional[str], what: str, build):
 
 
 def cmd_tune(args) -> int:
+    import hashlib
+
     inputs = (args.input, args.space, args.weights)
     log_path = _output_path(args.log, *inputs)
     _output_path(_fingerprint_path(log_path), *inputs)
@@ -458,9 +440,12 @@ def cmd_tune(args) -> int:
         "weights": asdict(weights),
         "k": args.k,
         "folds": args.folds,
-        # The files the trials read: a skipped file changes no result.
+        # Each file the trials read, by a digest of the columns they score:
+        # a skipped file changes no result, and a same-size edit is seen.
         "dataset": {
-            name: (Path(args.input) / name).stat().st_size for name in dataset.filenames
+            name: hashlib.blake2b(trace.times.astype("<f8").tobytes()
+                                  + trace.direction.tobytes(), digest_size=16).hexdigest()
+            for name, trace in zip(dataset.filenames, dataset.traces)
         },
     }
     # A log that holds more trials than asked for ranks only the first ones.
@@ -528,7 +513,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="defend every trace in a directory")
     p.add_argument("input", help="directory of undefended traces")
-    p.add_argument("--out", required=True, help="output directory (same filenames)")
+    p.add_argument("--out", required=True, type=_output, help="output directory (same filenames)")
     p.add_argument("--defense", required=True,
                    help=f"defense preset: {', '.join(defense_names())}")
     p.add_argument("--seed", type=int, default=None)
@@ -540,12 +525,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("overhead", help="overheads of an on-disk defended dataset")
     p.add_argument("original", help="directory of undefended traces")
     p.add_argument("defended", help="directory of defended traces (same filenames)")
-    p.add_argument("--out", default=None, help="per-trace CSV output path")
+    p.add_argument("--out", type=_output, help="per-trace CSV output path")
     p.set_defaults(func=cmd_overhead)
 
     p = sub.add_parser("stats", help="trace-population statistics")
     p.add_argument("input", help="directory of traces")
-    p.add_argument("--out", default=None, help="prefix for plot-ready CSV tables")
+    p.add_argument("--out", type=_output, help="prefix for plot-ready CSV tables")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("eval", help="closed-world nearest-neighbor evaluation")
@@ -555,7 +540,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--features-out", default=None,
+    p.add_argument("--features-out", type=_output,
                    help="write the evaluated feature matrix as CSV")
     _add_overrides(p)
     p.set_defaults(func=cmd_eval)
@@ -566,7 +551,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--space", default=None, help="JSON file of parameter intervals")
     p.add_argument("--weights", default=None, help="JSON file of loss weights")
-    p.add_argument("--log", default="trials.jsonl", help="append-only trial log")
+    p.add_argument("--log", default="trials.jsonl", type=_output, help="append-only trial log")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--folds", type=int, default=10)
     p.set_defaults(func=cmd_tune)
@@ -581,7 +566,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_adjust)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_output)
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--instances", type=int, default=50)
     p.add_argument("--seed", type=int, default=None)

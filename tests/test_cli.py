@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import shutil
@@ -14,7 +15,7 @@ import pytest
 import wfdefend
 from wfdefend import cli, regulator, stats, synth
 from wfdefend.cli import main
-from wfdefend.traces import write_trace
+from wfdefend.traces import read_trace, write_trace
 
 from helpers import listing
 
@@ -962,19 +963,26 @@ class TestTune:
                            "--log", str(log), "--folds", "2", "--k", "1")
         assert code == 0, err
         fingerprint = json.loads((tmp_path / "trials.jsonl.fingerprint.json").read_text())
+
+        def columns_digest(path):  # of the times as <f8 bytes, then the directions
+            trace = read_trace(path)
+            return hashlib.blake2b(trace.times.astype("<f8").tobytes() + trace.direction.tobytes(),
+                                   digest_size=16).hexdigest()
+
         assert fingerprint == {
             "space": {"R": [100.0, 600.0], "D": [0.7, 0.99], "T": [1.0, 10.0],
                       "N": [500, 8000], "U": [1.0, 8.0], "C": [0.5, 5.0]},
             "weights": {"w_accuracy": 1.0, "w_bandwidth": 1.0, "w_latency": 1.0},
             "k": 1,
             "folds": 2,
-            "dataset": {p.name: p.stat().st_size for p in sorted(data.iterdir())},
+            "dataset": {p.name: columns_digest(p) for p in sorted(data.iterdir())},
         }
 
     @pytest.mark.parametrize("change, field", [
         ("k", "k=1, not 2"),
         ("space", "space.R=[100.0, 600.0], not [50, 100]"),
         ("dataset", "dataset.1-3="),
+        ("dataset-same-size", "dataset.1-3="),
     ])
     def test_fingerprint_mismatch_is_data_error(self, capsys, tmp_path, change, field):
         data = tmp_path / "data"
@@ -990,9 +998,18 @@ class TestTune:
             space = tmp_path / "s.json"
             space.write_text(json.dumps({"R": [50, 100]}))
             base += ["--space", str(space)]
-        else:
+        elif change == "dataset":
             with (data / "1-3").open("a") as trace:
                 trace.write("99.0\t-1\n")
+        else:
+            # The fingerprint once held each file's size only, so a resume
+            # after this edit exited 0 and ranked trial 0, scored on the old
+            # 1-3, beside trial 1: packet 1 takes packet 0's time, 0.000000.
+            trace = data / "1-3"
+            first, second, *rest = trace.read_text().splitlines(keepends=True)
+            edited = first.split("\t")[0] + "\t" + second.split("\t")[1]
+            assert len(edited) == len(second) and edited != second
+            trace.write_text("".join([first, edited, *rest]))
         fingerprint = tmp_path / "trials.jsonl.fingerprint.json"
         before = log.read_bytes(), fingerprint.read_bytes()
         code, stdout, err = run(capsys, *base, "--trials", "2", "--k", k)
@@ -1258,6 +1275,29 @@ def test_bad_output_path_fails_before_any_input_is_read(capsys, tmp_path, comman
     assert stdout == ""
     assert err == f"wfdefend: error: cannot write {checked}: {reason}\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_empty_output_is_refused_before_any_trace_is_read(capsys, tmp_path, monkeypatch, command):
+    # `stats --out ''`, `overhead --out ''` and `eval --features-out ''` once
+    # exited 0 having written nothing; the other three failed as data errors.
+    data = tmp_path / "data"
+    write_synth_dataset(capsys, data, classes=2, instances=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace was read")
+
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    monkeypatch.setattr(cli, "iter_dataset", refuse)
+    monkeypatch.chdir(tmp_path)
+    before = listing(tmp_path)
+    argv = [a.format(data=data, defended=data, out="") for a in OUTPUTS[command]]
+    option = argv[argv.index("") - 1]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert err.endswith(f"wfdefend: error: argument {option}: an output path may not be empty\n")
+    assert listing(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", OUTPUTS)

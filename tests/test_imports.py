@@ -1,8 +1,8 @@
 """What each entry point imports, checked in a fresh interpreter.
 
-A module counts as loaded once its body has run. The CLI registers the
-modules that only some subcommands use in sys.modules unrun, as lazy
-modules; their type becomes a plain module when the body runs.
+A module counts as loaded once its body has run. `import wfdefend`
+registers every library module in sys.modules unrun, as a module of its
+own type; the type becomes a plain module when the body runs.
 """
 
 import ast
@@ -53,6 +53,47 @@ def fresh(script: str):
 
 def test_import_wfdefend_loads_no_numpy():
     assert "numpy" not in fresh("import wfdefend\nprint(loaded())")
+
+
+def test_import_wfdefend_registers_every_library_module_unrun():
+    # A tool that patches every wfdefend module in sys.modules, as the
+    # bench's traced replay does, finds each one there from the first import.
+    script = f"""
+import sys, types
+import wfdefend
+for name in {[*EXPORTS, "seeding"]!r}:
+    module = sys.modules["wfdefend." + name]
+    assert module is getattr(wfdefend, name), name
+    assert type(module) is not types.ModuleType, name
+print(loaded())
+"""
+    assert "numpy" not in fresh(script)
+
+
+def test_threads_that_first_read_a_module_at_once_all_find_it_whole():
+    # With importlib's LazyLoader (Python 3.11), the first thread made the
+    # module plain before running its body, so the others read it half made
+    # and 3 of 4 raised "module 'wfdefend.stats' has no attribute ...".
+    script = """
+import threading
+import wfdefend
+names = ["dataset_stats", "feature_matrix", "random_search", "trace_overhead"] * 2
+barrier, errors = threading.Barrier(len(names)), []
+def read(name):
+    barrier.wait()
+    try:
+        getattr(wfdefend, name)
+        from wfdefend.stats import per_second_table
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=read, args=(name,)) for name in names]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(errors)
+"""
+    assert fresh(script) == []
 
 
 def test_import_cli_loads_only_what_every_subcommand_needs():
