@@ -39,8 +39,7 @@ from .traces import (
     attach_sources,
     iter_dataset,
     load_dataset,
-    parse_defended_schedule,
-    read_trace,
+    parse_defended_schedules,
     write_defended_trace,
     write_trace,
 )
@@ -75,11 +74,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"wfdefend: error: {message}\n")
 
 
-def _output(value: str) -> str:
-    """An output option's path: argparse refuses an empty one, naming the option."""
-    if not value:
-        raise argparse.ArgumentTypeError("an output path may not be empty")
-    return value
+def _path_of(kind: str) -> Callable[[str], str]:
+    """The argparse type of an input or output path: an empty one, which
+    would mean the working directory or a default, is refused, naming the
+    option."""
+
+    def path(value: str) -> str:
+        if not value:
+            raise argparse.ArgumentTypeError(f"an {kind} path may not be empty")
+        return value
+
+    return path
+
+
+_input, _output = _path_of("input"), _path_of("output")
 
 
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
@@ -190,12 +198,12 @@ def _trace_seed(params: DefenseParams, seed: int, name: str) -> int:
     return seeding.stable_seed(seed, name) if params.randomized else seed
 
 
-def _simulate_file(params: DefenseParams, seed: int, path: Path):
-    """(defended text, overhead report) of one trace file; top-level so
-    worker processes can run it."""
-    trace = read_trace(path)
-    defended = defend(params, trace, _trace_seed(params, seed, path.name), path.name)
-    return write_defended_trace(defended), metrics.trace_overhead(trace, defended)
+def _simulate_files(params: DefenseParams, seed: int, pairs: list):
+    """(defended text, overhead report) of each (path, trace) that
+    iter_dataset hands it; top-level so worker processes can run it."""
+    for path, trace in pairs:
+        defended = defend(params, trace, _trace_seed(params, seed, path.name), path.name)
+        yield write_defended_trace(defended), metrics.trace_overhead(trace, defended)
 
 
 def cmd_simulate(args) -> int:
@@ -209,17 +217,17 @@ def cmd_simulate(args) -> int:
 
     # Each result is written to the staged directory as it arrives, so none
     # is held in memory; that directory becomes out_dir once all are written.
-    step = functools.partial(_simulate_file, params, seed)
+    step = functools.partial(_simulate_files, params, seed)
     reports = {}
     with _staged(out_dir) as made, contextlib.ExitStack() as stack:
         made.mkdir()
-        mapper = map
+        pool = None
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
+            # Each task is one chunk of iter_dataset's files.
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            mapper = functools.partial(pool.map, chunksize=8)
-        for name, (text, report) in iter_dataset(args.input, step, mapper):
+        for name, (text, report) in iter_dataset(args.input, step, pool):
             (made / name).write_text(text, encoding="utf-8")
             reports[name] = report
     _print_report(reports, report_path)
@@ -236,20 +244,44 @@ def _print_report(reports: dict, path: Optional[Path]) -> None:
         print(line)
 
 
+def _defended_text(defended_dir: Path, name: str) -> str:
+    path = defended_dir / name
+    if not path.is_file():
+        raise ValueError(f"no defended trace for {name} in {defended_dir}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except ValueError as exc:  # UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _overhead_reports(defended_dir: Path, pairs: list):
+    """The OverheadReport of each (path, original) that iter_dataset hands
+    it, against its defended file. The defended texts are read up to the
+    first that cannot be, then parsed in runs; each error names its
+    defended file and comes after the reports of the files before it."""
+    texts, failure = [], None
+    for path, _ in pairs:
+        try:
+            texts.append(_defended_text(defended_dir, path.name))
+        except (OSError, ValueError) as exc:
+            failure = exc
+            break
+    schedules = parse_defended_schedules(texts)
+    for (path, original), _ in zip(pairs, texts):
+        try:
+            schedule = next(schedules)
+            yield metrics.trace_overhead(original, attach_sources(original, schedule))
+        except ValueError as exc:  # covers ParseError
+            raise ValueError(f"{defended_dir / path.name}: {exc}") from None
+    if failure is not None:
+        raise failure
+
+
 def cmd_overhead(args) -> int:
     out = _output_path(args.out, args.original, args.defended) if args.out else None
-    defended_dir = Path(args.defended)
-    reports = {}
-    for name, original in iter_dataset(args.original):  # one original at a time
-        defended_path = defended_dir / name
-        if not defended_path.is_file():
-            raise ValueError(f"no defended trace for {name} in {defended_dir}")
-        try:
-            schedule = parse_defended_schedule(defended_path.read_text(encoding="utf-8"))
-            reports[name] = metrics.trace_overhead(original, attach_sources(original, schedule))
-        except ValueError as exc:  # covers ParseError and UnicodeDecodeError
-            raise ValueError(f"{defended_path}: {exc}") from None
-    _print_report(reports, out)
+    # Only names and reports are kept; originals are read a run at a time.
+    step = functools.partial(_overhead_reports, Path(args.defended))
+    _print_report(dict(iter_dataset(args.original, step)), out)
     return EXIT_OK
 
 
@@ -413,7 +445,7 @@ def _read_json_object(path: Path) -> dict:
 def _json_file(path: Optional[str], what: str, build):
     """`build(**fields)` from the JSON object in the `what` file at `path`,
     `build()` when no path is given; errors name the file."""
-    if not path:
+    if path is None:
         return build()
     if not Path(path).is_file():
         raise ValueError(f"{what} file not found: {path}")
@@ -512,7 +544,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="defend every trace in a directory")
-    p.add_argument("input", help="directory of undefended traces")
+    p.add_argument("input", type=_input, help="directory of undefended traces")
     p.add_argument("--out", required=True, type=_output, help="output directory (same filenames)")
     p.add_argument("--defense", required=True,
                    help=f"defense preset: {', '.join(defense_names())}")
@@ -523,18 +555,18 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("overhead", help="overheads of an on-disk defended dataset")
-    p.add_argument("original", help="directory of undefended traces")
-    p.add_argument("defended", help="directory of defended traces (same filenames)")
+    p.add_argument("original", type=_input, help="directory of undefended traces")
+    p.add_argument("defended", type=_input, help="directory of defended traces (same filenames)")
     p.add_argument("--out", type=_output, help="per-trace CSV output path")
     p.set_defaults(func=cmd_overhead)
 
     p = sub.add_parser("stats", help="trace-population statistics")
-    p.add_argument("input", help="directory of traces")
+    p.add_argument("input", type=_input, help="directory of traces")
     p.add_argument("--out", type=_output, help="prefix for plot-ready CSV tables")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("eval", help="closed-world nearest-neighbor evaluation")
-    p.add_argument("input", help="directory of labeled traces (<site>-<instance>)")
+    p.add_argument("input", type=_input, help="directory of labeled traces (<site>-<instance>)")
     p.add_argument("--defense", default=None,
                    help="optional defense applied before evaluation")
     p.add_argument("--k", type=int, default=5)
@@ -546,11 +578,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("tune", help="random search over regulator parameters")
-    p.add_argument("input", help="directory of labeled traces")
+    p.add_argument("input", type=_input, help="directory of labeled traces")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--space", default=None, help="JSON file of parameter intervals")
-    p.add_argument("--weights", default=None, help="JSON file of loss weights")
+    p.add_argument("--space", type=_input, help="JSON file of parameter intervals")
+    p.add_argument("--weights", type=_input, help="JSON file of loss weights")
     p.add_argument("--log", default="trials.jsonl", type=_output, help="append-only trial log")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--folds", type=int, default=10)

@@ -29,7 +29,11 @@ m / 1e6, m the integer of the digits: m is exact below 2**53, and one
 division is correctly rounded, so it is the float `float()` reads
 (_read_canonical). Defended text is this program's own format, so that
 reader takes it at any size, and recorded text from 2 KB; all other text
-takes the general paths.
+takes the general paths. Many short files share that reader's fixed cost:
+iter_dataset, and `overhead` for its defended files, join consecutive texts
+into runs of up to 64 KiB, read each run of two or more in one pass and cut
+its columns back per file (_runs). A text alone, or in a run that is not
+canonical, is read on its own as above.
 
 read_trace is the one rule for a usable trace file; iter_dataset and
 load_dataset walk a directory by it, skipping and naming the rest.
@@ -37,6 +41,7 @@ load_dataset walk a directory by it, skipping and naming the rest.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import numbers
@@ -46,7 +51,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -373,6 +378,9 @@ _PAD = b"\n" * _ROW_BYTES  # read before the text, so every row starts inside it
 # the about 30 array operations of _read_canonical (they cross at 100-250
 # lines). Defended text is read by _read_canonical at any size.
 _BULK_BYTES = 2048
+# Most characters of text that _runs reads in one pass; past about
+# this, one pass over more text costs more per file than it shares.
+_RUN_BYTES = 64 * 1024
 
 
 def _words(row: bytes) -> np.ndarray:
@@ -472,6 +480,49 @@ def _read_canonical(
     return times, 1 - 2 * negative.view(np.int8), dummy
 
 
+def _runs(items: Iterable[tuple[T, Optional[str]]], defended: bool) -> Iterator[list[tuple]]:
+    """The (key, text) items in order, in groups, each as (key, text,
+    columns): the text's (times, direction, dummy) as _read_canonical reads
+    it alone, or None where the text is to be parsed alone (_parse_columns).
+
+    Consecutive texts that end in a newline are joined into runs of at most
+    _RUN_BYTES characters (a longer text is a run alone), and each run of
+    two or more is read in one pass. A canonical line is one row, so the
+    run's columns are cut back at each text's count of newlines, into arrays
+    each text owns. A text alone, each text of a run that is not canonical,
+    and every other item (a text without its final newline, or None) get
+    None. Only one run is held.
+    """
+    run: list[tuple[T, str]] = []
+    size = 0
+    for key, text in items:
+        joins = text is not None and text.endswith("\n")
+        if run and not (joins and size + len(text) <= _RUN_BYTES):
+            yield _cut(run, defended)
+            run, size = [], 0
+        if joins:
+            run.append((key, text))
+            size += len(text)
+        else:
+            yield [(key, text, None)]
+    if run:
+        yield _cut(run, defended)
+
+
+def _cut(run: list[tuple[T, str]], defended: bool) -> list[tuple]:
+    """Each (key, text) of a run with its columns, from one pass over the
+    run. A text alone is left to _parse_columns, which takes the canonical
+    reader where it is the faster, and tries it only once."""
+    read = _read_canonical("".join(text for _, text in run), defended) if len(run) > 1 else None
+    if read is None:
+        return [(key, text, None) for key, text in run]
+    bounds = [0, *itertools.accumulate(text.count("\n") for _, text in run)]
+    return [
+        (key, text, tuple(column[low:high].copy() for column in read))
+        for (key, text), low, high in zip(run, bounds, bounds[1:])
+    ]
+
+
 def _parse_columns(text: str, defended: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (times, direction, dummy) of the non-blank lines, in file
     order, as new C-contiguous arrays: finite times, directions of ±1, and
@@ -508,15 +559,17 @@ def _parse_columns(text: str, defended: bool) -> tuple[np.ndarray, np.ndarray, n
     return times, np.sign(values).astype(np.int8), dummy
 
 
-def parse_trace(text: str, label: Optional[str] = None) -> Trace:
+def parse_trace(text: str, label: Optional[str] = None, *, _columns=None) -> Trace:
     """Parse trace text into a Trace normalized to start at time 0.
 
     Lines are sorted if the input is unsorted (stable, so ties keep file
     order). Empty input yields an empty trace. Fields after the first two
     are ignored, so defended files with their dummy lines removed parse
     back directly. Non-finite times and directions are rejected.
+    `_columns` are the text's columns when a run has read them already
+    (_runs).
     """
-    times, direction, _ = _parse_columns(text, defended=False)
+    times, direction, _ = _parse_columns(text, defended=False) if _columns is None else _columns
     last = len(times) - 1
     if (times[1:] < times[:-1]).any():
         order = np.argsort(times, kind="stable")
@@ -610,18 +663,28 @@ def write_defended_trace(defended: DefendedTrace) -> str:
     return _format_rows(defended.send_time, tails, which)
 
 
-def parse_defended_schedule(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def parse_defended_schedule(text: str, *, _columns=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse a defended trace file into (send_time, direction, dummy) columns,
     stably sorted by send time.
 
     Source times are not stored on disk; use attach_sources() with the
-    original trace to recover per-packet delays.
+    original trace to recover per-packet delays. `_columns` are as for
+    parse_trace.
     """
-    times, direction, dummy = _parse_columns(text, defended=True)
+    times, direction, dummy = _parse_columns(text, defended=True) if _columns is None else _columns
     if (times[1:] < times[:-1]).any():
         order = np.argsort(times, kind="stable")
         return times[order], direction[order], dummy[order]
     return times, direction, dummy
+
+
+def parse_defended_schedules(texts: Iterable[str]) -> Iterator[tuple[np.ndarray, ...]]:
+    """parse_defended_schedule of each text in turn, with runs of texts read
+    in one pass each (_runs); a ParseError comes where its text's schedule
+    would."""
+    for run in _runs(((None, text) for text in texts), defended=True):
+        for _, text, columns in run:
+            yield parse_defended_schedule(text, _columns=columns)
 
 
 def attach_sources(
@@ -682,6 +745,32 @@ class UnusableTrace(ValueError):
 _UNSAFE_NAME = re.compile(r'[,"=\x00-\x1f\x7f-\x9f\ud800-\udfff]')
 
 
+def _read_text(path: Path) -> str:
+    """The text of file `path`, if its name and its bytes may be used
+    (read_trace); else UnusableTrace, before the file is read for a name."""
+    unsafe = _UNSAFE_NAME.search(path.name)
+    if unsafe:
+        raise UnusableTrace(
+            f"file name holds {unsafe.group()!r}, which the CSV and key=value outputs cannot carry"
+        )
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
+        raise UnusableTrace(str(exc)) from None
+
+
+def _usable_trace(path: Path, text: str, columns: Optional[tuple] = None) -> Trace:
+    """The trace of `text`, read from `path`, if it parses and spans a
+    positive duration (read_trace); else UnusableTrace."""
+    try:
+        trace = parse_trace(text, label=label_from_filename(path.name), _columns=columns)
+    except ValueError as exc:  # covers ParseError
+        raise UnusableTrace(str(exc)) from None
+    if not trace.duration > 0:
+        raise UnusableTrace(f"zero duration, {len(trace)} packet(s)")
+    return trace
+
+
 def read_trace(path: Path) -> Trace:
     """The trace in file `path`, labeled by its name, if it is usable.
 
@@ -693,43 +782,75 @@ def read_trace(path: Path) -> Trace:
     That is all that features, overhead and statistics need. Anything else
     raises UnusableTrace with the reason.
     """
-    unsafe = _UNSAFE_NAME.search(path.name)
-    if unsafe:
-        raise UnusableTrace(
-            f"file name holds {unsafe.group()!r}, which the CSV and key=value outputs cannot carry"
-        )
-    try:
-        text = path.read_text(encoding="utf-8")
-        trace = parse_trace(text, label=label_from_filename(path.name))
-    except (OSError, ValueError) as exc:  # ValueError covers ParseError and UnicodeDecodeError
-        raise UnusableTrace(str(exc)) from None
-    if not trace.duration > 0:
-        raise UnusableTrace(f"zero duration, {len(trace)} packet(s)")
-    return trace
+    return _usable_trace(path, _read_text(path))
 
 
-def _attempt(step: Callable[[Path], T], path: Path) -> tuple[Optional[T], Optional[str]]:
-    """(step(path), None), or (None, why) when the file is unusable."""
+def _attempt(read: Callable[..., T], *args) -> tuple[Optional[T], Optional[str]]:
+    """(read(*args), None), or (None, why) when the file is unusable."""
     try:
-        return step(path), None
+        return read(*args), None
     except UnusableTrace as exc:
         return None, str(exc)
 
 
+# iter_dataset reads a directory this many files at a time; a process
+# pool's map runs each chunk as one task.
+CHUNK_FILES = 16
+
+
+def _read_chunk(
+    step: Optional[Callable[[list], Iterable[T]]], paths: list[Path]
+) -> Iterator[tuple[Optional[T], Optional[str]]]:
+    """(the trace, or what `step` made of it, None), or (None, why the file
+    is unusable), for each of `paths` in order: read_trace's rule, with the
+    texts read in runs (_runs). `step` takes each run's usable (path, trace)
+    pairs, so an error that it raises comes at its file."""
+    def texts():
+        for path in paths:
+            text, why = _attempt(_read_text, path)
+            yield (path, why), text
+
+    for run in _runs(texts(), defended=False):
+        outcomes = [
+            (path, *(_attempt(_usable_trace, path, text, columns) if why is None else (None, why)))
+            for (path, why), text, columns in run
+        ]
+        usable = [(path, trace) for path, trace, why in outcomes if why is None]
+        results = iter(step(usable)) if step else (trace for _, trace in usable)
+        for _, _, why in outcomes:
+            yield (next(results), None) if why is None else (None, why)
+
+
+def _read_whole_chunk(step, paths: list[Path]) -> tuple[list, Optional[Exception]]:
+    """(outcomes, error): _read_chunk's outcomes as a list, for a pool to
+    send back, up to the error, if any, that stopped them."""
+    outcomes = []
+    try:
+        for outcome in _read_chunk(step, paths):
+            outcomes.append(outcome)
+    except Exception as exc:  # raised again by iter_dataset, after the files before it
+        return outcomes, exc
+    return outcomes, None
+
+
 def iter_dataset(
     root: str | Path,
-    step: Callable[[Path], T] = read_trace,
-    mapper: Callable = map,
+    step: Optional[Callable[[list[tuple[Path, Trace]]], Iterable[T]]] = None,
+    pool=None,
     skipped: Optional[list[tuple[str, str]]] = None,
-) -> Iterator[tuple[str, T]]:
-    """Lazily yield (filename, step(path)) for each file under `root`, in
-    filename order, skipping every file whose `step` raises UnusableTrace.
+) -> Iterator[tuple[str, Trace | T]]:
+    """Lazily yield (filename, trace) for each usable file under `root`
+    (read_trace), in filename order, skipping the rest.
 
-    `step` reads the file with read_trace and may go on to use the trace;
-    `mapper`, such as a process pool's `map`, runs it where the work is
-    done. Each skip logs one `skipping <path>: <reason>` warning and is
-    appended, as (filename, reason), to `skipped` if given. A directory
-    with no usable file is a ValueError, raised once the walk is over.
+    The files are read CHUNK_FILES at a time, in runs (_read_chunk). `step`,
+    if given, is called with each run's usable (path, trace) pairs and
+    yields one result for each, which takes the trace's place; an error
+    that it raises reaches the caller after every file before it. With a
+    process `pool`, each chunk is read, and stepped, in a worker; without
+    one, one file's result at a time is held. Each skip logs one
+    `skipping <path>: <reason>` warning and is appended, as (filename,
+    reason), to `skipped` if given. A directory with no usable file is a
+    ValueError, raised once the walk is over.
     """
     root = Path(root)
     if not root.is_dir():
@@ -737,15 +858,23 @@ def iter_dataset(
     # A directory entry knows its type without a stat, except for a link.
     with os.scandir(root) as entries:
         paths = [root / name for name in sorted(e.name for e in entries if e.is_file())]
+    chunks = [paths[i:i + CHUNK_FILES] for i in range(0, len(paths), CHUNK_FILES)]
+    if pool is None:
+        read = ((_read_chunk(step, chunk), None) for chunk in chunks)
+    else:
+        read = pool.map(partial(_read_whole_chunk, step), chunks)
     used = 0
-    for path, (result, reason) in zip(paths, mapper(partial(_attempt, step), paths)):
-        if reason is not None:
-            logger.warning("skipping %s: %s", path, reason)
-            if skipped is not None:
-                skipped.append((path.name, reason))
-            continue
-        used += 1
-        yield path.name, result
+    for chunk, (outcomes, error) in zip(chunks, read):
+        for path, (result, reason) in zip(chunk, outcomes):
+            if reason is not None:
+                logger.warning("skipping %s: %s", path, reason)
+                if skipped is not None:
+                    skipped.append((path.name, reason))
+                continue
+            used += 1
+            yield path.name, result
+        if error is not None:
+            raise error
     if not used:
         raise ValueError(f"no usable trace files in {root}")
 

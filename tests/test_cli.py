@@ -186,6 +186,31 @@ class TestSimulate:
         assert started == workers
         assert outputs["pooled"] == outputs["serial"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_defense_error_in_a_chunk_comes_after_the_files_before_it(
+        self, capsys, tmp_path, monkeypatch, jobs
+    ):
+        # A chunk of files is one task; a pool sends back its results up to
+        # the error, which is raised where reading one file at a time would.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=10)
+        (data / "0-10").write_text("0.0\t1\n")
+        (data / "0-5").write_text("0.0\t1\n20000.0\t-1\n")
+        (data / "1-10").write_text("")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "defended"
+        code, stdout, err = run(
+            capsys, "simulate", str(data), "--out", str(out), "--defense", "tamaraw", "--jobs", jobs
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            f"skipping {data / '0-10'}: zero duration, 1 packet(s)\n"
+            "wfdefend: error: 0-5: Tamaraw needs more than 1000000 download slots "
+            "to reach the last packet at 20000.0 s\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["data"]
+
     def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
         assert cli._usable_cpus() == 2
@@ -419,6 +444,41 @@ class TestOverhead:
         assert stdout == ""
         assert err.startswith(f"wfdefend: error: {out / '1-2'}: ")
         assert reason in err
+
+    @pytest.mark.parametrize("bad", ["parse", "missing", "not-utf8"])
+    def test_bad_defended_file_in_a_chunk_fails_after_the_files_before_it(
+        self, capsys, tmp_path, bad
+    ):
+        # The defended files of a chunk of originals are read, and then
+        # parsed, together; the error and the warnings before it are still
+        # those of reading one pair at a time.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=10)
+        out = tmp_path / "defended"
+        code, _, err = run(capsys, "simulate", str(data), "--out", str(out), "--defense", "tamaraw")
+        assert code == 0, err
+        # In filename order the first chunk is 0-0, 0-1, 0-10, 0-2, ..., 1-3.
+        (data / "0-10").write_text("0.0\t1\n")
+        (data / "1-10").write_text("")
+        target = out / "0-5"
+        lines = target.read_text().splitlines(keepends=True)
+        if bad == "parse":
+            target.write_text("".join(lines[:2] + ["x\t1\tR\n"] + lines[3:]))
+            reason = f"{target}: line 3: non-numeric time field 'x'"
+        elif bad == "missing":
+            target.unlink()
+            reason = f"no defended trace for 0-5 in {out}"
+        else:
+            target.write_bytes(b"\xff" + "".join(lines).encode())
+            reason = (f"{target}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                      "invalid start byte")
+        code, stdout, err = run(capsys, "overhead", str(data), str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == (
+            f"skipping {data / '0-10'}: zero duration, 1 packet(s)\n"
+            f"wfdefend: error: {reason}\n"
+        )
 
     def test_memory_does_not_grow_with_the_trace_count(self, capsys, tmp_path):
         # Originals of about 2,000 packets each. Every original was once
@@ -1297,6 +1357,48 @@ def test_empty_output_is_refused_before_any_trace_is_read(capsys, tmp_path, monk
     assert code == 1
     assert stdout == ""
     assert err.endswith(f"wfdefend: error: argument {option}: an output path may not be empty\n")
+    assert listing(tmp_path) == before
+
+
+INPUTS = {
+    "simulate": (["simulate", "{data}", "--out", "{out}", "--defense", "tamaraw"], "input"),
+    "overhead-original": (["overhead", "{data}", "{data}"], "original"),
+    "overhead-defended": (["overhead", "{data}", "{data}"], "defended"),
+    "stats": (["stats", "{data}"], "input"),
+    "eval": (["eval", "{data}", "--seed", "1", "--folds", "2"], "input"),
+    "tune": (["tune", "{data}", "--trials", "1", "--seed", "1", "--folds", "2", "--k", "1",
+              "--log", "{out}"], "input"),
+    "tune-space": (["tune", "{data}", "--trials", "1", "--seed", "1", "--folds", "2",
+                    "--k", "1", "--log", "{out}", "--space", "{data}"], "--space"),
+    "tune-weights": (["tune", "{data}", "--trials", "1", "--seed", "1", "--folds", "2",
+                      "--k", "1", "--log", "{out}", "--weights", "{data}"], "--weights"),
+}
+
+
+@pytest.mark.parametrize("command", INPUTS)
+def test_empty_input_is_refused_before_any_trace_is_read(capsys, tmp_path, monkeypatch, command):
+    # An empty path once meant the working directory, or for `--space` and
+    # `--weights` the default, and the command ran on it.
+    data = tmp_path / "data"
+    write_synth_dataset(capsys, data, classes=2, instances=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace was read")
+
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    monkeypatch.setattr(cli, "iter_dataset", refuse)
+    monkeypatch.chdir(data)
+    before = listing(tmp_path)
+    template, option = INPUTS[command]
+    argv = [a.format(data=data, out=tmp_path / "out") for a in template]
+    if option.startswith("--"):
+        argv[argv.index(option) + 1] = ""
+    else:
+        argv[[i for i, a in enumerate(argv) if a == str(data)][option == "defended"]] = ""
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert err.endswith(f"wfdefend: error: argument {option}: an input path may not be empty\n")
     assert listing(tmp_path) == before
 
 

@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_compact_columns, random_trace, rows
+from helpers import assert_compact_columns, float_bits, random_trace, rows
 
 from wfdefend import (
     Dataset,
@@ -648,6 +649,93 @@ def test_iter_dataset_walks_files_in_code_point_order_of_their_names(tmp_path):
     (tmp_path / "sub").mkdir()
     names = [name for name, _ in iter_dataset(tmp_path)]
     assert names == ["A-1", "a-10", "a-9", "b-1", "\u00e9-1"]
+
+
+def _canonical_text(rng: np.random.Generator, lines: int) -> str:
+    times = np.sort(rng.uniform(0.0, 60.0, lines))
+    return write_trace(Trace(times, np.where(rng.random(lines) < 0.3, 1, -1)))
+
+
+def _assert_walk_reads_like_read_trace(root, caplog) -> None:
+    """iter_dataset gives read_trace's names, bit-identical and compact
+    columns, and its skips with their warnings, in the same order."""
+    expected, expected_skips = [], []
+    for name in sorted(os.listdir(root)):
+        try:
+            expected.append((name, read_trace(root / name)))
+        except UnusableTrace as error:
+            expected_skips.append((name, str(error)))
+    caplog.clear()
+    skipped = []
+    walked = list(iter_dataset(root, skipped=skipped))
+    assert [name for name, _ in walked] == [name for name, _ in expected]
+    for (_, trace), (_, reference) in zip(walked, expected):
+        assert trace.label == reference.label
+        assert float_bits(trace.times) == float_bits(reference.times)
+        assert trace.direction.tolist() == reference.direction.tolist()
+        assert_compact_columns(trace)
+    assert skipped == expected_skips
+    assert [record.getMessage() for record in caplog.records] == [
+        f"skipping {root / name}: {reason}" for name, reason in expected_skips
+    ]
+
+
+def test_iter_dataset_reads_a_mixed_directory_as_read_trace_does(tmp_path, caplog):
+    # Canonical files share runs; every other shape is read alone, and so
+    # is each canonical file of a run that it spoils.
+    rng = np.random.default_rng(11)
+    texts = [_canonical_text(rng, int(rng.integers(2, 401))) for _ in range(44)]
+    unsorted = texts[5].splitlines(keepends=True)
+    unsorted[1], unsorted[2] = unsorted[2], unsorted[1]
+    texts[5] = "".join(unsorted)
+    texts[9] = texts[9][:-1]  # no final newline
+    texts[14] = "".join(f"{float(t):.9f}\t{d}\n" for t, d in (
+        line.split("\t") for line in texts[14].splitlines()))
+    texts[20] = texts[20].replace("\n", "\r\n")
+    texts[23], texts[24] = "", "0.500000\t1\n"
+    texts[30] = _canonical_text(rng, 6000)  # longer than a run
+    data = {f"s-{i:02d}": text.encode() for i, text in enumerate(texts)}
+    data["s-27"] = b"0.000000\t1\n0.\xff00000\t-1\n"  # not UTF-8
+    data["s-3,x"] = texts[3].encode()  # a name the outputs cannot carry
+    for name, content in data.items():
+        (tmp_path / name).write_bytes(content)
+    assert len(data) > 2 * traces.CHUNK_FILES
+    assert len(texts[30]) > traces._RUN_BYTES
+    _assert_walk_reads_like_read_trace(tmp_path, caplog)
+
+
+def test_a_file_without_its_final_newline_joins_no_run(tmp_path, caplog):
+    # Joined, the two would read as three canonical lines, of which the
+    # first file would own one and the second two.
+    (tmp_path / "s-0").write_text("0.000000\t1\n0.5")
+    (tmp_path / "s-1").write_text("00000\t-1\n1.000000\t1\n")
+    (tmp_path / "s-2").write_text("0.000000\t1\n2.000000\t-1\n")
+    _assert_walk_reads_like_read_trace(tmp_path, caplog)
+    assert caplog.records[0].getMessage() == (
+        f"skipping {tmp_path / 's-0'}: line 2: expected `time<TAB>direction`, got '0.5'"
+    )
+
+
+def test_one_bad_file_in_a_chunk_is_skipped_as_read_trace_skips_it(tmp_path, caplog):
+    rng = np.random.default_rng(12)
+    for i in range(traces.CHUNK_FILES):
+        (tmp_path / f"s-{i:02d}").write_text(_canonical_text(rng, 60))
+    (tmp_path / "s-07").write_text("0.000000\t1\n0.100000\t-1\nx\t1\n0.300000\t1\n")
+    _assert_walk_reads_like_read_trace(tmp_path, caplog)
+    assert caplog.records[0].getMessage() == (
+        f"skipping {tmp_path / 's-07'}: line 3: non-numeric time field 'x'"
+    )
+
+
+def test_a_run_of_canonical_files_is_read_in_one_pass(tmp_path, caplog, monkeypatch):
+    rng = np.random.default_rng(13)
+    for i in range(traces.CHUNK_FILES + 4):
+        (tmp_path / f"s-{i:02d}").write_text(_canonical_text(rng, 60))
+    calls = _counting_canonical(monkeypatch, floor=traces._BULK_BYTES)
+    _assert_walk_reads_like_read_trace(tmp_path, caplog)
+    # read_trace reads each short file alone, through loadtxt; the walk
+    # reads each chunk's files in one pass.
+    assert calls == [True, True]
 
 
 def test_load_dataset_deterministic(tmp_path):
