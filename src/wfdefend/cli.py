@@ -198,12 +198,14 @@ def _trace_seed(params: DefenseParams, seed: int, name: str) -> int:
     return seeding.stable_seed(seed, name) if params.randomized else seed
 
 
-def _simulate_files(params: DefenseParams, seed: int, pairs: list):
-    """(defended text, overhead report) of each (path, trace) that
-    iter_dataset hands it; top-level so worker processes can run it."""
+def _simulate_files(params: DefenseParams, seed: int, out_dir: Path, pairs: list):
+    """The overhead report of each (path, trace) that iter_dataset hands
+    it, once its defended text is written to `out_dir` under its name;
+    top-level so worker processes can run it, and write what they make."""
     for path, trace in pairs:
         defended = defend(params, trace, _trace_seed(params, seed, path.name), path.name)
-        yield write_defended_trace(defended), metrics.trace_overhead(trace, defended)
+        (out_dir / path.name).write_text(write_defended_trace(defended), encoding="utf-8")
+        yield metrics.trace_overhead(trace, defended)
 
 
 def cmd_simulate(args) -> int:
@@ -215,10 +217,9 @@ def cmd_simulate(args) -> int:
     out_dir = _output_path(args.out, args.input, directory=True)
     report_path = _output_path(out_dir.parent / f"{out_dir.name}.overhead.csv", args.input)
 
-    # Each result is written to the staged directory as it arrives, so none
-    # is held in memory; that directory becomes out_dir once all are written.
-    step = functools.partial(_simulate_files, params, seed)
-    reports = {}
+    # Each defended text is written to the staged directory where it is
+    # made, so only reports are held; that directory becomes out_dir once
+    # all are written.
     with _staged(out_dir) as made, contextlib.ExitStack() as stack:
         made.mkdir()
         pool = None
@@ -227,9 +228,8 @@ def cmd_simulate(args) -> int:
 
             # Each task is one chunk of iter_dataset's files.
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-        for name, (text, report) in iter_dataset(args.input, step, pool):
-            (made / name).write_text(text, encoding="utf-8")
-            reports[name] = report
+        step = functools.partial(_simulate_files, params, seed, made)
+        reports = dict(iter_dataset(args.input, step, pool))
     _print_report(reports, report_path)
     print(f"report={report_path}")
     return EXIT_OK

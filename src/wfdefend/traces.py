@@ -27,13 +27,12 @@ counted from `f"{t:.6f}"` itself (_microseconds). The reader takes the
 lines this program writes, `<1-3 digits>.<6 digits><TAB>±1[<TAB>R|D]`, as
 m / 1e6, m the integer of the digits: m is exact below 2**53, and one
 division is correctly rounded, so it is the float `float()` reads
-(_read_canonical). Defended text is this program's own format, so that
-reader takes it at any size, and recorded text from 2 KB; all other text
-takes the general paths. Many short files share that reader's fixed cost:
-iter_dataset, and `overhead` for its defended files, join consecutive texts
-into runs of up to 64 KiB, read each run of two or more in one pass and cut
-its columns back per file (_runs). A text alone, or in a run that is not
-canonical, is read on its own as above.
+(_read_canonical). Every text is tried by that reader once, and takes the
+general paths if it is not canonical. Many short files share the reader's
+fixed cost: iter_dataset, and `overhead` for its defended files, join
+consecutive texts into runs of up to 64 KiB, read each run in one pass and
+cut its columns back per file (_runs). Each text of a run that is not
+canonical goes straight to the general paths.
 
 read_trace is the one rule for a usable trace file; iter_dataset and
 load_dataset walk a directory by it, skipping and naming the rest.
@@ -374,10 +373,6 @@ def _line_of(text: str, row: int) -> int:
 # and 14-15 `1` and a newline (a defended line's tab), or `-1`.
 _ROW_BYTES = 16
 _PAD = b"\n" * _ROW_BYTES  # read before the text, so every row starts inside it
-# Below this many bytes numpy's loadtxt reads a recorded file faster than
-# the about 30 array operations of _read_canonical (they cross at 100-250
-# lines). Defended text is read by _read_canonical at any size.
-_BULK_BYTES = 2048
 # Most characters of text that _runs reads in one pass; past about
 # this, one pass over more text costs more per file than it shares.
 _RUN_BYTES = 64 * 1024
@@ -483,15 +478,15 @@ def _read_canonical(
 def _runs(items: Iterable[tuple[T, Optional[str]]], defended: bool) -> Iterator[list[tuple]]:
     """The (key, text) items in order, in groups, each as (key, text,
     columns): the text's (times, direction, dummy) as _read_canonical reads
-    it alone, or None where the text is to be parsed alone (_parse_columns).
+    it alone, or None where it is not canonical and takes the general
+    reader (_parse_columns).
 
     Consecutive texts that end in a newline are joined into runs of at most
-    _RUN_BYTES characters (a longer text is a run alone), and each run of
-    two or more is read in one pass. A canonical line is one row, so the
-    run's columns are cut back at each text's count of newlines, into arrays
-    each text owns. A text alone, each text of a run that is not canonical,
-    and every other item (a text without its final newline, or None) get
-    None. Only one run is held.
+    _RUN_BYTES characters (a longer text is a run alone), and each run is
+    read in one pass (_cut). Each text of a run that is not canonical, and
+    every other item (a text without its final newline, which no canonical
+    text lacks, or None), gets None, so no text is tried twice. Only one
+    run is held.
     """
     run: list[tuple[T, str]] = []
     size = 0
@@ -511,11 +506,14 @@ def _runs(items: Iterable[tuple[T, Optional[str]]], defended: bool) -> Iterator[
 
 def _cut(run: list[tuple[T, str]], defended: bool) -> list[tuple]:
     """Each (key, text) of a run with its columns, from one pass over the
-    run. A text alone is left to _parse_columns, which takes the canonical
-    reader where it is the faster, and tries it only once."""
-    read = _read_canonical("".join(text for _, text in run), defended) if len(run) > 1 else None
+    run, or with None if the run is not canonical. A canonical line is one
+    row, so the columns are cut back at each text's count of newlines, into
+    arrays that each text owns; a run of one owns them already."""
+    read = _read_canonical("".join(text for _, text in run), defended)
     if read is None:
         return [(key, text, None) for key, text in run]
+    if len(run) == 1:
+        return [(*run[0], read)]
     bounds = [0, *itertools.accumulate(text.count("\n") for _, text in run)]
     return [
         (key, text, tuple(column[low:high].copy() for column in read))
@@ -524,23 +522,18 @@ def _cut(run: list[tuple[T, str]], defended: bool) -> list[tuple]:
 
 
 def _parse_columns(text: str, defended: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated (times, direction, dummy) of the non-blank lines, in file
-    order, as new C-contiguous arrays: finite times, directions of ±1, and
-    `dummy` all False unless `defended`.
+    """Validated (times, direction, dummy) of the non-blank lines of text
+    that is not canonical (_read_canonical), in file order, as new
+    C-contiguous arrays: finite times, directions of ±1, and `dummy` all
+    False unless `defended`.
 
-    Canonical text, the shape the writers give, is read by _read_canonical:
-    defended text at any size, recorded text from _BULK_BYTES. Other
-    defended text is read line by line. Other recorded text goes to numpy's
-    C reader, which splits fields as `str.split` does and reads numbers with
+    Defended text is read line by line. Recorded text goes to numpy's C
+    reader, which splits fields as `str.split` does and reads numbers with
     the routine behind `float()`, so the values are the same. Input it
     refuses (`1_0`, non-ASCII digits, wrong field counts) or whose columns
     fail a check is read again line by line, which accepts what `float()`
     accepts and names the first bad line.
     """
-    if defended or len(text) >= _BULK_BYTES:
-        columns = _read_canonical(text, defended)
-        if columns is not None:
-            return columns
     if not text or text.isspace():  # loadtxt warns on input with no data
         return np.empty(0), np.empty(0, np.int8), np.empty(0, np.bool_)
     lines = text.splitlines()
@@ -566,10 +559,12 @@ def parse_trace(text: str, label: Optional[str] = None, *, _columns=None) -> Tra
     order). Empty input yields an empty trace. Fields after the first two
     are ignored, so defended files with their dummy lines removed parse
     back directly. Non-finite times and directions are rejected.
-    `_columns` are the text's columns when a run has read them already
-    (_runs).
+    Canonical text is read by _read_canonical, other text by _parse_columns;
+    `_columns` are the text's columns when a walk has read them (_runs).
     """
-    times, direction, _ = _parse_columns(text, defended=False) if _columns is None else _columns
+    times, direction, _ = (
+        _columns or _read_canonical(text, defended=False) or _parse_columns(text, defended=False)
+    )
     last = len(times) - 1
     if (times[1:] < times[:-1]).any():
         order = np.argsort(times, kind="stable")
@@ -668,10 +663,12 @@ def parse_defended_schedule(text: str, *, _columns=None) -> tuple[np.ndarray, np
     stably sorted by send time.
 
     Source times are not stored on disk; use attach_sources() with the
-    original trace to recover per-packet delays. `_columns` are as for
-    parse_trace.
+    original trace to recover per-packet delays. Text is read, and
+    `_columns` are, as for parse_trace.
     """
-    times, direction, dummy = _parse_columns(text, defended=True) if _columns is None else _columns
+    times, direction, dummy = (
+        _columns or _read_canonical(text, defended=True) or _parse_columns(text, defended=True)
+    )
     if (times[1:] < times[:-1]).any():
         order = np.argsort(times, kind="stable")
         return times[order], direction[order], dummy[order]
@@ -684,6 +681,7 @@ def parse_defended_schedules(texts: Iterable[str]) -> Iterator[tuple[np.ndarray,
     would."""
     for run in _runs(((None, text) for text in texts), defended=True):
         for _, text, columns in run:
+            columns = columns or _parse_columns(text, defended=True)
             yield parse_defended_schedule(text, _columns=columns)
 
 
@@ -745,30 +743,31 @@ class UnusableTrace(ValueError):
 _UNSAFE_NAME = re.compile(r'[,"=\x00-\x1f\x7f-\x9f\ud800-\udfff]')
 
 
-def _read_text(path: Path) -> str:
-    """The text of file `path`, if its name and its bytes may be used
-    (read_trace); else UnusableTrace, before the file is read for a name."""
+def _read_text(path: Path) -> tuple[Optional[str], Optional[str]]:
+    """(the text of file `path`, None) if its name and its bytes may be
+    used (read_trace), else (None, why), before the file is read for a name."""
     unsafe = _UNSAFE_NAME.search(path.name)
     if unsafe:
-        raise UnusableTrace(
-            f"file name holds {unsafe.group()!r}, which the CSV and key=value outputs cannot carry"
-        )
+        return None, (f"file name holds {unsafe.group()!r}, "
+                      "which the CSV and key=value outputs cannot carry")
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8"), None
     except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
-        raise UnusableTrace(str(exc)) from None
+        return None, str(exc)
 
 
-def _usable_trace(path: Path, text: str, columns: Optional[tuple] = None) -> Trace:
-    """The trace of `text`, read from `path`, if it parses and spans a
-    positive duration (read_trace); else UnusableTrace."""
+def _usable_trace(path: Path, text: str, columns) -> tuple[Optional[Trace], Optional[str]]:
+    """(the trace of `text`, read from `path`, None) if it parses and spans
+    a positive duration (read_trace), else (None, why). `columns` are as
+    _runs gives them."""
     try:
+        columns = columns or _parse_columns(text, defended=False)
         trace = parse_trace(text, label=label_from_filename(path.name), _columns=columns)
     except ValueError as exc:  # covers ParseError
-        raise UnusableTrace(str(exc)) from None
+        return None, str(exc)
     if not trace.duration > 0:
-        raise UnusableTrace(f"zero duration, {len(trace)} packet(s)")
-    return trace
+        return None, f"zero duration, {len(trace)} packet(s)"
+    return trace, None
 
 
 def read_trace(path: Path) -> Trace:
@@ -780,17 +779,13 @@ def read_trace(path: Path) -> Trace:
     file reads as UTF-8;
     it parses; and its duration is positive, so it has at least 2 packets.
     That is all that features, overhead and statistics need. Anything else
-    raises UnusableTrace with the reason.
+    raises UnusableTrace with the reason. The file is read as a chunk of
+    its own (_read_chunk), the one code path of that rule.
     """
-    return _usable_trace(path, _read_text(path))
-
-
-def _attempt(read: Callable[..., T], *args) -> tuple[Optional[T], Optional[str]]:
-    """(read(*args), None), or (None, why) when the file is unusable."""
-    try:
-        return read(*args), None
-    except UnusableTrace as exc:
-        return None, str(exc)
+    ((trace, why),) = _read_chunk(None, [path])
+    if why is not None:
+        raise UnusableTrace(why)
+    return trace
 
 
 # iter_dataset reads a directory this many files at a time; a process
@@ -807,12 +802,12 @@ def _read_chunk(
     pairs, so an error that it raises comes at its file."""
     def texts():
         for path in paths:
-            text, why = _attempt(_read_text, path)
+            text, why = _read_text(path)
             yield (path, why), text
 
     for run in _runs(texts(), defended=False):
         outcomes = [
-            (path, *(_attempt(_usable_trace, path, text, columns) if why is None else (None, why)))
+            (path, *(_usable_trace(path, text, columns) if why is None else (None, why)))
             for (path, why), text, columns in run
         ]
         usable = [(path, trace) for path, trace, why in outcomes if why is None]
@@ -846,8 +841,10 @@ def iter_dataset(
     if given, is called with each run's usable (path, trace) pairs and
     yields one result for each, which takes the trace's place; an error
     that it raises reaches the caller after every file before it. With a
-    process `pool`, each chunk is read, and stepped, in a worker; without
-    one, one file's result at a time is held. Each skip logs one
+    process `pool`, each chunk is read, and stepped, in a worker, and only
+    the step's results come back, so a step that writes what it makes
+    sends back only what the caller needs; without a pool, one file's
+    result at a time is held. Each skip logs one
     `skipping <path>: <reason>` warning and is appended, as (filename,
     reason), to `skipped` if given. A directory with no usable file is a
     ValueError, raised once the walk is over.

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import wfdefend
-from wfdefend import cli, regulator, stats, synth
+from wfdefend import cli, metrics, regulator, stats, synth, traces
 from wfdefend.cli import main
 from wfdefend.traces import read_trace, write_trace
 
@@ -185,6 +185,78 @@ class TestSimulate:
             outputs[name] = tree_bytes(tmp_path / name)
         assert started == workers
         assert outputs["pooled"] == outputs["serial"]
+
+    def test_only_reports_cross_the_pool(self, capsys, tmp_path, monkeypatch):
+        # The workers write the defended files where they make them; what a
+        # task sends back to the parent is one report per usable file.
+        crossed = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                assert fn.func is traces._read_whole_chunk
+                for outcomes, error in map(fn, *iterables):
+                    crossed.extend(result for result, why in outcomes if why is None)
+                    yield outcomes, error
+
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=3, instances=8)
+        (data / "0-9").write_text("")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        for name, jobs in (("serial", "1"), ("pooled", "2")):
+            code, _, err = run(
+                capsys, "simulate", str(data), "--out", str(tmp_path / name),
+                "--defense", "tamaraw", "--jobs", jobs,
+            )
+            assert code == 0, err
+        assert len(crossed) == 24
+        assert all(isinstance(result, metrics.OverheadReport) for result in crossed)
+        assert tree_bytes(tmp_path / "pooled") == tree_bytes(tmp_path / "serial")
+
+    def test_a_real_pool_writes_what_one_process_writes(self, capsys, tmp_path, monkeypatch):
+        # 40 files over three chunks: canonical ones, a CRLF one, one whose
+        # 9-decimal times spoil its run, and an empty one and a name the
+        # outputs cannot carry, which are skipped.
+        data = tmp_path / "data"
+        write_synth_dataset(capsys, data, classes=2, instances=19)
+        lines = (data / "0-3").read_text().splitlines()
+        (data / "0-3").write_text(
+            "".join(f"{float(t):.9f}\t{d}\n" for t, d in (line.split("\t") for line in lines))
+        )
+        (data / "1-7").write_bytes((data / "1-7").read_bytes().replace(b"\n", b"\r\n"))
+        (data / "0-99").write_text("")
+        (data / "1,x-0").write_bytes((data / "1-0").read_bytes())
+        assert len(os.listdir(data)) == 40 > 2 * traces.CHUNK_FILES
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        outputs = {}
+        for jobs in ("1", "2"):
+            # Relative --out paths, so that the `report=` lines compare too.
+            work = tmp_path / f"jobs{jobs}"
+            work.mkdir()
+            monkeypatch.chdir(work)
+            code, stdout, err = run(
+                capsys, "simulate", str(data), "--out", "defended",
+                "--defense", "regulator-light", "--seed", "3", "--jobs", jobs,
+            )
+            assert code == 0, err
+            outputs[jobs] = (
+                tree_bytes(work / "defended"), (work / "defended.overhead.csv").read_bytes(),
+                stdout, err,
+            )
+        assert outputs["2"] == outputs["1"]
+        files, _, stdout, err = outputs["1"]
+        assert len(files) == 38
+        assert stdout.endswith("report=defended.overhead.csv\n")
+        assert err.count("skipping ") == 2
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_defense_error_in_a_chunk_comes_after_the_files_before_it(

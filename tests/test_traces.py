@@ -163,9 +163,7 @@ def _assert_parses_like_reference(text, defended):
 )
 def test_parsers_match_line_by_line_reading(lines, newline, final_newline, defended):
     text = newline.join(lines) + (newline if final_newline else "")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(traces, "_BULK_BYTES", 0)  # short text tries the canonical reader too
-        _assert_parses_like_reference(text, defended)
+    _assert_parses_like_reference(text, defended)
 
 
 def _counting_fallback(monkeypatch):
@@ -197,9 +195,8 @@ def test_fallback_reads_what_numpy_refuses_or_misreads(monkeypatch, text, defend
     assert calls == [defended]
 
 
-def _counting_canonical(monkeypatch, floor=0):
-    """Whether each call of _read_canonical read its text, with `floor` for
-    _BULK_BYTES."""
+def _counting_canonical(monkeypatch):
+    """Whether each call of _read_canonical read its text."""
     taken = []
     original = traces._read_canonical
 
@@ -208,7 +205,6 @@ def _counting_canonical(monkeypatch, floor=0):
         taken.append(columns is not None)
         return columns
 
-    monkeypatch.setattr(traces, "_BULK_BYTES", floor)
     monkeypatch.setattr(traces, "_read_canonical", counting)
     return taken
 
@@ -283,8 +279,8 @@ _PAPER_TEXT = write_trace(generate(separable_profiles(1, base_total=2000)[0], 1,
 
 
 @pytest.mark.parametrize("text", [
-    "0.0\t1\n0.5\t-1\n0.75\t-1\n",  # short: numpy's loadtxt
-    _PAPER_TEXT,  # from 2 KB: the canonical reader
+    "0.0\t1\n0.5\t-1\n0.75\t-1\n",  # not canonical: numpy's loadtxt
+    _PAPER_TEXT,  # the canonical reader
     "3.0\t-1\n1.0\t1\n2.0\t-1\n",  # unsorted
     "0\t1\n1_0\t-1\n",  # line by line
     "",
@@ -462,27 +458,27 @@ def test_writer_matches_python_formatting_at_paper_scale():
     )
 
 
-def test_bulk_text_takes_the_canonical_reader_and_short_text_does_not(monkeypatch):
+def test_canonical_text_of_any_size_takes_the_canonical_reader(monkeypatch):
     (profile,) = separable_profiles(1, base_total=2000)
     (trace,) = generate(profile, instances=1, seed=3).traces
     defended = PRESETS["regulator-heavy"].apply(trace, 7)
     for text, kinds in ((write_trace(trace), False), (write_defended_trace(defended), True)):
-        assert len(text) >= traces._BULK_BYTES
+        assert len(text) >= 2048
         columns = traces._read_canonical(text, kinds)
         assert columns is not None
     times, direction, dummy = columns
     assert times.tolist() == [float(f"{t:.6f}") for t in defended.send_time.tolist()]
     assert direction.tolist() == defended.direction.tolist()
     assert dummy.tolist() == defended.dummy.tolist()
-    # Defended text takes the canonical reader at any size. Recorded text
-    # below the floor does not: loadtxt reads it faster.
-    calls = _counting_canonical(monkeypatch, floor=traces._BULK_BYTES)
+    # Which reader reads a text is decided by the text alone: a short
+    # canonical text takes the canonical reader as a long one does.
+    calls = _counting_canonical(monkeypatch)
     for text, parse in ((write_defended_trace(defended), parse_defended_schedule),
                         (write_trace(trace), parse_trace)):
-        short = text[:traces._BULK_BYTES - 1].rsplit("\n", 1)[0] + "\n"
+        short = text[:2047].rsplit("\n", 1)[0] + "\n"
         parse(short)
         parse(text)
-    assert calls == [True, True, True]
+    assert calls == [True, True, True, True]
 
 
 def test_parse_defended_schedule_and_attach_sources():
@@ -731,11 +727,27 @@ def test_a_run_of_canonical_files_is_read_in_one_pass(tmp_path, caplog, monkeypa
     rng = np.random.default_rng(13)
     for i in range(traces.CHUNK_FILES + 4):
         (tmp_path / f"s-{i:02d}").write_text(_canonical_text(rng, 60))
-    calls = _counting_canonical(monkeypatch, floor=traces._BULK_BYTES)
+    calls = _counting_canonical(monkeypatch)
     _assert_walk_reads_like_read_trace(tmp_path, caplog)
-    # read_trace reads each short file alone, through loadtxt; the walk
-    # reads each chunk's files in one pass.
-    assert calls == [True, True]
+    # read_trace reads each file as a run of its own; the walk reads each
+    # chunk's files in one pass.
+    assert calls == [True] * (traces.CHUNK_FILES + 4) + [True, True]
+
+
+def test_a_walk_tries_each_text_in_the_canonical_reader_once(tmp_path, caplog, monkeypatch):
+    # Files of 9-decimal times are not canonical: each run of them fails
+    # the canonical reader once, and its files go straight to the general
+    # reader, however long they are.
+    rng = np.random.default_rng(14)
+    for i in range(traces.CHUNK_FILES + 4):
+        text = "".join(f"{float(t):.9f}\t{d}\n" for t, d in (
+            line.split("\t") for line in _canonical_text(rng, 150).splitlines()))
+        assert len(text) >= 2048
+        (tmp_path / f"s-{i:02d}").write_text(text)
+    calls = _counting_canonical(monkeypatch)
+    assert len(list(iter_dataset(tmp_path))) == traces.CHUNK_FILES + 4
+    assert calls == [False, False]
+    _assert_walk_reads_like_read_trace(tmp_path, caplog)
 
 
 def test_load_dataset_deterministic(tmp_path):
