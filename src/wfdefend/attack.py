@@ -20,6 +20,7 @@ from .traces import Dataset, DefendedTrace, Trace
 CUMULATIVE_SAMPLES = 100
 SUMMARY_FEATURES = 4
 FEATURE_LENGTH = CUMULATIVE_SAMPLES + SUMMARY_FEATURES
+_SAMPLE_INDEX = np.arange(CUMULATIVE_SAMPLES, dtype=float)
 
 Observable = Union[Trace, DefendedTrace]
 
@@ -38,18 +39,30 @@ def extract_features(observed: Observable) -> np.ndarray:
     (+1 upload, -1 download) linearly interpolated over packet index,
     then total packets, upload count, download count, and duration.
     Values are unnormalized; the evaluator min-max normalizes per fold.
+
+    The samples are the bits of `np.interp(np.linspace(0, n - 1, 100),
+    np.arange(n), cumulative)`, without either call: the points are
+    linspace's own, i * ((n - 1) / 99) with the last set to n - 1, and
+    from packet j to j + 1 the count moves by direction[j + 1], -1 or +1,
+    so that slope times (x - j) is exact and adding cumulative[j] rounds
+    once, as interp's sum does.
     """
     times = observed.send_time if isinstance(observed, DefendedTrace) else observed.times
     n = len(times)
     if n < 2:
         raise ValueError(f"need at least 2 packets to extract features, got {n}")
-    cumulative = np.cumsum(observed.direction, dtype=np.int64)
-    samples = np.interp(
-        np.linspace(0.0, n - 1, CUMULATIVE_SAMPLES), np.arange(n), cumulative
-    )
-    uploads = int(np.count_nonzero(observed.direction > 0))
-    summary = [float(n), float(uploads), float(n - uploads), times[-1] - times[0]]
-    return np.concatenate([samples, summary])
+    cumulative = np.add.accumulate(observed.direction, dtype=np.int64)
+    x = _SAMPLE_INDEX * ((n - 1) / (CUMULATIVE_SAMPLES - 1))
+    x[-1] = n - 1
+    j = x.astype(np.intp)
+    j[-1] = n - 2  # the last point interpolates packets n - 2 and n - 1 at 1
+    features = np.empty(FEATURE_LENGTH)
+    samples = features[:CUMULATIVE_SAMPLES]
+    np.multiply(observed.direction[1:][j], x - j, out=samples)
+    samples += cumulative[j]
+    uploads = (n + int(cumulative[-1])) // 2
+    features[CUMULATIVE_SAMPLES:] = n, uploads, n - uploads, times[-1] - times[0]
+    return features
 
 
 def feature_matrix(observed: Iterable[Observable]) -> np.ndarray:
@@ -76,9 +89,14 @@ def _fold_assignment(labels: Sequence[str], folds: int, seed: int) -> np.ndarray
 
 
 # Each block of test rows gets a key matrix of at most this many bytes (one
-# row at least), so a fold of any size is searched in bounded memory: the
-# keys and their partitioned copy stay under 32 MB.
+# row at least), and each array of its (row, candidate) pairs is no larger,
+# so a fold of any size is searched in bounded memory.
 KEY_BLOCK_BYTES = 16 * 2**20
+# A block's pairs get their distances this many at a time, so a slice's
+# temporaries (832 bytes a pair) stay near 200 KB. A slice as large as a
+# block's keys would raise the peak memory of a Tamaraw `eval`, whose few
+# distinct rows each tie with hundreds of training rows.
+PAIR_SLICE = 256
 # The filter's slack per unit of ||q||^2 + max ||t||^2; see `_neighbours`.
 SLACK = 4 * (FEATURE_LENGTH + 4) * np.finfo(float).eps
 
@@ -105,9 +123,12 @@ def _neighbours(train_x: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     gives the keys of a block of rows.
 
     Filter. A training row is a candidate when its key is at most the
-    k-th smallest key of the row plus 2 s_q. Refine. Only candidates get
-    a distance, with the arithmetic above, and a stable sort; they are in
-    ascending index order, so ties keep going to the lower index.
+    k-th smallest key of the row plus 2 s_q. Refine. Each (row, candidate)
+    pair of a block gets a distance, with the arithmetic above: the same
+    row-wise sum over the same 104 contiguous values, so the same bits,
+    computed in slices of pairs. One lexsort per block then orders each
+    row's candidates by distance and then by index, so ties keep going to
+    the lower index.
 
     Why no neighbour is lost. Let n = 104 features, u = eps/2, gamma_j =
     j u / (1 - j u), Q = ||q||^2, M = max ||t||^2. A float dot product
@@ -133,11 +154,14 @@ def _neighbours(train_x: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
 
     The bounds assume no overflow. Every key and every distance is at most
     about 2(Q + M), so a block with a row whose 4(Q + M) is not finite
-    (rows near 1e150 square to inf) gets a full scan instead, and so does
-    every row when k >= m.
+    (rows near 1e150 square to inf) takes every training row as a
+    candidate of each of its rows, and so does every block when k >= m.
+
+    Memory. A block has at most KEY_BLOCK_BYTES / 8 keys (one row's at
+    least), so at most as many pairs, and each array of pairs is at most
+    KEY_BLOCK_BYTES; a slice of PAIR_SLICE pairs adds a few temporaries.
     """
     m = len(train_x)
-    every = np.arange(m)
     nearest = np.empty((len(rows), min(k, m)), dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
         train_sq = np.einsum("ij,ij->i", train_x, train_x)
@@ -147,15 +171,24 @@ def _neighbours(train_x: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     step = max(1, KEY_BLOCK_BYTES // (8 * m))
     for start in range(0, len(rows), step):
         block, block_sq = rows[start : start + step], row_sq[start : start + step]
-        filtered = k < m and safe[start : start + step].all()
-        if filtered:
+        if k < m and safe[start : start + step].all():
             keys = _keys(train_x, train_sq, block)
             slack = SLACK * (block_sq + max_sq) + np.finfo(float).tiny
             limit = np.partition(keys, k - 1, axis=1)[:, k - 1] + 2 * slack
-        for i, row in enumerate(block):
-            candidates = (keys[i] <= limit[i]).nonzero()[0] if filtered else every
-            d2 = ((train_x[candidates] - row) ** 2).sum(axis=1)
-            nearest[start + i] = candidates[d2.argsort(kind="stable")[:k]]
+            at, candidates = (keys <= limit[:, None]).nonzero()
+            del keys  # the refine needs only the pairs
+        else:
+            at, candidates = np.ones((len(block), m), dtype=bool).nonzero()
+        d2 = np.empty(len(at))
+        for s in range(0, len(at), PAIR_SLICE):
+            pair = slice(s, s + PAIR_SLICE)
+            d2[pair] = ((train_x[candidates[pair]] - block[at[pair]]) ** 2).sum(axis=1)
+        order = np.lexsort((candidates, d2, at))
+        # `at` ascends, so each row's pairs start where its index would go.
+        first = np.searchsorted(at, np.arange(len(block)))
+        nearest[start : start + step] = candidates[
+            order[first[:, None] + np.arange(nearest.shape[1])]
+        ]
     return nearest
 
 
@@ -210,11 +243,11 @@ def evaluate_closed_world(
 ) -> EvalResult:
     """Stratified k-fold closed-world evaluation, deterministic given the seed.
 
-    `features` holds one row per trace of `dataset`, for instance the
-    `feature_matrix` of its defended traces, so the classifier sees only
-    the defended schedules; by default it is that of the traces themselves.
-    Features are min-max normalized on each training fold. The dataset is
-    checked first, by `check_folds`.
+    `features`, a float array, holds one row per trace of `dataset`, for
+    instance the `feature_matrix` of its defended traces, so the classifier
+    sees only the defended schedules; by default it is that of the traces
+    themselves. Features are min-max normalized on each training fold. The
+    dataset is checked first, by `check_folds`.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -238,9 +271,11 @@ def evaluate_closed_world(
         mins = train_x.min(axis=0)
         span = train_x.max(axis=0) - mins
         span[span == 0] = 1.0
-        hit = test_y == _knn_predict(
-            (train_x - mins) / span, train_y, (test_x - mins) / span, k
-        )
+        # Boolean indexing made copies, so they are normalized in place.
+        for x in (train_x, test_x):
+            x -= mins
+            x /= span
+        hit = test_y == _knn_predict(train_x, train_y, test_x, k)
         fold_accuracies.append(np.count_nonzero(hit) / len(test_y))
         class_correct += np.bincount(test_y[hit], minlength=len(classes))
 

@@ -841,10 +841,11 @@ def iter_dataset(
     if given, is called with each run's usable (path, trace) pairs and
     yields one result for each, which takes the trace's place; an error
     that it raises reaches the caller after every file before it. With a
-    process `pool`, each chunk is read, and stepped, in a worker, and only
-    the step's results come back, so a step that writes what it makes
-    sends back only what the caller needs; without a pool, one file's
-    result at a time is held. Each skip logs one
+    process `pool` (a concurrent.futures executor), each chunk is read, and
+    stepped, in a worker, and only the step's results come back, so a step
+    that writes what it makes sends back only what the caller needs; an
+    error cancels the chunks no worker has started. Without a pool, one
+    file's result at a time is held. Each skip logs one
     `skipping <path>: <reason>` warning and is appended, as (filename,
     reason), to `skipped` if given. A directory with no usable file is a
     ValueError, raised once the walk is over.
@@ -871,6 +872,10 @@ def iter_dataset(
             used += 1
             yield path.name, result
         if error is not None:
+            # A pool's map has every chunk submitted; closing its iterator
+            # cancels those no worker has started, so the error does not
+            # wait for them.
+            read.close()
             raise error
     if not used:
         raise ValueError(f"no usable trace files in {root}")

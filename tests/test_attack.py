@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from wfdefend import (
     Dataset,
+    DefendedTrace,
     Direction,
     Trace,
     evaluate_closed_world,
@@ -85,6 +87,45 @@ class TestFeatures:
     def test_too_short_errors(self):
         with pytest.raises(ValueError):
             extract_features(Trace([0.0], [Direction.UPLOAD]))
+
+
+# The features as they were first computed, by linspace and interp: the
+# reference for `extract_features`, bit for bit.
+def interp_features(observed):
+    times = observed.send_time if isinstance(observed, DefendedTrace) else observed.times
+    n = len(times)
+    cumulative = np.cumsum(observed.direction, dtype=np.int64)
+    samples = np.interp(
+        np.linspace(0.0, n - 1, CUMULATIVE_SAMPLES), np.arange(n), cumulative
+    )
+    uploads = int(np.count_nonzero(observed.direction > 0))
+    summary = [float(n), float(uploads), float(n - uploads), times[-1] - times[0]]
+    return np.concatenate([samples, summary])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(2, 100_000),
+        # n - 1 a multiple of 99, 33, 11, 9 or 3 puts sample points on packets.
+        st.builds(
+            lambda divisor, q: divisor * q + 1,
+            st.sampled_from([99, 33, 11, 9, 3]), st.integers(1, 1000),
+        ),
+    ),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_features_match_linspace_and_interp(n, seed, defended):
+    rng = np.random.default_rng(seed)
+    direction = np.where(rng.random(n) < rng.random(), 1, -1)
+    times = np.cumsum(rng.exponential(0.01, n))
+    if defended:
+        observed = DefendedTrace(times, direction, np.where(rng.random(n) < 0.5, np.nan, times))
+    else:
+        observed = Trace(times, direction)
+    features = extract_features(observed)
+    assert features.view(np.int64).tolist() == interp_features(observed).view(np.int64).tolist()
 
 
 class TestEvaluate:
@@ -298,6 +339,50 @@ def test_knn_key_matrices_stay_under_the_block_size(monkeypatch):
     monkeypatch.setattr(attack, "_keys", recording)
     assert_matches_full_scan(train_x, test_x, 5)
     assert sizes == [8 * 50 * 5] * 4 + [8 * 50 * 3]
+
+
+@pytest.mark.parametrize("mode, k, filtered", [
+    ("uniform", 5, 2), ("near-ties", 3, 2), ("overflow", 4, 0), ("grid", 40, 0),
+    ("duplicates", 55, 0),
+])
+def test_knn_refines_a_block_in_slices_of_pairs(monkeypatch, mode, k, filtered):
+    # 18 rows a block and 7 pairs a distance slice, so each block's pairs
+    # span several slices: a few candidates a row after the filter, all 40
+    # training rows in an overflowing block or when k >= m.
+    rng = np.random.default_rng(14)
+    train_x, test_x = _knn_case(rng, mode, n_train=40, n_test=30)
+    monkeypatch.setattr(attack, "KEY_BLOCK_BYTES", 8 * 40 * 18 + 7)
+    monkeypatch.setattr(attack, "PAIR_SLICE", 7)
+    blocks = []
+    keys = attack._keys
+    monkeypatch.setattr(attack, "_keys", lambda *a: blocks.append(a) or keys(*a))
+    with np.errstate(over="ignore"):
+        assert_matches_full_scan(train_x, test_x, k)
+    assert len(blocks) == filtered
+
+
+@pytest.mark.parametrize("k, overflow", [(301, False), (5, True)])
+def test_knn_fallback_block_peaks_within_eight_block_sizes(monkeypatch, k, overflow):
+    # Every training row is a candidate of a fallback block's rows. Its pair
+    # rows, candidates, distances and sort order are each at most
+    # KEY_BLOCK_BYTES, and so are the temporaries of a distance slice here.
+    block_bytes = 2**18
+    monkeypatch.setattr(attack, "KEY_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(15)
+    train_x, test_x = rng.random((300, FEATURE_LENGTH)), rng.random((300, FEATURE_LENGTH))
+    if overflow:
+        test_x[:: block_bytes // (8 * 300)] *= 1e160  # one row in each block
+    with np.errstate(over="ignore"):
+        _neighbours(train_x, test_x[:1], k)
+        tracemalloc.start()
+        try:
+            nearest = _neighbours(train_x, test_x, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        expected = [full_scan_neighbours(train_x, row, k).tolist() for row in test_x]
+    assert peak - nearest.nbytes <= 8 * block_bytes
+    assert nearest.tolist() == expected
 
 
 def test_knn_ties_go_to_the_lower_training_index():

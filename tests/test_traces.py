@@ -26,6 +26,7 @@ from wfdefend import (
 from wfdefend.presets import PRESETS
 from wfdefend.synth import generate, separable_profiles
 from wfdefend.traces import (
+    CHUNK_FILES,
     UnusableTrace,
     check_positive,
     first_slot_at_or_after,
@@ -637,6 +638,37 @@ def test_iter_dataset_with_nothing_usable_errors_after_the_walk(tmp_path, caplog
     with pytest.raises(ValueError, match="no usable trace files in"):
         list(iter_dataset(tmp_path, skipped=skipped))
     assert skipped == [("0-0", "zero duration, 1 packet(s)")]
+
+
+def test_a_step_error_closes_the_pool_map_before_it_is_raised(tmp_path):
+    # Executor.map submits every chunk at once, and only closing its
+    # iterator cancels the chunks no worker has started; a traceback that
+    # keeps the walk's frame alive would otherwise keep them queued.
+    for i in range(2 * CHUNK_FILES + 1):
+        (tmp_path / f"0-{i:02d}").write_text("0.0\t1\n0.5\t-1\n")
+    mapped, closed = [], []
+
+    class Pool:
+        def map(self, fn, chunks):
+            try:
+                for chunk in chunks:
+                    mapped.append(len(chunk))
+                    yield fn(chunk)
+            finally:
+                closed.append(True)
+
+    def step(pairs):
+        raise ValueError("no defense for these")
+
+    try:
+        for _ in iter_dataset(tmp_path, step, Pool()):
+            pass
+    except ValueError as error:
+        assert str(error) == "no defense for these"
+        assert closed == [True]
+        assert mapped == [CHUNK_FILES]
+    else:
+        pytest.fail("the step's error was not raised")
 
 
 def test_iter_dataset_walks_files_in_code_point_order_of_their_names(tmp_path):
