@@ -39,7 +39,7 @@ from .traces import (
     attach_sources,
     iter_dataset,
     load_dataset,
-    parse_defended_schedules,
+    read_defended_schedules,
     write_defended_trace,
     write_trace,
 )
@@ -244,42 +244,21 @@ def _print_report(reports: dict, path: Optional[Path]) -> None:
         print(line)
 
 
-def _defended_text(defended_dir: Path, name: str) -> str:
-    path = defended_dir / name
-    if not path.is_file():
-        raise ValueError(f"no defended trace for {name} in {defended_dir}")
-    try:
-        return path.read_text(encoding="utf-8")
-    except ValueError as exc:  # UnicodeDecodeError
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _overhead_reports(defended_dir: Path, pairs: list):
     """The OverheadReport of each (path, original) that iter_dataset hands
-    it, against its defended file. The defended texts are read up to the
-    first that cannot be, then parsed in runs; each error names its
-    defended file and comes after the reports of the files before it."""
-    texts, failure = [], None
-    for path, _ in pairs:
+    it, against its defended file (read_defended_schedules); each error
+    names its defended file and comes after the reports before it."""
+    schedules = read_defended_schedules([defended_dir / path.name for path, _ in pairs])
+    for (path, original), schedule in zip(pairs, schedules):
         try:
-            texts.append(_defended_text(defended_dir, path.name))
-        except (OSError, ValueError) as exc:
-            failure = exc
-            break
-    schedules = parse_defended_schedules(texts)
-    for (path, original), _ in zip(pairs, texts):
-        try:
-            schedule = next(schedules)
             yield metrics.trace_overhead(original, attach_sources(original, schedule))
-        except ValueError as exc:  # covers ParseError
+        except ValueError as exc:
             raise ValueError(f"{defended_dir / path.name}: {exc}") from None
-    if failure is not None:
-        raise failure
 
 
 def cmd_overhead(args) -> int:
     out = _output_path(args.out, args.original, args.defended) if args.out else None
-    # Only names and reports are kept; originals are read a run at a time.
+    # Only names and reports are kept; originals are read a chunk at a time.
     step = functools.partial(_overhead_reports, Path(args.defended))
     _print_report(dict(iter_dataset(args.original, step)), out)
     return EXIT_OK

@@ -96,21 +96,25 @@ def separable_profiles(
 ) -> list[SynthProfile]:
     """Volume-separable class family used for evaluator sanity checks.
 
-    Classes get disjoint total volumes (base_total + step*i) and slightly
-    staggered second surges. The steps are kept small so that count-based
-    regularization collapses the classes while an undefended classifier
-    still separates them cleanly.
+    Classes get disjoint total volumes (base_total + step*i, each at least
+    2 packets, else a ValueError) and slightly staggered second surges. The
+    steps are kept small so that count-based regularization collapses the
+    classes while an undefended classifier still separates them cleanly.
     """
     if num_classes < 1:
         raise ValueError("num_classes must be >= 1")
+    if step == 0 and num_classes > 1:
+        raise ValueError("step must be nonzero, or the classes are identical")
     profiles = []
     for i in range(num_classes):
         total = base_total + step * i
-        first = max(1, (total * 3) // 5)
+        if total < 2:
+            raise ValueError(f"class {i} would have {total} packet(s), fewer than 2")
+        first = (total * 3) // 5
         profiles.append(
             SynthProfile(
                 class_id=str(i),
-                surge_sizes=(first, max(1, total - first)),
+                surge_sizes=(first, total - first),
                 surge_times=(0.0, 1.0 + 0.04 * i),
                 upload_fraction=upload_fraction,
                 jitter=jitter,

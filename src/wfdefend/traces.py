@@ -29,9 +29,9 @@ m / 1e6, m the integer of the digits: m is exact below 2**53, and one
 division is correctly rounded, so it is the float `float()` reads
 (_read_canonical). Every text is tried by that reader once, and takes the
 general paths if it is not canonical. Many short files share the reader's
-fixed cost: iter_dataset, and `overhead` for its defended files, join
-consecutive texts into runs of up to 64 KiB, read each run in one pass and
-cut its columns back per file (_runs). Each text of a run that is not
+fixed cost: iter_dataset and read_defended_schedules join consecutive
+texts into runs of up to 64 KiB, read each run in one pass and cut its
+columns back per file (_runs). Each text of a run that is not
 canonical goes straight to the general paths.
 
 read_trace is the one rule for a usable trace file; iter_dataset and
@@ -475,11 +475,10 @@ def _read_canonical(
     return times, 1 - 2 * negative.view(np.int8), dummy
 
 
-def _runs(items: Iterable[tuple[T, Optional[str]]], defended: bool) -> Iterator[list[tuple]]:
-    """The (key, text) items in order, in groups, each as (key, text,
-    columns): the text's (times, direction, dummy) as _read_canonical reads
-    it alone, or None where it is not canonical and takes the general
-    reader (_parse_columns).
+def _runs(items: Iterable[tuple[T, Optional[str]]], defended: bool) -> Iterator[tuple]:
+    """Each (key, text) item in order as (key, text, columns): the text's
+    (times, direction, dummy) as _read_canonical reads it alone, or None
+    where it is not canonical and takes the general reader (_parse_columns).
 
     Consecutive texts that end in a newline are joined into runs of at most
     _RUN_BYTES characters (a longer text is a run alone), and each run is
@@ -493,15 +492,15 @@ def _runs(items: Iterable[tuple[T, Optional[str]]], defended: bool) -> Iterator[
     for key, text in items:
         joins = text is not None and text.endswith("\n")
         if run and not (joins and size + len(text) <= _RUN_BYTES):
-            yield _cut(run, defended)
+            yield from _cut(run, defended)
             run, size = [], 0
         if joins:
             run.append((key, text))
             size += len(text)
         else:
-            yield [(key, text, None)]
+            yield key, text, None
     if run:
-        yield _cut(run, defended)
+        yield from _cut(run, defended)
 
 
 def _cut(run: list[tuple[T, str]], defended: bool) -> list[tuple]:
@@ -675,14 +674,30 @@ def parse_defended_schedule(text: str, *, _columns=None) -> tuple[np.ndarray, np
     return times, direction, dummy
 
 
-def parse_defended_schedules(texts: Iterable[str]) -> Iterator[tuple[np.ndarray, ...]]:
-    """parse_defended_schedule of each text in turn, with runs of texts read
-    in one pass each (_runs); a ParseError comes where its text's schedule
-    would."""
-    for run in _runs(((None, text) for text in texts), defended=True):
-        for _, text, columns in run:
+def read_defended_schedules(paths: Iterable[Path]) -> Iterator[tuple[np.ndarray, ...]]:
+    """parse_defended_schedule of each defended file of `paths` in turn, read
+    in runs (_runs) up to the first file that cannot be read. Each error
+    names its file and comes where its schedule would."""
+    def texts():
+        for path in paths:
+            try:
+                if not path.is_file():
+                    raise ValueError(f"no defended trace for {path.name} in {path.parent}")
+                text = path.read_text(encoding="utf-8")
+            except (OSError, ValueError) as exc:  # the last item: its key is the error
+                decode = isinstance(exc, UnicodeDecodeError)
+                yield (ValueError(f"{path}: {exc}") if decode else exc), None
+                return
+            yield path, text
+
+    for key, text, columns in _runs(texts(), defended=True):
+        if text is None:
+            raise key
+        try:
             columns = columns or _parse_columns(text, defended=True)
             yield parse_defended_schedule(text, _columns=columns)
+        except ValueError as exc:  # covers ParseError
+            raise ValueError(f"{key}: {exc}") from None
 
 
 def attach_sources(
@@ -776,13 +791,15 @@ def read_trace(path: Path) -> Trace:
     This is the one rule for a usable trace: the file's name is UTF-8 and
     holds none of `,`, `"`, `=` or a control character, since every
     command writes it or its label into a CSV or `key=value` output; the
-    file reads as UTF-8;
-    it parses; and its duration is positive, so it has at least 2 packets.
-    That is all that features, overhead and statistics need. Anything else
-    raises UnusableTrace with the reason. The file is read as a chunk of
-    its own (_read_chunk), the one code path of that rule.
+    file reads as UTF-8; it parses; and its duration is positive, so it has
+    at least 2 packets. That is all that features, overhead and statistics
+    need. Anything else raises UnusableTrace with the reason. The file is
+    read as a chunk of its own (_read_chunk), the one code path of that rule.
     """
-    ((trace, why),) = _read_chunk(None, [path])
+    outcomes, error = _read_chunk(None, [path])
+    if error is not None:
+        raise error
+    ((trace, why),) = outcomes
     if why is not None:
         raise UnusableTrace(why)
     return trace
@@ -795,35 +812,24 @@ CHUNK_FILES = 16
 
 def _read_chunk(
     step: Optional[Callable[[list], Iterable[T]]], paths: list[Path]
-) -> Iterator[tuple[Optional[T], Optional[str]]]:
-    """(the trace, or what `step` made of it, None), or (None, why the file
-    is unusable), for each of `paths` in order: read_trace's rule, with the
-    texts read in runs (_runs). `step` takes each run's usable (path, trace)
-    pairs, so an error that it raises comes at its file."""
-    def texts():
-        for path in paths:
-            text, why = _read_text(path)
-            yield (path, why), text
-
-    for run in _runs(texts(), defended=False):
-        outcomes = [
-            (path, *(_usable_trace(path, text, columns) if why is None else (None, why)))
-            for (path, why), text, columns in run
-        ]
-        usable = [(path, trace) for path, trace, why in outcomes if why is None]
-        results = iter(step(usable)) if step else (trace for _, trace in usable)
-        for _, _, why in outcomes:
-            yield (next(results), None) if why is None else (None, why)
-
-
-def _read_whole_chunk(step, paths: list[Path]) -> tuple[list, Optional[Exception]]:
-    """(outcomes, error): _read_chunk's outcomes as a list, for a pool to
-    send back, up to the error, if any, that stopped them."""
+) -> tuple[list[tuple[Optional[T], Optional[str]]], Optional[Exception]]:
+    """(outcomes, error): (the trace, or what `step` made of it, None) or
+    (None, why the file is unusable) for each of `paths` in order, by
+    read_trace's rule, with the texts read in runs (_runs). `step` gets the
+    chunk's usable (path, trace) pairs and yields a result for each. The
+    outcomes stop at the file where an error, returned with them, was raised."""
+    texts = (((path, why), text) for path, (text, why) in zip(paths, map(_read_text, paths)))
     outcomes = []
     try:
-        for outcome in _read_chunk(step, paths):
-            outcomes.append(outcome)
-    except Exception as exc:  # raised again by iter_dataset, after the files before it
+        read = [
+            (path, *(_usable_trace(path, text, columns) if why is None else (None, why)))
+            for (path, why), text, columns in _runs(texts, defended=False)
+        ]
+        usable = [(path, trace) for path, trace, why in read if why is None]
+        results = iter(step(usable)) if step else (trace for _, trace in usable)
+        for _, _, why in read:
+            outcomes.append((next(results), None) if why is None else (None, why))
+    except Exception as exc:  # raised by iter_dataset, after the files before it
         return outcomes, exc
     return outcomes, None
 
@@ -837,18 +843,16 @@ def iter_dataset(
     """Lazily yield (filename, trace) for each usable file under `root`
     (read_trace), in filename order, skipping the rest.
 
-    The files are read CHUNK_FILES at a time, in runs (_read_chunk). `step`,
-    if given, is called with each run's usable (path, trace) pairs and
-    yields one result for each, which takes the trace's place; an error
-    that it raises reaches the caller after every file before it. With a
-    process `pool` (a concurrent.futures executor), each chunk is read, and
-    stepped, in a worker, and only the step's results come back, so a step
-    that writes what it makes sends back only what the caller needs; an
-    error cancels the chunks no worker has started. Without a pool, one
-    file's result at a time is held. Each skip logs one
-    `skipping <path>: <reason>` warning and is appended, as (filename,
-    reason), to `skipped` if given. A directory with no usable file is a
-    ValueError, raised once the walk is over.
+    The files are read CHUNK_FILES at a time (_read_chunk). `step`, if
+    given, is called once per chunk with its usable (path, trace) pairs and
+    yields a result for each, which takes the trace's place; an error that
+    it raises reaches the caller after every file before it. With a process
+    `pool` (a concurrent.futures executor), each chunk is read and stepped
+    in a worker, and only the step's results come back; an error cancels
+    the chunks no worker has started. Without a pool, one chunk's results
+    at a time are held. Each skip logs a `skipping <path>: <reason>`
+    warning and adds (filename, reason) to `skipped` if given. A directory
+    with no usable file is a ValueError, raised once the walk is over.
     """
     root = Path(root)
     if not root.is_dir():
@@ -857,10 +861,8 @@ def iter_dataset(
     with os.scandir(root) as entries:
         paths = [root / name for name in sorted(e.name for e in entries if e.is_file())]
     chunks = [paths[i:i + CHUNK_FILES] for i in range(0, len(paths), CHUNK_FILES)]
-    if pool is None:
-        read = ((_read_chunk(step, chunk), None) for chunk in chunks)
-    else:
-        read = pool.map(partial(_read_whole_chunk, step), chunks)
+    reader = partial(_read_chunk, step)
+    read = pool.map(reader, chunks) if pool else (reader(chunk) for chunk in chunks)
     used = 0
     for chunk, (outcomes, error) in zip(chunks, read):
         for path, (result, reason) in zip(chunk, outcomes):
@@ -872,9 +874,8 @@ def iter_dataset(
             used += 1
             yield path.name, result
         if error is not None:
-            # A pool's map has every chunk submitted; closing its iterator
-            # cancels those no worker has started, so the error does not
-            # wait for them.
+            # Closing a pool's map cancels the chunks no worker has started,
+            # so the error does not wait for them.
             read.close()
             raise error
     if not used:

@@ -202,7 +202,7 @@ class TestSimulate:
                 return False
 
             def map(self, fn, *iterables, chunksize=1):
-                assert fn.func is traces._read_whole_chunk
+                assert fn.func is traces._read_chunk
                 for outcomes, error in map(fn, *iterables):
                     crossed.extend(result for result, why in outcomes if why is None)
                     yield outcomes, error
@@ -517,7 +517,7 @@ class TestOverhead:
         assert err.startswith(f"wfdefend: error: {out / '1-2'}: ")
         assert reason in err
 
-    @pytest.mark.parametrize("bad", ["parse", "missing", "not-utf8"])
+    @pytest.mark.parametrize("bad", ["parse", "missing", "directory", "not-utf8"])
     def test_bad_defended_file_in_a_chunk_fails_after_the_files_before_it(
         self, capsys, tmp_path, bad
     ):
@@ -537,8 +537,10 @@ class TestOverhead:
         if bad == "parse":
             target.write_text("".join(lines[:2] + ["x\t1\tR\n"] + lines[3:]))
             reason = f"{target}: line 3: non-numeric time field 'x'"
-        elif bad == "missing":
+        elif bad in ("missing", "directory"):
             target.unlink()
+            if bad == "directory":
+                target.mkdir()
             reason = f"no defended trace for 0-5 in {out}"
         else:
             target.write_bytes(b"\xff" + "".join(lines).encode())
@@ -1672,6 +1674,12 @@ TUNE = ["tune", "{data}", "--seed", "1", "--trials", "1", "--folds", "2", "--log
      "jitter must be finite and >= 0, got nan"),
     (["synth", "--out", "{out}", "--seed", "1", "--base-total", "100000000000"], None, 2,
      "surge size must be at most 1000000 packets, got 60000000000"),
+    (["synth", "--out", "{out}", "--seed", "1", "--base-total", "1", "--classes", "3"], None, 2,
+     "class 0 would have 1 packet(s), fewer than 2"),
+    (["synth", "--out", "{out}", "--seed", "1", "--base-total", "10", "--step", "-5"], None, 2,
+     "class 2 would have 0 packet(s), fewer than 2"),
+    (["synth", "--out", "{out}", "--seed", "1", "--step", "0"], None, 2,
+     "step must be nonzero, or the classes are identical"),
     (["simulate", "{data}", "--out", "{out}", "--defense", "regulator-heavy", "--seed", "1",
       "--R", "inf"], None, 1, "R must be finite and > 0, got inf"),
     (["simulate", "{data}", "--out", "{out}", "--defense", "regulator-heavy", "--seed", "1",
@@ -1679,7 +1687,8 @@ TUNE = ["tune", "{data}", "--seed", "1", "--trials", "1", "--folds", "2", "--log
     (TUNE + ["--space", "{file}"], '{"U": [0.5, 8]}', 2,
      "{file}: U must be at least 1 download slot per upload slot, got 0.5"),
 ], ids=["space-R-inf", "space-T-nan", "space-N-fraction", "space-N-bool", "weights-nan",
-        "synth-jitter-inf", "synth-jitter-nan", "synth-base-total", "simulate-R-inf",
+        "synth-jitter-inf", "synth-jitter-nan", "synth-base-total", "synth-total-below-two",
+        "synth-negative-step", "synth-zero-step", "simulate-R-inf",
         "simulate-U-below-one", "space-U-below-one"])
 def test_bad_parameter_is_one_line_error_writing_nothing(
     capsys, tmp_path, argv, content, code, message

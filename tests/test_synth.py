@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -98,3 +99,21 @@ def test_separable_classes_establish_evaluator_baseline():
     assert len(dataset) == 36
     result = evaluate_closed_world(dataset, k=3, folds=3, seed=1)
     assert result.accuracy >= 0.9
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(num_classes=3, base_total=1), "class 0 would have 1 packet(s), fewer than 2"),
+    (dict(num_classes=3, base_total=10, step=-5), "class 2 would have 0 packet(s), fewer than 2"),
+    (dict(num_classes=2, step=0), "step must be nonzero, or the classes are identical"),
+], ids=["total-below-two", "negative-step", "zero-step"])
+def test_separable_profiles_refuse_classes_that_collide_or_shrink(kwargs, message):
+    # Each surge was once clamped to a packet, so classes 0 and 1 of
+    # base_total 1 and step 1 both totalled 2, and step 0 made them all one.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        separable_profiles(**kwargs)
+
+
+def test_separable_profiles_keep_every_total_of_two_or_more():
+    profiles = separable_profiles(3, base_total=2, step=1)
+    assert [sum(p.surge_sizes) for p in profiles] == [2, 3, 4]
+    assert len(separable_profiles(1, step=0)) == 1

@@ -782,6 +782,39 @@ def test_a_walk_tries_each_text_in_the_canonical_reader_once(tmp_path, caplog, m
     _assert_walk_reads_like_read_trace(tmp_path, caplog)
 
 
+def _six_kilobyte_files(root) -> None:
+    """20 canonical files of 4-8 KiB: the first chunk of 16 splits into two
+    64 KiB runs, and the second chunk of 4 is one run."""
+    rng = np.random.default_rng(15)
+    for i in range(traces.CHUNK_FILES + 4):
+        text = _canonical_text(rng, 470)
+        assert 4096 < len(text) <= 8192
+        (root / f"s-{i:02d}").write_text(text)
+
+
+def test_a_step_sees_each_chunk_once_across_its_runs(tmp_path):
+    _six_kilobyte_files(tmp_path)
+    calls = []
+
+    def step(pairs):
+        calls.append([path.name for path, _ in pairs])
+        return (len(trace) for _, trace in pairs)
+
+    walked = list(iter_dataset(tmp_path, step))
+    assert [len(names) for names in calls] == [traces.CHUNK_FILES, 4]
+    assert [name for names in calls for name in names] == [name for name, _ in walked]
+    assert [count for _, count in walked] == [470] * (traces.CHUNK_FILES + 4)
+
+
+def test_runs_cross_chunk_and_64_kib_boundaries(tmp_path, caplog, monkeypatch):
+    _six_kilobyte_files(tmp_path)
+    calls = _counting_canonical(monkeypatch)
+    _assert_walk_reads_like_read_trace(tmp_path, caplog)
+    # read_trace reads each file alone; the walk reads two runs of the
+    # first chunk and one of the second.
+    assert calls == [True] * (traces.CHUNK_FILES + 4) + [True] * 3
+
+
 def test_load_dataset_deterministic(tmp_path):
     for i in range(5):
         (tmp_path / f"{i}-0").write_text(f"0.0\t1\n{i}.5\t-1\n")
